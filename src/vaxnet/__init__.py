@@ -16,7 +16,8 @@ from .graph import (DegreeStats, EmptyGraphError, Graph, degree_stats, delete_no
 from .ingest import (ContactRecord, DailyGraphSet, ZeroRecordsError,
                      build_daily_graphs, load_daily_graphs, parse_contacts)
 from .sirsim import (EnsembleResult, Intervention, SirParams, SirSummary,
-                     SirTrajectory, ensemble, peak_and_final, simulate)
+                     SirTrajectory, ensemble, peak_and_final, replicate_graphs,
+                     simulate)
 from .spectral import (BoundsReport, SirRates, SpectralResult, ThresholdReport,
                        lambda_max, spectral_bounds_check, threshold_check)
 from .stats import TestResult, mean_std, paired_t_test, regularized_incomplete_beta, t_cdf

@@ -23,7 +23,7 @@ from .centrality import Metric, compute, write_scores_csv
 from .generators import GenSpec, degree_preserving_shuffle, generate
 from .graph import Graph, write_edge_list
 from .ingest import load_daily_graphs
-from .sirsim import Intervention, SirParams, ensemble, peak_and_final
+from .sirsim import Intervention, SirParams, ensemble, peak_and_final, replicate_graphs
 from .spectral import SirRates, lambda_max, spectral_bounds_check, threshold_check
 from .stats import mean_std, paired_t_test
 from .vaccination import eigen_drop, herd_equivalent, plan_random, plan_topk
@@ -44,6 +44,10 @@ class SirConfig:
     runs: int = 10
     metrics: tuple[Metric, ...] = (Metric.DEGREE,)
     interventions: tuple[dict, ...] = ()   # each {"time": float, "k": int}
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ConfigError("sir.runs must be at least 1")
 
     def arms(self) -> list[tuple[str, tuple[Intervention, ...]]]:
         """Strategy arms: no action, random picks, and top-k per metric."""
@@ -349,9 +353,11 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     for fi, spec in enumerate(cfg.networks):
         label = _spec_label(spec)
         summary[label] = {}
+        sim_seed = seeding.child_seed(cfg.seed, "sim", fi)
+        graphs = replicate_graphs(spec, cfg.sir.runs, sim_seed)
         for arm_name, ivs in cfg.sir.arms():
-            result = ensemble(spec, cfg.sir.params, ivs, runs=cfg.sir.runs,
-                              seed=seeding.child_seed(cfg.seed, "sim", fi))
+            result = ensemble(graphs, cfg.sir.params, ivs, runs=cfg.sir.runs,
+                              seed=sim_seed)
             tr = result.mean
             fname = out_dir / f"trajectory_{label}_{arm_name}.csv"
             write_csv(fname, ["time", "s", "i", "r", "v"],

@@ -3,15 +3,23 @@
 Transmission along an S-I edge is exponential with rate `tau` per day;
 infected nodes recover deterministically `recovery_days` after infection.
 The simulation is event-driven: at each infection, first-arrival
-transmission delays are drawn for all currently susceptible neighbors, and
-only delays inside the infectious window enter the event queue. A queued
-transmission only fires if its target is still susceptible when its time
-comes, which preserves the per-edge first-arrival law under competing
-infections and vaccination.
+transmission delays are drawn for all currently susceptible neighbors.
+Each susceptible node keeps only its earliest pending transmission in the
+event queue (the `fast_SIR` bookkeeping of Kiss, Miller & Simon,
+*Mathematics of Epidemics on Networks*, 2017): a delay enters the queue
+only if it falls inside the infectious window and beats the target's
+current earliest time. A later transmission could only fire after that
+one, when the target is no longer susceptible, so dropping it changes no
+trajectory while the random stream stays the same. A queued transmission
+still fires only if its target is susceptible when its time comes, since
+vaccination can cancel it.
 
 Interventions vaccinate susceptible nodes at a fixed time. Targeted plans
 rank nodes on the intact graph once; already infected, recovered, or
 vaccinated picks are skipped in favor of the next-ranked node.
+
+Ensembles draw the graph of each run once (`replicate_graphs`), so every
+strategy arm of an experiment runs on the same per-run graphs.
 """
 
 from __future__ import annotations
@@ -129,6 +137,8 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
 
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
+    pending = np.full(n, np.inf)    # earliest queued transmission per node
+    pushes = stale_pops = events = 0
 
     def push(t: float, kind: int, payload: int):
         nonlocal seq
@@ -140,6 +150,7 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
         ev_counts.append(tuple(counts))
 
     def infect(u: int, t: float):
+        nonlocal pushes
         counts[state[u]] -= 1
         state[u] = I
         counts[I] += 1
@@ -150,9 +161,13 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
             sus = nbrs[state[nbrs] == S]
             if sus.size:
                 delays = rng.exponential(1.0 / params.tau, size=sus.size)
-                inside = delays < params.recovery_days
-                for w, dt in zip(sus[inside].tolist(), delays[inside].tolist()):
-                    push(t + dt, _TRANSMIT, w)
+                when = t + delays
+                keep = (delays < params.recovery_days) & (when < pending[sus])
+                targets, when = sus[keep], when[keep]
+                pending[targets] = when
+                pushes += targets.size
+                for w, tw in zip(targets.tolist(), when.tolist()):
+                    push(tw, _TRANSMIT, w)
 
     # Intervention plans are fixed before the outbreak: rankings come from
     # the intact graph, random orders from dedicated child streams.
@@ -188,6 +203,7 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
             rec_time[payload] = t
         elif kind == _TRANSMIT:
             if state[payload] != S:
+                stale_pops += 1
                 continue
             infect(payload, t)
         else:
@@ -205,6 +221,7 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
             if hit < iv.k:
                 warnings.append(
                     f"intervention {payload} wanted {iv.k} but only {hit} susceptible")
+        events += 1
         log(t)
 
     grid = _grid(params, interventions)
@@ -216,24 +233,42 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
         "warnings": warnings,
         "infection_time": inf_time,
         "recovery_time": rec_time,
+        # work done: transmissions queued, queued ones found stale, and
+        # events applied (recoveries, infections, interventions)
+        "pushes": pushes,
+        "stale_pops": stale_pops,
+        "events": events,
     }
     return SirTrajectory(grid, rows[:, S], rows[:, I], rows[:, R], rows[:, V], n, meta)
 
 
-def ensemble(source: Union[Graph, GenSpec], params: SirParams,
+def replicate_graphs(source: Union[Graph, GenSpec], runs: int,
+                     seed: int = 0) -> list[Graph]:
+    """The graph of each of `runs` runs: a Graph is reused by every run, a
+    GenSpec is drawn once per run from the child seed ("net", run)."""
+    if isinstance(source, Graph):
+        return [source] * runs
+    return [generate(source.with_seed(seeding.child_seed(seed, "net", rep)))
+            for rep in range(runs)]
+
+
+def ensemble(source: Union[Graph, GenSpec, Sequence[Graph]], params: SirParams,
              interventions: Sequence[Intervention] = (), runs: int = 10,
              seed: int = 0) -> EnsembleResult:
-    """Average of independent runs; a GenSpec source redraws the graph per run."""
+    """Average of independent runs.
+
+    `source` is one graph for every run, a GenSpec drawn afresh per run, or
+    the per-run graphs themselves, as `replicate_graphs` returns them. Arms
+    that pass the same list share each run's graph instead of redrawing it.
+    """
     if runs < 1:
         raise ValueError("need at least one run")
-    trajs = []
-    for rep in range(runs):
-        if isinstance(source, Graph):
-            g = source
-        else:
-            g = generate(source.with_seed(seeding.child_seed(seed, "net", rep)))
-        trajs.append(simulate(g, params, interventions,
-                              seed=seeding.child_seed(seed, "sir", rep)))
+    if isinstance(source, (Graph, GenSpec)):
+        source = replicate_graphs(source, runs, seed)
+    if len(source) != runs:
+        raise ValueError(f"need one graph per run: got {len(source)} for {runs} runs")
+    trajs = [simulate(g, params, interventions, seed=seeding.child_seed(seed, "sir", rep))
+             for rep, g in enumerate(source)]
     times = trajs[0].times
     stack = lambda attr: np.mean([getattr(tr, attr) for tr in trajs], axis=0)
     warnings = [w for tr in trajs for w in tr.meta["warnings"]]

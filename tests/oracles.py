@@ -3,12 +3,15 @@
 Everything here recomputes results by a different route than the library:
 eigenvalues via cyclic Jacobi rotations on the dense matrix, betweenness by
 explicitly enumerating every geodesic, closeness from a hand-rolled BFS
-table, and the t distribution by numerical quadrature of its density. Slow
-and simple on purpose.
+table, the t distribution by numerical quadrature of its density, SIR runs
+by an event loop that queues every transmission, and SIR final sizes by
+enumerating bond-percolation outcomes. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from collections import deque
 
@@ -180,3 +183,125 @@ def t_cdf_quadrature(t: float, df: int) -> float:
     val, _ = quad(density, -np.inf, 0.0)
     val2, _ = quad(density, 0.0, t)
     return val + val2
+
+
+# -- SIR: push-everything event loop and exact bond-percolation final sizes ------------
+
+
+def reference_simulate(g, params, interventions=(), seed: int = 0):
+    """SIR run that queues every transmission delay inside the infectious window.
+
+    Same random stream, plans and sampling as `vaxnet.sirsim.simulate`, but
+    without its earliest-pending bookkeeping: every drawn transmission is
+    pushed and superseded ones are discarded as stale when they pop.
+    `meta` carries the same keys, counted the same way.
+    """
+    from vaxnet import seeding
+    from vaxnet.centrality import compute, ranking
+    from vaxnet.sirsim import SirTrajectory, _grid
+
+    S, I, R, V = 0, 1, 2, 3
+    n = g.n
+    rng = seeding.rng_from(seed, "run")
+    state = np.zeros(n, dtype=np.uint8)
+    inf_time = np.full(n, np.nan)
+    rec_time = np.full(n, np.nan)
+    warnings = []
+    counts = [n, 0, 0, 0]
+    ev_times, ev_counts = [], []
+    heap = []
+    seq = itertools.count()
+    tally = {"pushes": 0, "stale_pops": 0, "events": 0}
+
+    def infect(u, t):
+        counts[state[u]] -= 1
+        state[u] = I
+        counts[I] += 1
+        inf_time[u] = t
+        heapq.heappush(heap, (t + params.recovery_days, next(seq), "recover", u))
+        if params.tau > 0.0:
+            nbrs = g.neighbors(u)
+            sus = nbrs[state[nbrs] == S]
+            if sus.size:
+                delays = rng.exponential(1.0 / params.tau, size=sus.size)
+                inside = delays < params.recovery_days
+                for w, dt in zip(sus[inside].tolist(), delays[inside].tolist()):
+                    heapq.heappush(heap, (t + dt, next(seq), "transmit", w))
+                    tally["pushes"] += 1
+
+    plans = []
+    for idx, iv in enumerate(interventions):
+        if iv.time > params.t_max:
+            warnings.append(f"intervention {idx} at t={iv.time} beyond horizon; skipped")
+            plans.append(np.empty(0, np.int64))
+            continue
+        if iv.strategy == "topk":
+            plans.append(ranking(compute(g, iv.metric)))
+        else:
+            plans.append(seeding.rng_from(seed, "intervention", idx).permutation(n))
+        heapq.heappush(heap, (iv.time, next(seq), "intervene", idx))
+
+    for u in rng.choice(n, size=params.initial_infected, replace=False).tolist():
+        infect(u, 0.0)
+    ev_times.append(0.0)
+    ev_counts.append(tuple(counts))
+
+    while heap:
+        t, _, kind, payload = heapq.heappop(heap)
+        if t > params.t_max:
+            break
+        if kind == "recover":
+            counts[I] -= 1
+            state[payload] = R
+            counts[R] += 1
+            rec_time[payload] = t
+        elif kind == "transmit":
+            if state[payload] != S:
+                tally["stale_pops"] += 1
+                continue
+            infect(payload, t)
+        else:
+            iv = interventions[payload]
+            hit = 0
+            for node in plans[payload].tolist():
+                if hit == iv.k:
+                    break
+                if state[node] == S:
+                    counts[S] -= 1
+                    state[node] = V
+                    counts[V] += 1
+                    hit += 1
+            if hit < iv.k:
+                warnings.append(
+                    f"intervention {payload} wanted {iv.k} but only {hit} susceptible")
+        tally["events"] += 1
+        ev_times.append(t)
+        ev_counts.append(tuple(counts))
+
+    grid = _grid(params, interventions)
+    pos = np.clip(np.searchsorted(np.asarray(ev_times), grid, side="right") - 1,
+                  0, len(ev_times) - 1)
+    rows = np.asarray(ev_counts, dtype=np.float64)[pos]
+    meta = {"seed": int(seed), "warnings": warnings, "infection_time": inf_time,
+            "recovery_time": rec_time, **tally}
+    return SirTrajectory(grid, rows[:, S], rows[:, I], rows[:, R], rows[:, V], n, meta)
+
+
+def percolation_final_sizes(n: int, edges, transmissibility: float) -> np.ndarray:
+    """Exact P(final size = s), s = 0..n, of SIR from one uniform random seed.
+
+    With a fixed infectious period every edge transmits independently with
+    the same probability T, so the set ever infected is the seed's cluster
+    in bond percolation (Kenah & Robins, PRE 76, 2007). Enumerates all
+    2^m edge subsets and averages the cluster size law over seeds.
+    """
+    dist = np.zeros(n + 1)
+    m = len(edges)
+    for mask in range(1 << m):
+        kept = [e for b, e in enumerate(edges) if mask >> b & 1]
+        weight = transmissibility ** len(kept) * (1.0 - transmissibility) ** (m - len(kept))
+        adj = adjacency_sets(n, kept)
+        for s in range(n):
+            size = sum(1 for d in bfs_dists(adj, s) if d >= 0)
+            dist[size] += weight / n
+    return dist

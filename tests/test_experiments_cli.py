@@ -79,6 +79,16 @@ def test_bad_metric_rejected():
         config_from_dict({"metrics": ["pagerank"]})
 
 
+def test_sir_runs_below_one_rejected_at_load(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="sir.runs"):
+        config_from_dict({"sir": {"runs": 0}})
+    cfg = write_config(tmp_path, {"sir": {**TINY_CONFIG["sir"], "runs": 0}})
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_defaults_without_file():
     cfg = config_from_dict({})
     assert cfg.replicates == 30

@@ -1,0 +1,176 @@
+"""SIR against implementation-independent references.
+
+Two oracles: a push-everything event loop (`oracles.reference_simulate`)
+that `simulate` must match bit for bit, and the exact bond-percolation law
+of the final size that seeded runs must match within sampling error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from vaxnet import (GenSpec, Intervention, Metric, SirParams, ensemble, from_edge_list,
+                    gen_barabasi_albert, gen_duplication_divergence, gen_erdos_renyi,
+                    generate, replicate_graphs, seeding, simulate)
+
+import oracles
+
+
+def complete_graph(n):
+    return from_edge_list([(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def star_graph(leaves):
+    return from_edge_list([(0, i) for i in range(1, leaves + 1)])
+
+
+GRAPHS = {
+    "k12": lambda: complete_graph(12),
+    "star30": lambda: star_graph(30),
+    "dd80": lambda: gen_duplication_divergence(80, 0.4, seed=31),
+    "er60": lambda: gen_erdos_renyi(60, 0.3, seed=32),
+    "ba80": lambda: gen_barabasi_albert(80, 3, seed=33),
+}
+
+INTERVENTIONS = {
+    "none": (),
+    "random": (Intervention(2.0, "random", 8),),
+    "topk_at_zero": (Intervention(0.0, "topk", 5, Metric.DEGREE),),
+    "beyond_horizon": (Intervention(1.5, "topk", 4, Metric.BETWEENNESS),
+                       Intervention(99.0, "random", 3)),
+}
+
+PARAMS = {
+    "default": SirParams(tau=0.4, recovery_days=14.0, initial_infected=3, t_max=20.0),
+    "fast_short": SirParams(tau=1.5, recovery_days=2.0, initial_infected=2, t_max=15.0,
+                            grid_dt=0.1),
+    "tau_zero": SirParams(tau=0.0, recovery_days=5.0, initial_infected=4, t_max=12.0),
+}
+
+
+def assert_same_run(got, ref):
+    for attr in ("times", "s", "i", "r", "v"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+    for key in ("infection_time", "recovery_time"):
+        assert np.array_equal(got.meta[key], ref.meta[key], equal_nan=True), key
+    assert got.meta["warnings"] == ref.meta["warnings"]
+    assert got.meta["events"] == ref.meta["events"]
+    assert got.meta["pushes"] <= ref.meta["pushes"]
+    assert got.meta["stale_pops"] <= ref.meta["stale_pops"]
+
+
+# -- bit identity with the push-everything loop ----------------------------------------
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("plan", sorted(INTERVENTIONS))
+@pytest.mark.parametrize("params", sorted(PARAMS))
+def test_simulate_matches_reference_loop_bit_for_bit(graph, plan, params):
+    g = GRAPHS[graph]()
+    for seed in (0, 1, 2):
+        got = simulate(g, PARAMS[params], INTERVENTIONS[plan], seed=seed)
+        ref = oracles.reference_simulate(g, PARAMS[params], INTERVENTIONS[plan], seed=seed)
+        assert_same_run(got, ref)
+
+
+def test_reference_warnings_are_exercised():
+    # the grid above must reach both warning paths, or their comparison is empty
+    g = star_graph(30)
+    params = SirParams(tau=0.0, initial_infected=4, t_max=10.0)
+    ivs = (Intervention(1.0, "random", 40), Intervention(50.0, "random", 1))
+    got = simulate(g, params, ivs, seed=3)
+    assert_same_run(got, oracles.reference_simulate(g, params, ivs, seed=3))
+    assert len(got.meta["warnings"]) == 2
+
+
+# -- work counters ------------------------------------------------------------------------
+
+
+def test_dense_graph_queues_strictly_fewer_transmissions():
+    g = gen_erdos_renyi(200, 0.3, seed=16)
+    params = SirParams(tau=0.4, t_max=30.0)
+    got = simulate(g, params, seed=17)
+    ref = oracles.reference_simulate(g, params, seed=17)
+    assert_same_run(got, ref)
+    assert got.meta["pushes"] < ref.meta["pushes"]
+    assert got.meta["stale_pops"] < ref.meta["stale_pops"]
+
+
+def test_counters_balance_when_the_queue_drains():
+    # with a horizon past every event, each queued transmission either
+    # infects its target or pops stale, and every event is accounted for
+    g = gen_duplication_divergence(120, 0.4, seed=40)
+    params = SirParams(tau=0.6, recovery_days=4.0, initial_infected=3, t_max=1000.0)
+    ivs = (Intervention(3.0, "topk", 10, Metric.DEGREE),)
+    for seed in range(5):
+        tr = simulate(g, params, ivs, seed=seed)
+        infected = int((~np.isnan(tr.meta["infection_time"])).sum())
+        by_transmission = infected - params.initial_infected
+        assert tr.meta["pushes"] == tr.meta["stale_pops"] + by_transmission
+        assert tr.meta["events"] == by_transmission + infected + len(ivs)
+
+
+# -- shared per-replicate draws --------------------------------------------------------------
+
+
+def test_shared_draws_equal_per_arm_redraws():
+    spec = GenSpec("erdos_renyi", 70, p=0.15)
+    params = SirParams(t_max=10.0)
+    ivs = (Intervention(2.0, "topk", 6, Metric.DEGREE),)
+    graphs = replicate_graphs(spec, 3, seed=5)
+    for rep, g in enumerate(graphs):
+        drawn = generate(spec.with_seed(seeding.child_seed(5, "net", rep)))
+        assert g.fingerprint == drawn.fingerprint
+    shared = ensemble(graphs, params, ivs, runs=3, seed=5)
+    redrawn = ensemble(spec, params, ivs, runs=3, seed=5)
+    for a, b in zip(shared.runs + [shared.mean], redrawn.runs + [redrawn.mean]):
+        for attr in ("times", "s", "i", "r", "v"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
+
+
+def test_ensemble_needs_one_graph_per_run():
+    graphs = replicate_graphs(complete_graph(5), 2)
+    assert len(graphs) == 2
+    with pytest.raises(ValueError, match="one graph per run"):
+        ensemble(graphs, SirParams(initial_infected=1), runs=3)
+
+
+# -- exact final-size law by bond percolation --------------------------------------------------
+
+# Per-size bound on |z| = |count - N p| / sqrt(N p (1 - p)). With N = 4000
+# runs and at most 7 sizes, a correct simulator exceeds 4.5 with
+# probability under 5e-5 per case.
+Z_BOUND = 4.5
+RUNS = 4000
+
+PERCOLATION_CASES = {
+    # 6 nodes, 8 edges: two triangles joined by a 4-cycle
+    "six_eight": (6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 5)],
+                  0.5, 2.0),
+    # 5 nodes, 6 edges with a pendant, lower transmissibility
+    "five_six": (5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1), (3, 4)], 0.3, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERCOLATION_CASES))
+def test_final_size_matches_exact_bond_percolation(case):
+    n, edges, tau, days = PERCOLATION_CASES[case]
+    exact = oracles.percolation_final_sizes(n, edges, 1.0 - math.exp(-tau * days))
+    assert exact.sum() == pytest.approx(1.0)
+    # every infection chain is shorter than n periods, so t_max = n * D
+    # lets each outbreak finish
+    params = SirParams(tau=tau, recovery_days=days, initial_infected=1, t_max=n * days)
+    g = from_edge_list(edges, n=n)
+    counts = np.zeros(n + 1)
+    for seed in range(RUNS):
+        tr = simulate(g, params, seed=seed)
+        assert tr.i[-1] == 0
+        counts[int(tr.r[-1])] += 1
+    for size in range(n + 1):
+        p = exact[size]
+        if p == 0.0:
+            assert counts[size] == 0
+            continue
+        z = (counts[size] - RUNS * p) / math.sqrt(RUNS * p * (1.0 - p))
+        assert abs(z) <= Z_BOUND, (size, counts[size], RUNS * p, z)
