@@ -4,10 +4,13 @@ Scores are plain float arrays indexed by node id. Every ranking produced
 here breaks ties by lower node id, so orderings are total and reproducible
 across runs and platforms.
 
-Betweenness and closeness run level-synchronous BFS from every source at
-once as dense matrix products, which is fast for the graph sizes this
-package targets (up to a few thousand nodes). Larger graphs fall back to a
-per-source sweep over the CSR arrays.
+Betweenness and closeness share one forward BFS per size regime, which
+yields distances and shortest-path counts together; closeness reads the
+distances and betweenness back-propagates dependencies over them (Brandes
+accumulation). Graphs up to a few thousand nodes run the BFS from every
+source at once as dense matrix products; larger graphs, where that needs
+too much memory, sweep each source over the CSR arrays. Eigenvector scores
+are the dominant eigenvector from `spectral.lambda_max`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from enum import Enum
 import numpy as np
 
 from .graph import EmptyGraphError, Graph
+from .spectral import lambda_max
 
-# Graphs up to this many nodes use the dense all-sources BFS kernels.
+# Graphs up to this many nodes use the dense all-sources BFS; above it its
+# n x n arrays take too much memory.
 _DENSE_LIMIT = 2048
 
 
@@ -101,38 +106,55 @@ def _expand(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(frontier, counts), g.indices[pos]
 
 
-def _all_dists_dense(g: Graph) -> np.ndarray:
-    """Distance matrix (int32, -1 for unreachable) via boolean matmul BFS."""
+def _bfs_dense(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """BFS from every source at once as dense matrix products.
+
+    Returns the adjacency matrix, distances (int32, -1 for unreachable),
+    shortest-path counts sigma[s, v] and the deepest level reached. Row s
+    of the frontier matrix holds the path counts of the nodes at the
+    current level from s, so one product both finds the next level and
+    counts the paths into it.
+    """
     n = g.n
     A = g.to_dense()
     dist = np.full((n, n), -1, np.int32)
-    idx = np.arange(n)
-    dist[idx, idx] = 0
-    front = np.eye(n, dtype=np.float64)
-    level = 0
+    np.fill_diagonal(dist, 0)
+    sigma = np.eye(n)
+    F = np.eye(n)
+    depth = 0
     while True:
-        reach = front @ A
-        new = (reach > 0) & (dist < 0)
+        W = F @ A
+        new = (W > 0) & (dist < 0)
         if not new.any():
-            return dist
-        level += 1
-        dist[new] = level
-        front = new.astype(np.float64)
+            return A, dist, sigma, depth
+        depth += 1
+        dist[new] = depth
+        F = np.where(new, W, 0.0)
+        sigma += F
 
 
-def _dists_from(g: Graph, s: int) -> np.ndarray:
-    dist = np.full(g.n, -1, np.int64)
+def _bfs_from(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """BFS from one source over the CSR arrays.
+
+    Returns distances (-1 for unreachable), shortest-path counts and the
+    nodes of each level, level 0 being [s].
+    """
+    n = g.n
+    dist = np.full(n, -1, np.int64)
     dist[s] = 0
-    frontier = np.array([s], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        _, tgt = _expand(g, frontier)
+    sigma = np.zeros(n)
+    sigma[s] = 1.0
+    levels = [np.array([s], dtype=np.int64)]
+    while True:
+        d = len(levels) - 1
+        src, tgt = _expand(g, levels[-1])
         fresh = np.unique(tgt[dist[tgt] == -1])
-        if fresh.size:
-            dist[fresh] = d + 1
-        frontier = fresh
-        d += 1
-    return dist
+        if fresh.size == 0:
+            return dist, sigma, levels
+        dist[fresh] = d + 1
+        step = dist[tgt] == d + 1
+        sigma += np.bincount(tgt[step], weights=sigma[src[step]], minlength=n)
+        levels.append(fresh)
 
 
 # -- closeness --------------------------------------------------------------------
@@ -153,14 +175,14 @@ def closeness_centrality(g: Graph) -> CentralityScores:
     if g.m == 0:
         return _scores(g, Metric.CLOSENESS, vals)
     if n <= _DENSE_LIMIT:
-        dist = _all_dists_dense(g)
+        dist = _bfs_dense(g)[1]
         reach = (dist > 0).sum(axis=1).astype(np.float64)
         totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
     else:
         reach = np.zeros(n)
         totals = np.zeros(n)
         for s in range(n):
-            dist = _dists_from(g, s)
+            dist = _bfs_from(g, s)[0]
             hit = dist > 0
             reach[s] = hit.sum()
             totals[s] = dist[hit].sum()
@@ -173,32 +195,18 @@ def closeness_centrality(g: Graph) -> CentralityScores:
 
 
 def _betweenness_dense(g: Graph) -> np.ndarray:
+    A, dist, sigma, depth = _bfs_dense(g)
     n = g.n
-    A = g.to_dense()
-    idx = np.arange(n)
-    dist = np.full((n, n), -1, np.int32)
-    dist[idx, idx] = 0
-    sigma = np.zeros((n, n))
-    sigma[idx, idx] = 1.0
-    front = np.zeros((n, n), dtype=bool)
-    front[idx, idx] = True
-    level = 0
-    while front.any():
-        W = np.where(front, sigma, 0.0) @ A
-        front = (W > 0) & (dist < 0)
-        level += 1
-        dist[front] = level
-        sigma[front] = W[front]
-        level_top = level
     delta = np.zeros((n, n))
-    for lvl in range(level_top, 0, -1):
+    # Level 1 would only feed each source's own delta, which does not count.
+    for lvl in range(depth, 1, -1):
         on_l = dist == lvl
         coef = np.zeros((n, n))
         coef[on_l] = (1.0 + delta[on_l]) / sigma[on_l]
         T = coef @ A
+        T *= sigma
         on_prev = dist == lvl - 1
-        delta[on_prev] += (T * sigma)[on_prev]
-    delta[idx, idx] = 0.0
+        delta[on_prev] += T[on_prev]
     return delta.sum(axis=0) / 2.0
 
 
@@ -209,33 +217,14 @@ def _betweenness_sparse(g: Graph) -> np.ndarray:
     for s in range(n):
         if deg[s] == 0:
             continue
-        dist = np.full(n, -1, np.int64)
-        dist[s] = 0
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        levels = [np.array([s], dtype=np.int64)]
-        d = 0
-        while levels[-1].size:
-            src, tgt = _expand(g, levels[-1])
-            fresh = np.unique(tgt[dist[tgt] == -1])
-            if fresh.size:
-                dist[fresh] = d + 1
-            step = dist[tgt] == d + 1
-            if step.any():
-                sigma += np.bincount(tgt[step], weights=sigma[src[step]], minlength=n)
-            levels.append(fresh)
-            d += 1
+        dist, sigma, levels = _bfs_from(g, s)
         delta = np.zeros(n)
-        for lvl in range(len(levels) - 1, 0, -1):
-            nodes = levels[lvl]
-            if nodes.size == 0:
-                continue
-            src, tgt = _expand(g, nodes)
+        # Level 1 would only feed delta[s], which does not count.
+        for lvl in range(len(levels) - 1, 1, -1):
+            src, tgt = _expand(g, levels[lvl])
             back = dist[tgt] == lvl - 1
-            if back.any():
-                contrib = (1.0 + delta[src[back]]) * sigma[tgt[back]] / sigma[src[back]]
-                delta += np.bincount(tgt[back], weights=contrib, minlength=n)
-        delta[s] = 0.0
+            contrib = (1.0 + delta[src[back]]) * sigma[tgt[back]] / sigma[src[back]]
+            delta += np.bincount(tgt[back], weights=contrib, minlength=n)
         bc += delta
     return bc / 2.0
 
@@ -262,26 +251,20 @@ def betweenness_centrality(g: Graph, normalized: bool = False) -> CentralityScor
 
 def eigenvector_centrality(g: Graph, tol: float = 1e-10,
                            max_iter: int = 10_000) -> CentralityScores:
-    """Dominant-eigenvector scores by power iteration on A + I.
+    """Dominant-eigenvector scores: the iterate `spectral.lambda_max` stops on.
 
-    The identity shift keeps the iteration from oscillating on bipartite
-    graphs. Scores are non-negative and L2-normalized. On disconnected
-    graphs mass concentrates on the spectrally dominant component(s);
-    convergence is on the successive-iterate max difference.
+    The solver's identity shift keeps the iteration from oscillating on
+    bipartite graphs. Scores are non-negative and L2-normalized. On
+    disconnected graphs mass concentrates on the spectrally dominant
+    component(s). Convergence is the solver's residual rule,
+    ||A x - lambda x||_inf / max(1, lambda) < tol.
     """
     if g.n == 0 or g.m == 0:
         raise EmptyGraphError("eigenvector centrality needs at least one edge")
-    v = 1.0 + 1e-9 * (np.arange(g.n) % 13)
-    v /= np.linalg.norm(v)
-    diff = np.inf
-    for _ in range(max_iter):
-        w = g.matvec(v) + v
-        w /= np.linalg.norm(w)
-        diff = float(np.max(np.abs(w - v)))
-        v = w
-        if diff < tol:
-            return _scores(g, Metric.EIGENVECTOR, v)
-    raise NonConvergenceError(max_iter, diff)
+    res = lambda_max(g, tol=tol, max_iter=max_iter)
+    if not res.converged:
+        raise NonConvergenceError(res.iterations, res.residual)
+    return _scores(g, Metric.EIGENVECTOR, res.vector)
 
 
 # -- dispatch and ranking ------------------------------------------------------------

@@ -66,6 +66,12 @@ class HerdConfig:
     fraction: float = 0.7
     replicates: int = 5
 
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ConfigError("herd.replicates must be at least 1")
+        if not (0.0 <= self.fraction <= 1.0):
+            raise ConfigError("herd.fraction must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class IngestConfig:
@@ -74,6 +80,10 @@ class IngestConfig:
     k: Optional[int] = None
     k_fraction: float = 0.10
     replicates: int = 10
+
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ConfigError("ingest.replicates must be at least 1")
 
 
 @dataclass(frozen=True)

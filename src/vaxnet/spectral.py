@@ -9,7 +9,7 @@ the average and maximum degree, which gives a cheap sanity bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,8 @@ class SpectralResult:
     iterations: int
     residual: float
     converged: bool
+    # Unit-norm iterate whose residual was measured (zeros without edges).
+    vector: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,16 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def lambda_max(g: Graph, tol: float = 1e-9, max_iter: int = 50_000) -> SpectralResult:
-    """Dominant adjacency eigenvalue by shifted power iteration.
+    """Dominant adjacency eigenpair by shifted power iteration.
 
     Iterates on A + I: the shift separates +lambda from -lambda on
     bipartite graphs, where plain power iteration oscillates. The residual
-    reported is ||A x - lambda x||_inf / max(1, lambda). Disconnected
-    graphs converge to the largest eigenvalue over all components.
+    reported is ||A x - lambda x||_inf / max(1, lambda) for the returned
+    vector x. Disconnected graphs converge to the largest eigenvalue over
+    all components.
     """
     if g.n == 0 or g.m == 0:
-        return SpectralResult(0.0, 0, 0.0, True)
+        return SpectralResult(0.0, 0, 0.0, True, np.zeros(g.n))
     v = _start_vector(g.n)
     lam = 0.0
     resid = math.inf
@@ -78,10 +81,10 @@ def lambda_max(g: Graph, tol: float = 1e-9, max_iter: int = 50_000) -> SpectralR
         lam = float(v @ y)
         resid = float(np.max(np.abs(y - lam * v))) / max(1.0, lam)
         if resid < tol:
-            return SpectralResult(lam, it, resid, True)
+            return SpectralResult(lam, it, resid, True, v)
         w = y + v
         v = w / np.linalg.norm(w)
-    return SpectralResult(lam, max_iter, resid, False)
+    return SpectralResult(lam, max_iter, resid, False, v)
 
 
 def threshold_check(rates: SirRates, lam: float) -> ThresholdReport:

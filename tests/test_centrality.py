@@ -5,7 +5,8 @@ import pytest
 
 from vaxnet import (Metric, NonConvergenceError, betweenness_centrality,
                     closeness_centrality, degree_centrality,
-                    eigenvector_centrality, from_edge_list, ranking, top_k)
+                    eigenvector_centrality, from_edge_list, lambda_max, ranking,
+                    top_k)
 from vaxnet.centrality import compute, write_scores_csv
 from vaxnet.graph import EmptyGraphError
 
@@ -111,7 +112,8 @@ def test_betweenness_matches_enumeration():
         assert np.allclose(betweenness_centrality(g).values, want, atol=1e-8)
 
 
-def test_betweenness_dense_and_sparse_paths_agree():
+def test_betweenness_dense_and_sparse_paths_agree(monkeypatch):
+    from vaxnet import centrality
     from vaxnet.centrality import _betweenness_dense, _betweenness_sparse
     rng = np.random.default_rng(23)
     for _ in range(15):
@@ -120,6 +122,24 @@ def test_betweenness_dense_and_sparse_paths_agree():
         if g.m == 0:
             continue
         assert np.allclose(_betweenness_dense(g), _betweenness_sparse(g), atol=1e-9)
+    # The public functions on both sides of the size switch, on graphs with
+    # several components and three isolated nodes (the last three ids).
+    graphs, split = [], 0
+    for _ in range(15):
+        n = int(rng.integers(3, 30)) + 3
+        edges = oracles.random_edges(rng, n - 3, float(rng.uniform(0.05, 0.2)))
+        adj = oracles.adjacency_sets(n, edges)
+        dists = oracles.all_pairs_dists(adj)
+        touched = [v for v in range(n) if adj[v]]
+        split += any(dists[u][v] < 0 for u in touched for v in touched)
+        graphs.append(from_edge_list(edges, n=n))
+    assert split >= 5
+    dense = [(closeness_centrality(g).values, betweenness_centrality(g).values)
+             for g in graphs]
+    monkeypatch.setattr(centrality, "_DENSE_LIMIT", 0)
+    for g, (cc, bc) in zip(graphs, dense):
+        assert np.array_equal(closeness_centrality(g).values, cc)
+        assert np.allclose(betweenness_centrality(g).values, bc, rtol=0, atol=1e-9)
 
 
 # -- eigenvector ---------------------------------------------------------------
@@ -170,6 +190,25 @@ def test_eigenvector_matches_dense_solver():
         assert np.allclose(got, want, atol=1e-6)
         checked += 1
     assert checked >= 10
+
+
+def test_eigenvector_is_the_lambda_max_iterate(cycle4, star5):
+    rng = np.random.default_rng(26)
+    graphs = [cycle4, star5, from_edge_list([(0, 1), (2, 3), (3, 4)], n=6)]
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        graphs.append(from_edge_list(
+            oracles.random_edges(rng, n, float(rng.uniform(0.05, 0.6))), n=n))
+    for g in graphs:
+        if g.m == 0:
+            continue
+        vals = eigenvector_centrality(g).values
+        res = lambda_max(g, tol=1e-10)
+        assert np.array_equal(vals, res.vector)
+        assert np.all(vals >= 0.0)
+        assert np.linalg.norm(vals) == pytest.approx(1.0, abs=1e-12)
+        lam = res.lambda_max
+        assert np.max(np.abs(g.matvec(vals) - lam * vals)) <= 1e-10 * max(1.0, lam)
 
 
 def test_eigenvector_empty_graph_rejected():

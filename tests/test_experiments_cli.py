@@ -89,6 +89,38 @@ def test_sir_runs_below_one_rejected_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_herd_replicates_below_one_rejected_at_load(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="herd.replicates"):
+        config_from_dict({"herd": {"replicates": 0}})
+    cfg = write_config(tmp_path, {"herd": {"fraction": 0.7, "replicates": 0}})
+    out = tmp_path / "h"
+    assert main(["herd", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_herd_fraction_outside_unit_interval_rejected_at_load(tmp_path, capsys):
+    for fraction in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="herd.fraction"):
+            config_from_dict({"herd": {"fraction": fraction}})
+    cfg = write_config(tmp_path, {"herd": {"fraction": 1.5, "replicates": 2}})
+    out = tmp_path / "h"
+    assert main(["herd", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_ingest_replicates_below_one_rejected_at_load(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="ingest.replicates"):
+        config_from_dict({"ingest": {"replicates": 0}})
+    cfg = write_config(tmp_path, {"ingest": {"replicates": 0}})
+    files = sorted(str(p) for p in DATA_DIR.glob("contacts_day*.txt"))
+    out = tmp_path / "ing"
+    assert main(["ingest", *files, "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_defaults_without_file():
     cfg = config_from_dict({})
     assert cfg.replicates == 30

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vaxnet import (SirRates, delete_nodes, from_edge_list, lambda_max,
-                    spectral_bounds_check, threshold_check)
+from vaxnet import (SirRates, SpectralResult, delete_nodes, from_edge_list,
+                    lambda_max, spectral_bounds_check, threshold_check)
 from vaxnet.graph import EmptyGraphError
 
 import oracles
@@ -32,6 +32,14 @@ def test_edgeless_graph_is_zero():
     res = lambda_max(from_edge_list([], n=5))
     assert res.lambda_max == 0.0
     assert res.converged
+    assert np.array_equal(res.vector, np.zeros(5))
+
+
+def test_vector_is_left_out_of_equality_and_repr(k4):
+    res = lambda_max(k4)
+    assert res == SpectralResult(res.lambda_max, res.iterations, res.residual,
+                                 res.converged, -res.vector)
+    assert "vector" not in repr(res)
 
 
 def test_bipartite_even_cycle_converges(cycle4):
