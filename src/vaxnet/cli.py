@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .centrality import Metric
@@ -135,16 +136,9 @@ def main(argv=None) -> int:
             result = run_simulate(_load_cfg(args), args.out)
         else:
             cfg = _load_cfg(args)
-            if args.columns is not None or args.k is not None:
-                ing = {"columns": args.columns if args.columns is not None else cfg.ingest.columns,
-                       "k": args.k if args.k is not None else cfg.ingest.k,
-                       "k_fraction": cfg.ingest.k_fraction,
-                       "replicates": cfg.ingest.replicates}
-                if cfg.ingest.day_length is not None:
-                    ing["day_length"] = cfg.ingest.day_length
-                cfg = config_from_dict({"seed": cfg.seed, "k": cfg.k,
-                                        "metrics": [m.value for m in cfg.metrics],
-                                        "ingest": ing}, source="<cli>")
+            flags = {"columns": args.columns, "k": args.k}
+            cfg = replace(cfg, ingest=replace(
+                cfg.ingest, **{name: v for name, v in flags.items() if v is not None}))
             result = run_ingest(cfg, args.paths, args.out)
     except BrokenPipeError:
         return 1

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -82,6 +83,14 @@ class IngestConfig:
     replicates: int = 10
 
     def __post_init__(self):
+        if self.columns not in (2, 3):
+            raise ConfigError("ingest.columns must be 2 or 3")
+        if self.day_length is not None and self.day_length <= 0:
+            raise ConfigError("ingest.day_length must be positive")
+        if self.k is not None and self.k < 0:
+            raise ConfigError("ingest.k must be non-negative")
+        if not (0.0 <= self.k_fraction <= 1.0):
+            raise ConfigError("ingest.k_fraction must lie in [0, 1]")
         if self.replicates < 1:
             raise ConfigError("ingest.replicates must be at least 1")
 
@@ -112,6 +121,13 @@ class ExperimentConfig:
 
 def _metrics_from(names) -> tuple[Metric, ...]:
     return tuple(Metric.from_name(nm) for nm in names)
+
+
+def _integer(value, key: str) -> int:
+    """An integer config value: 3 or 3.0, but not a bool or 2.7."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -147,40 +163,40 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
         params = SirParams(
             tau=float(sir_raw.get("tau", 0.4)),
             recovery_days=float(sir_raw.get("recovery_days", 14.0)),
-            initial_infected=int(sir_raw.get("initial_infected", 5)),
+            initial_infected=_integer(sir_raw.get("initial_infected", 5), "sir.initial_infected"),
             t_max=float(sir_raw.get("t_max", 30.0)),
             grid_dt=float(sir_raw.get("grid_dt", 0.25)),
         )
         interventions = tuple(
-            {"time": float(iv["time"]), "k": int(iv["k"])}
+            {"time": float(iv["time"]), "k": _integer(iv["k"], "sir.interventions.k")}
             for iv in sir_raw.get("interventions", []))
         sir = SirConfig(
             params=params,
-            runs=int(sir_raw.get("runs", 10)),
+            runs=_integer(sir_raw.get("runs", 10), "sir.runs"),
             metrics=_metrics_from(sir_raw.get("metrics", ["degree"])),
             interventions=interventions,
         )
         herd_raw = dict(raw.get("herd", {}))
         herd = HerdConfig(
             fraction=float(herd_raw.get("fraction", 0.7)),
-            replicates=int(herd_raw.get("replicates", 5)),
+            replicates=_integer(herd_raw.get("replicates", 5), "herd.replicates"),
         )
         ing_raw = dict(raw.get("ingest", {}))
         ingest = IngestConfig(
-            columns=int(ing_raw.get("columns", 3)),
-            day_length=(int(ing_raw["day_length"])
+            columns=_integer(ing_raw.get("columns", 3), "ingest.columns"),
+            day_length=(_integer(ing_raw["day_length"], "ingest.day_length")
                         if ing_raw.get("day_length") is not None else None),
-            k=int(ing_raw["k"]) if ing_raw.get("k") is not None else None,
+            k=_integer(ing_raw["k"], "ingest.k") if ing_raw.get("k") is not None else None,
             k_fraction=float(ing_raw.get("k_fraction", 0.10)),
-            replicates=int(ing_raw.get("replicates", 10)),
+            replicates=_integer(ing_raw.get("replicates", 10), "ingest.replicates"),
         )
         return ExperimentConfig(
-            seed=int(raw.get("seed", 0)),
-            replicates=int(raw.get("replicates", 30)),
-            k=int(raw.get("k", 100)),
+            seed=_integer(raw.get("seed", 0), "seed"),
+            replicates=_integer(raw.get("replicates", 30), "replicates"),
+            k=_integer(raw.get("k", 100), "k"),
             metrics=_metrics_from(raw.get("metrics", [m.value for m in DEFAULT_METRICS])),
             replicate_mode=str(raw.get("replicate_mode", "generate")),
-            workers=int(raw.get("workers", 1)),
+            workers=_integer(raw.get("workers", 1), "workers"),
             networks=networks,
             sir=sir,
             herd=herd,
@@ -243,20 +259,33 @@ def _replicate_graph(spec: GenSpec, mode: str, master_seed: int,
     return generate(spec.with_seed(g_seed)), g_seed
 
 
-def _eigendrop_task(args) -> dict:
-    spec_dict, mode, master_seed, family_idx, rep, k, metric_names = args
-    spec = GenSpec.from_dict(spec_dict)
-    g, g_seed = _replicate_graph(spec, mode, master_seed, family_idx, rep)
-    lam_orig = lambda_max(g).lambda_max
-    rand_seed = seeding.child_seed(master_seed, "rand", family_idx, rep)
-    lam_rand = eigen_drop(g, plan_random(g, k, seed=rand_seed)).lambda_after
-    row = {"replicate": rep, "graph_seed": g_seed,
-           "lambda_orig": lam_orig, "lambda_random": lam_rand}
-    for name in metric_names:
-        metric = Metric.from_name(name)
-        lam = eigen_drop(g, plan_topk(g, metric, k)).lambda_after
-        row[f"lambda_topk_{metric.value}"] = lam
-    return row
+def _graph_arms(g: Graph, k: int, rand_seeds: Sequence[int],
+                metrics: Sequence[Metric]) -> tuple[float, list[float], list[float]]:
+    """λ of `g` intact, after each random removal and after each metric's top k."""
+    plans = [plan_random(g, k, seed=s) for s in rand_seeds]
+    plans += [plan_topk(g, metric, k) for metric in metrics]
+    reports = eigen_drop(g, plans)
+    after = [r.lambda_after for r in reports]
+    return reports[0].lambda_before, after[:len(rand_seeds)], after[len(rand_seeds):]
+
+
+def _arm_summary(orig: Sequence[float], topk: Sequence[float], rand: Sequence[float]) -> list:
+    """Mean, std of orig, top-k, random; paired t-test top-k < random (nan, nan, false if n < 2)."""
+    if len(topk) >= 2:
+        test = paired_t_test(topk, rand, alternative="less")
+        verdict = [test.t_stat, test.p_value, test.significant]
+    else:
+        verdict = [float("nan"), float("nan"), False]
+    return [*mean_std(orig), *mean_std(topk), *mean_std(rand), *verdict]
+
+
+def _eigendrop_task(cfg: ExperimentConfig, task: tuple[int, int]) -> tuple:
+    """Graph seed, λ intact, λ after random removal and after each metric's top k."""
+    fi, rep = task
+    g, g_seed = _replicate_graph(cfg.networks[fi], cfg.replicate_mode, cfg.seed, fi, rep)
+    rand_seed = seeding.child_seed(cfg.seed, "rand", fi, rep)
+    lam_orig, (lam_rand,), lam_topk = _graph_arms(g, cfg.k, [rand_seed], cfg.metrics)
+    return g_seed, lam_orig, lam_rand, lam_topk
 
 
 def run_eigendrop_table(cfg: ExperimentConfig, out_dir) -> dict:
@@ -274,38 +303,23 @@ def run_eigendrop_table(cfg: ExperimentConfig, out_dir) -> dict:
 
     long_rows = []
     summary_rows = []
-    tasks = [(spec.to_dict(), cfg.replicate_mode, cfg.seed, fi, rep, cfg.k, metric_names)
-             for fi, spec in enumerate(cfg.networks)
-             for rep in range(cfg.replicates)]
+    tasks = [(fi, rep) for fi in range(len(cfg.networks)) for rep in range(cfg.replicates)]
+    task = partial(_eigendrop_task, cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_eigendrop_task, tasks, chunksize=1))
+            results = list(pool.map(task, tasks, chunksize=1))
     else:
-        results = [_eigendrop_task(t) for t in tasks]
+        results = [task(t) for t in tasks]
 
-    per_family = len(range(cfg.replicates))
     for fi, spec in enumerate(cfg.networks):
-        rows = results[fi * per_family:(fi + 1) * per_family]
+        rows = results[fi * cfg.replicates:(fi + 1) * cfg.replicates]
         label = _spec_label(spec)
-        for row in rows:
-            long_rows.append([label, row["replicate"], row["graph_seed"],
-                              row["lambda_orig"], row["lambda_random"]]
-                             + [row[f"lambda_topk_{m}"] for m in metric_names])
-        orig = [r["lambda_orig"] for r in rows]
-        rand = [r["lambda_random"] for r in rows]
-        o_mean, o_std = mean_std(orig)
-        r_mean, r_std = mean_std(rand)
-        for name in metric_names:
-            topk = [r[f"lambda_topk_{name}"] for r in rows]
-            t_mean, t_std = mean_std(topk)
-            if len(topk) >= 2:
-                test = paired_t_test(topk, rand, alternative="less")
-                t_stat, p_val, sig = test.t_stat, test.p_value, test.significant
-            else:
-                t_stat, p_val, sig = float("nan"), float("nan"), False
-            summary_rows.append([label, spec.n, name, cfg.k, cfg.replicates,
-                                 cfg.replicate_mode, o_mean, o_std, t_mean, t_std,
-                                 r_mean, r_std, t_stat, p_val, sig])
+        long_rows += [[label, rep, g_seed, orig, rand, *topk]
+                      for rep, (g_seed, orig, rand, topk) in enumerate(rows)]
+        _, orig, rand, topk = zip(*rows)
+        for j, name in enumerate(metric_names):
+            summary_rows.append([label, spec.n, name, cfg.k, cfg.replicates, cfg.replicate_mode,
+                                 *_arm_summary(orig, [t[j] for t in topk], rand)])
 
     write_csv(out_dir / "eigendrop_replicates.csv",
               ["family", "replicate", "graph_seed", "lambda_orig", "lambda_random"]
@@ -410,41 +424,25 @@ def run_ingest(cfg: ExperimentConfig, paths: Sequence, out_dir) -> dict:
     dataset = load_daily_graphs(paths, columns=cfg.ingest.columns,
                                 day_length=cfg.ingest.day_length)
     daily_rows = []
-    by_metric: dict[str, dict[str, list[float]]] = {
-        m.value: {"orig": [], "topk": [], "rand": []} for m in cfg.metrics}
     for day, g in zip(dataset.days, dataset.graphs):
         k = cfg.ingest.k if cfg.ingest.k is not None else max(1, round(cfg.ingest.k_fraction * g.n))
         k = min(k, g.n)
-        lam_orig = lambda_max(g).lambda_max
-        rand_vals = []
-        for rep in range(cfg.ingest.replicates):
-            seed = seeding.child_seed(cfg.seed, "ingest", day, "rand", rep)
-            rand_vals.append(eigen_drop(g, plan_random(g, k, seed=seed)).lambda_after)
+        seeds = [seeding.child_seed(cfg.seed, "ingest", day, "rand", rep)
+                 for rep in range(cfg.ingest.replicates)]
+        lam_orig, rand_vals, lam_topk = _graph_arms(g, k, seeds, cfg.metrics)
         lam_rand = float(np.mean(rand_vals))
-        for metric in cfg.metrics:
-            lam_topk = eigen_drop(g, plan_topk(g, metric, k)).lambda_after
-            daily_rows.append([day, g.n, g.m, k, metric.value,
-                               lam_orig, lam_topk, lam_rand])
-            by_metric[metric.value]["orig"].append(lam_orig)
-            by_metric[metric.value]["topk"].append(lam_topk)
-            by_metric[metric.value]["rand"].append(lam_rand)
+        for metric, lam in zip(cfg.metrics, lam_topk):
+            daily_rows.append([day, g.n, g.m, k, metric.value, lam_orig, lam, lam_rand])
     write_csv(out_dir / "contact_daily.csv",
               ["day", "n", "m", "k", "metric", "lambda_orig", "lambda_topk",
                "lambda_random"],
               daily_rows)
     summary_rows = []
     for metric in cfg.metrics:
-        vals = by_metric[metric.value]
-        o_mean, o_std = mean_std(vals["orig"])
-        t_mean, t_std = mean_std(vals["topk"])
-        r_mean, r_std = mean_std(vals["rand"])
-        if len(vals["topk"]) >= 2:
-            test = paired_t_test(vals["topk"], vals["rand"], alternative="less")
-            t_stat, p_val, sig = test.t_stat, test.p_value, test.significant
-        else:
-            t_stat, p_val, sig = float("nan"), float("nan"), False
-        summary_rows.append([metric.value, len(dataset.days), o_mean, o_std,
-                             t_mean, t_std, r_mean, r_std, t_stat, p_val, sig])
+        rows = [r for r in daily_rows if r[4] == metric.value]
+        summary_rows.append([metric.value, len(dataset.days),
+                             *_arm_summary([r[5] for r in rows], [r[6] for r in rows],
+                                           [r[7] for r in rows])])
     write_csv(out_dir / "contact_summary.csv",
               ["metric", "days", "lambda_orig_mean", "lambda_orig_std",
                "lambda_topk_mean", "lambda_topk_std", "lambda_random_mean",

@@ -11,7 +11,7 @@ quadratic reference the fast path can be checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np

@@ -78,19 +78,23 @@ def plan_random(g: Graph, k: int, seed: int = 0) -> VaccinationPlan:
     return VaccinationPlan(tuple(int(v) for v in victims), "random", None, seed)
 
 
-def eigen_drop(g: Graph, plan: VaccinationPlan) -> EigenDropReport:
-    """Dominant eigenvalue before and after carrying out a plan.
+def eigen_drop(g: Graph, plans: Sequence[VaccinationPlan]) -> list[EigenDropReport]:
+    """Dominant eigenvalue before and after carrying out each plan.
 
-    Node deletion removes a principal submatrix, so the eigenvalue can
-    never increase; the drop is reported both absolutely and as a
-    percentage of the original value.
+    The intact graph is solved once and shared by every report, so all of
+    them carry the same `lambda_before`. Node deletion removes a principal
+    submatrix, so the eigenvalue can never increase; each drop is reported
+    both absolutely and as a percentage of the original value.
     """
     before = lambda_max(g)
-    after = lambda_max(delete_nodes(g, plan.victims))
-    drop = before.lambda_max - after.lambda_max
-    pct = 100.0 * drop / before.lambda_max if before.lambda_max > 0 else 0.0
-    return EigenDropReport(before.lambda_max, after.lambda_max, drop, pct,
-                           before.converged and after.converged)
+    reports = []
+    for plan in plans:
+        after = lambda_max(delete_nodes(g, plan.victims))
+        drop = before.lambda_max - after.lambda_max
+        pct = 100.0 * drop / before.lambda_max if before.lambda_max > 0 else 0.0
+        reports.append(EigenDropReport(before.lambda_max, after.lambda_max, drop, pct,
+                                       before.converged and after.converged))
+    return reports
 
 
 def herd_equivalent(graphs: Sequence[Graph], metric: Metric,

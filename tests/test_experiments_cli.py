@@ -1,6 +1,7 @@
 """Configured runners and the command-line interface."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,11 @@ import yaml
 
 from vaxnet.cli import main
 from vaxnet.experiments import (ConfigError, config_from_dict, load_config,
-                                run_eigendrop_table, run_herd, run_simulate)
+                                run_eigendrop_table, run_herd, run_ingest, run_simulate)
+from vaxnet.stats import mean_std, paired_t_test
 
 DATA_DIR = Path(__file__).parent / "data"
+CONTACT_FILES = sorted(str(p) for p in DATA_DIR.glob("contacts_day*.txt"))
 
 TINY_CONFIG = {
     "seed": 11,
@@ -47,6 +50,11 @@ def write_config(tmp_path, overrides=None):
 
 def read_bytes_map(folder):
     return {p.name: p.read_bytes() for p in sorted(Path(folder).iterdir())}
+
+
+def read_csv(path):
+    header, *lines = Path(path).read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
 # -- configuration ------------------------------------------------------------
@@ -114,9 +122,56 @@ def test_ingest_replicates_below_one_rejected_at_load(tmp_path, capsys):
     with pytest.raises(ConfigError, match="ingest.replicates"):
         config_from_dict({"ingest": {"replicates": 0}})
     cfg = write_config(tmp_path, {"ingest": {"replicates": 0}})
-    files = sorted(str(p) for p in DATA_DIR.glob("contacts_day*.txt"))
     out = tmp_path / "ing"
-    assert main(["ingest", *files, "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["ingest", *CONTACT_FILES, "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"replicates": 2.7}, "replicates"),
+    ({"k": 99.9}, "k"),
+    ({"seed": 1.5}, "seed"),
+    ({"workers": True}, "workers"),
+    ({"sir": {"runs": 1.9}}, "sir.runs"),
+    ({"sir": {"initial_infected": True}}, "sir.initial_infected"),
+    ({"sir": {"interventions": [{"time": 2.0, "k": 12.5}]}}, "sir.interventions.k"),
+    ({"herd": {"replicates": 3.2}}, "herd.replicates"),
+    ({"ingest": {"columns": 2.5}}, "ingest.columns"),
+    ({"ingest": {"day_length": 3600.5}}, "ingest.day_length"),
+    ({"ingest": {"k": False}}, "ingest.k"),
+    ({"ingest": {"replicates": 1.5}}, "ingest.replicates"),
+])
+def test_non_integer_config_value_rejected(raw, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be an integer"):
+        config_from_dict(raw)
+
+
+def test_integral_config_values_accepted():
+    cfg = config_from_dict({"seed": 7.0, "replicates": 3, "k": 3.0,
+                            "sir": {"runs": 2.0, "initial_infected": 4},
+                            "herd": {"replicates": 3.0},
+                            "ingest": {"k": 5.0, "day_length": 3600.0}})
+    values = [cfg.seed, cfg.replicates, cfg.k, cfg.sir.runs,
+              cfg.sir.params.initial_infected, cfg.herd.replicates,
+              cfg.ingest.k, cfg.ingest.day_length]
+    assert values == [7, 3, 3, 2, 4, 3, 5, 3600]
+    assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("ingest, key", [
+    ({"k": -4}, "ingest.k"),
+    ({"columns": 5}, "ingest.columns"),
+    ({"day_length": 0}, "ingest.day_length"),
+    ({"k_fraction": 1.5}, "ingest.k_fraction"),
+    ({"k_fraction": -0.1}, "ingest.k_fraction"),
+])
+def test_ingest_settings_rejected_at_load(tmp_path, capsys, ingest, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config_from_dict({"ingest": ingest})
+    cfg = write_config(tmp_path, {"ingest": ingest})
+    out = tmp_path / "ing"
+    assert main(["ingest", *CONTACT_FILES, "--config", str(cfg), "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out.exists()
 
@@ -158,6 +213,43 @@ def test_eigendrop_shuffle_mode(tmp_path):
     run_eigendrop_table(cfg, out)
     reps = (out / "eigendrop_replicates.csv").read_text().splitlines()
     assert len(reps) == 4
+
+
+SUMMARY_COLUMNS = ["lambda_orig_mean", "lambda_orig_std", "lambda_topk_mean",
+                   "lambda_topk_std", "lambda_random_mean", "lambda_random_std",
+                   "t_stat", "p_value"]
+
+
+def check_summary_row(row, orig, topk, rand):
+    """A summary row equals the arms recomputed from the per-row file."""
+    test = paired_t_test(topk, rand, alternative="less")
+    want = [*mean_std(orig), *mean_std(topk), *mean_std(rand), test.t_stat, test.p_value]
+    assert [float(row[c]) for c in SUMMARY_COLUMNS] == want
+    assert row["significant"] == ("true" if test.significant else "false")
+
+
+def test_summaries_recompute_from_per_row_files(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    run_eigendrop_table(cfg, tmp_path / "t")
+    reps = read_csv(tmp_path / "t" / "eigendrop_replicates.csv")
+    summary = read_csv(tmp_path / "t" / "eigendrop_summary.csv")
+    assert len(summary) == len(cfg.networks) * len(cfg.metrics)
+    for row in summary:
+        mine = [r for r in reps if r["family"] == row["family"]]
+        assert len(mine) == int(row["replicates"]) == cfg.replicates
+        check_summary_row(row, [float(r["lambda_orig"]) for r in mine],
+                          [float(r[f"lambda_topk_{row['metric']}"]) for r in mine],
+                          [float(r["lambda_random"]) for r in mine])
+
+    run_ingest(cfg, CONTACT_FILES, tmp_path / "c")
+    daily = read_csv(tmp_path / "c" / "contact_daily.csv")
+    summary = read_csv(tmp_path / "c" / "contact_summary.csv")
+    assert [r["metric"] for r in summary] == [m.value for m in cfg.metrics]
+    for row in summary:
+        mine = [r for r in daily if r["metric"] == row["metric"]]
+        assert len(mine) == int(row["days"]) == len(CONTACT_FILES)
+        check_summary_row(row, *([float(r[c]) for r in mine]
+                                 for c in ("lambda_orig", "lambda_topk", "lambda_random")))
 
 
 def test_herd_runner_outputs(tmp_path):
@@ -276,9 +368,33 @@ def test_cli_herd_and_simulate(tmp_path, capsys):
     assert (tmp_path / "s" / "sir_summary.json").exists()
 
 
+def test_cli_ingest_k_override_keeps_config_seed_and_metrics(tmp_path, capsys):
+    ingest = {"columns": 3, "replicates": 2}
+    cfg = write_config(tmp_path, {"seed": 5, "metrics": ["closeness"], "ingest": ingest})
+    out = tmp_path / "flag"
+    assert main(["ingest", *CONTACT_FILES, "--config", str(cfg), "--k", "3",
+                 "--columns", "3", "--out", str(out)]) == 0
+    rows = read_csv(out / "contact_daily.csv")
+    assert {r["k"] for r in rows} == {"3"}
+    assert {r["metric"] for r in rows} == {"closeness"}
+    # the same run with k in the config file, and again with the default seed
+    runs = {}
+    for seed in (5, 0):
+        path = write_config(tmp_path, {"seed": seed, "metrics": ["closeness"],
+                                       "ingest": {**ingest, "k": 3}})
+        run_ingest(load_config(path), CONTACT_FILES, tmp_path / f"seed{seed}")
+        runs[seed] = read_bytes_map(tmp_path / f"seed{seed}")
+    capsys.readouterr()
+    assert read_bytes_map(out) == runs[5] != runs[0]
+    out = tmp_path / "negative"
+    assert main(["ingest", *CONTACT_FILES, "--config", str(cfg), "--k", "-4",
+                 "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_cli_ingest_fixture(tmp_path, capsys):
-    files = sorted(str(p) for p in DATA_DIR.glob("contacts_day*.txt"))
-    rc = main(["ingest", *files, "--out", str(tmp_path / "ing"), "--seed", "2"])
+    rc = main(["ingest", *CONTACT_FILES, "--out", str(tmp_path / "ing"), "--seed", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     daily = (tmp_path / "ing" / "contact_daily.csv").read_text().splitlines()

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from vaxnet import (Metric, VaccinationPlan, eigen_drop, from_edge_list,
+from vaxnet import (Metric, VaccinationPlan, delete_nodes, eigen_drop, from_edge_list,
                     gen_barabasi_albert, gen_erdos_renyi, herd_equivalent,
-                    lambda_max, plan_random, plan_topk, seeding)
+                    lambda_max, plan_random, plan_topk, seeding, vaccination)
 from vaxnet.centrality import degree_centrality
 
 import oracles
@@ -86,13 +86,13 @@ def test_random_plan_full_set(k4):
 
 
 def test_eigen_drop_empty_plan(k4):
-    rep = eigen_drop(k4, VaccinationPlan((), "random"))
+    rep = eigen_drop(k4, [VaccinationPlan((), "random")])[0]
     assert rep.lambda_before == pytest.approx(rep.lambda_after)
     assert rep.drop == pytest.approx(0.0, abs=1e-9)
 
 
 def test_eigen_drop_star_hub(star5):
-    rep = eigen_drop(star5, plan_topk(star5, Metric.DEGREE, 1))
+    rep = eigen_drop(star5, [plan_topk(star5, Metric.DEGREE, 1)])[0]
     assert rep.lambda_before == pytest.approx(2.0, abs=1e-8)
     assert rep.lambda_after == pytest.approx(0.0, abs=1e-10)
     assert rep.drop_pct == pytest.approx(100.0, abs=1e-6)
@@ -105,7 +105,7 @@ def test_eigen_drop_never_negative():
         n = int(rng.integers(4, 20))
         g = from_edge_list(oracles.random_edges(rng, n, 0.4), n=n)
         k = int(rng.integers(1, n))
-        rep = eigen_drop(g, plan_random(g, k, seed=int(rng.integers(1 << 30))))
+        rep = eigen_drop(g, [plan_random(g, k, seed=int(rng.integers(1 << 30)))])[0]
         assert rep.drop >= -1e-9
         assert 0.0 <= rep.drop_pct <= 100.0 + 1e-9
 
@@ -113,10 +113,31 @@ def test_eigen_drop_never_negative():
 def test_eigen_drop_targeted_beats_random_on_hubs():
     g = gen_barabasi_albert(300, 4, seed=7)
     k = 30
-    topk = eigen_drop(g, plan_topk(g, Metric.DEGREE, k))
+    topk = eigen_drop(g, [plan_topk(g, Metric.DEGREE, k)])[0]
     rand_after = np.mean([
-        eigen_drop(g, plan_random(g, k, seed=s)).lambda_after for s in range(10)])
+        eigen_drop(g, [plan_random(g, k, seed=s)])[0].lambda_after for s in range(10)])
     assert topk.lambda_after < rand_after
+
+
+def test_eigen_drop_solves_the_intact_graph_once(monkeypatch):
+    g = gen_barabasi_albert(200, 3, seed=5)
+    plans = ([plan_topk(g, Metric.DEGREE, 10), VaccinationPlan((), "random")]
+             + [plan_random(g, 10, seed=s) for s in range(3)])
+    solved = []
+
+    def counting(graph, *args, **kwargs):
+        solved.append(graph.n)
+        return lambda_max(graph, *args, **kwargs)
+
+    monkeypatch.setattr(vaccination, "lambda_max", counting)
+    reports = eigen_drop(g, plans)
+    assert len(solved) == 1 + len(plans)
+    assert len(reports) == len(plans)
+    lam = lambda_max(g).lambda_max
+    assert all(r.lambda_before == lam for r in reports)
+    for plan, rep in zip(plans, reports):
+        assert rep.lambda_after == lambda_max(delete_nodes(g, plan.victims)).lambda_max
+    assert eigen_drop(g, []) == []
 
 
 # -- herd equivalence ----------------------------------------------------------------
