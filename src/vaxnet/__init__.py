@@ -7,7 +7,8 @@ strategies in stochastic SIR simulations.
 
 from .centrality import (CentralityScores, Metric, NonConvergenceError,
                          betweenness_centrality, closeness_centrality, compute,
-                         degree_centrality, eigenvector_centrality, ranking, top_k)
+                         compute_many, degree_centrality, eigenvector_centrality,
+                         ranking, top_k)
 from .generators import (GenSpec, degree_preserving_shuffle, gen_barabasi_albert,
                          gen_duplication_divergence, gen_erdos_renyi, gen_gnp,
                          gen_random_geometric, generate)

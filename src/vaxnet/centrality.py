@@ -7,16 +7,18 @@ across runs and platforms.
 Betweenness and closeness share one forward BFS per size regime, which
 yields distances and shortest-path counts together; closeness reads the
 distances and betweenness back-propagates dependencies over them (Brandes
-accumulation). Graphs up to a few thousand nodes run the BFS from every
-source at once as dense matrix products; larger graphs, where that needs
-too much memory, sweep each source over the CSR arrays. Eigenvector scores
-are the dominant eigenvector from `spectral.lambda_max`.
+accumulation). `compute_many` runs that sweep once when both are asked
+for. Graphs up to a few thousand nodes run the BFS from every source at
+once as dense matrix products; larger graphs, where that needs too much
+memory, sweep each source over the CSR arrays. Eigenvector scores are the
+dominant eigenvector from `spectral.lambda_max`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -157,45 +159,22 @@ def _bfs_from(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray
         levels.append(fresh)
 
 
-# -- closeness --------------------------------------------------------------------
+# -- closeness and betweenness -----------------------------------------------------
 
 
-def closeness_centrality(g: Graph) -> CentralityScores:
-    """Harmonic-free closeness with a component-size correction.
+def _sweep_dense(g: Graph, betweenness: bool
+                 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Closeness sums and, if asked, betweenness from one all-sources BFS.
 
-    For node v reaching r_v other nodes at total distance D_v:
-    C(v) = (r_v / D_v) * (r_v / (n - 1)). The second factor scales scores
-    of small components down so they do not dominate the ranking. Isolated
-    nodes score 0.
+    Returns per-source reach and total distance, and the betweenness
+    scores (None unless asked). The n x n closeness temporaries are freed
+    before the backward pass allocates its own.
     """
-    n = g.n
-    if n < 2:
-        raise ValueError("closeness needs at least 2 nodes")
-    vals = np.zeros(n)
-    if g.m == 0:
-        return _scores(g, Metric.CLOSENESS, vals)
-    if n <= _DENSE_LIMIT:
-        dist = _bfs_dense(g)[1]
-        reach = (dist > 0).sum(axis=1).astype(np.float64)
-        totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
-    else:
-        reach = np.zeros(n)
-        totals = np.zeros(n)
-        for s in range(n):
-            dist = _bfs_from(g, s)[0]
-            hit = dist > 0
-            reach[s] = hit.sum()
-            totals[s] = dist[hit].sum()
-    pos = totals > 0
-    vals[pos] = (reach[pos] / totals[pos]) * (reach[pos] / (n - 1))
-    return _scores(g, Metric.CLOSENESS, vals)
-
-
-# -- betweenness ------------------------------------------------------------------
-
-
-def _betweenness_dense(g: Graph) -> np.ndarray:
     A, dist, sigma, depth = _bfs_dense(g)
+    reach = (dist > 0).sum(axis=1).astype(np.float64)
+    totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
+    if not betweenness:
+        return reach, totals, None
     n = g.n
     delta = np.zeros((n, n))
     # Level 1 would only feed each source's own delta, which does not count.
@@ -207,17 +186,27 @@ def _betweenness_dense(g: Graph) -> np.ndarray:
         T *= sigma
         on_prev = dist == lvl - 1
         delta[on_prev] += T[on_prev]
-    return delta.sum(axis=0) / 2.0
+    return reach, totals, delta.sum(axis=0) / 2.0
 
 
-def _betweenness_sparse(g: Graph) -> np.ndarray:
+def _sweep_sparse(g: Graph, betweenness: bool
+                  ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """As `_sweep_dense`, with one CSR BFS per source feeding both metrics."""
     n = g.n
+    reach = np.zeros(n)
+    totals = np.zeros(n)
     bc = np.zeros(n)
     deg = g.degrees
     for s in range(n):
+        # An isolated source reaches nobody and feeds no dependency.
         if deg[s] == 0:
             continue
         dist, sigma, levels = _bfs_from(g, s)
+        hit = dist > 0
+        reach[s] = hit.sum()
+        totals[s] = dist[hit].sum()
+        if not betweenness:
+            continue
         delta = np.zeros(n)
         # Level 1 would only feed delta[s], which does not count.
         for lvl in range(len(levels) - 1, 1, -1):
@@ -226,7 +215,47 @@ def _betweenness_sparse(g: Graph) -> np.ndarray:
             contrib = (1.0 + delta[src[back]]) * sigma[tgt[back]] / sigma[src[back]]
             delta += np.bincount(tgt[back], weights=contrib, minlength=n)
         bc += delta
-    return bc / 2.0
+    return reach, totals, (bc / 2.0 if betweenness else None)
+
+
+def _path_values(g: Graph, closeness: bool, betweenness: bool
+                 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Closeness and betweenness values of `g`, None where not asked for,
+    from one shortest-path sweep."""
+    n = g.n
+    if closeness and n < 2:
+        raise ValueError("closeness needs at least 2 nodes")
+    if g.m == 0:
+        reach = totals = np.zeros(n)
+        bc = np.zeros(n) if betweenness else None
+    else:
+        sweep = _sweep_dense if n <= _DENSE_LIMIT else _sweep_sparse
+        reach, totals, bc = sweep(g, betweenness)
+    cc = None
+    if closeness:
+        cc = np.zeros(n)
+        pos = totals > 0
+        cc[pos] = (reach[pos] / totals[pos]) * (reach[pos] / (n - 1))
+    return cc, bc
+
+
+def _betweenness_dense(g: Graph) -> np.ndarray:
+    return _sweep_dense(g, True)[2]
+
+
+def _betweenness_sparse(g: Graph) -> np.ndarray:
+    return _sweep_sparse(g, True)[2]
+
+
+def closeness_centrality(g: Graph) -> CentralityScores:
+    """Harmonic-free closeness with a component-size correction.
+
+    For node v reaching r_v other nodes at total distance D_v:
+    C(v) = (r_v / D_v) * (r_v / (n - 1)). The second factor scales scores
+    of small components down so they do not dominate the ranking. Isolated
+    nodes score 0.
+    """
+    return _scores(g, Metric.CLOSENESS, _path_values(g, True, False)[0])
 
 
 def betweenness_centrality(g: Graph, normalized: bool = False) -> CentralityScores:
@@ -236,10 +265,7 @@ def betweenness_centrality(g: Graph, normalized: bool = False) -> CentralityScor
     arising at these graph sizes. Unordered pair contributions are halved
     once at the end. The normalized variant divides by (n-1)(n-2)/2.
     """
-    if g.n <= _DENSE_LIMIT:
-        bc = _betweenness_dense(g) if g.m else np.zeros(g.n)
-    else:
-        bc = _betweenness_sparse(g)
+    bc = _path_values(g, False, True)[1]
     if normalized:
         pairs = (g.n - 1) * (g.n - 2) / 2.0
         bc = bc / pairs if pairs > 0 else np.zeros(g.n)
@@ -270,16 +296,34 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10,
 # -- dispatch and ranking ------------------------------------------------------------
 
 
+def compute_many(g: Graph, metrics) -> dict[Metric, CentralityScores]:
+    """Scores of `g` under each of `metrics`, keyed by metric.
+
+    Closeness and betweenness asked for together share one shortest-path
+    sweep; every other metric is scored on its own.
+    """
+    metrics = tuple(metrics)
+    out: dict[Metric, CentralityScores] = {}
+    for metric in metrics:
+        if metric in out:
+            continue
+        if metric in (Metric.DEGREE, Metric.DEGREE_NORMALIZED):
+            out[metric] = degree_centrality(g, normalized=metric is Metric.DEGREE_NORMALIZED)
+        elif metric in (Metric.CLOSENESS, Metric.BETWEENNESS):
+            cc, bc = _path_values(g, Metric.CLOSENESS in metrics,
+                                  Metric.BETWEENNESS in metrics)
+            for m, vals in ((Metric.CLOSENESS, cc), (Metric.BETWEENNESS, bc)):
+                if vals is not None:
+                    out[m] = _scores(g, m, vals)
+        elif metric is Metric.EIGENVECTOR:
+            out[metric] = eigenvector_centrality(g)
+        else:
+            raise ValueError(f"unknown metric {metric!r}")
+    return out
+
+
 def compute(g: Graph, metric: Metric) -> CentralityScores:
-    if metric in (Metric.DEGREE, Metric.DEGREE_NORMALIZED):
-        return degree_centrality(g, normalized=metric is Metric.DEGREE_NORMALIZED)
-    if metric is Metric.CLOSENESS:
-        return closeness_centrality(g)
-    if metric is Metric.BETWEENNESS:
-        return betweenness_centrality(g)
-    if metric is Metric.EIGENVECTOR:
-        return eigenvector_centrality(g)
-    raise ValueError(f"unknown metric {metric!r}")
+    return compute_many(g, (metric,))[metric]
 
 
 def ranking(scores: CentralityScores) -> np.ndarray:

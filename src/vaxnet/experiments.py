@@ -20,8 +20,8 @@ import numpy as np
 import yaml
 
 from . import seeding
-from .centrality import Metric, compute, write_scores_csv
-from .generators import GenSpec, degree_preserving_shuffle, generate
+from .centrality import Metric, compute, compute_many, write_scores_csv
+from .generators import GenSpec, as_integer, degree_preserving_shuffle, generate
 from .graph import Graph, write_edge_list
 from .ingest import load_daily_graphs
 from .sirsim import Intervention, SirParams, ensemble, peak_and_final, replicate_graphs
@@ -124,10 +124,7 @@ def _metrics_from(names) -> tuple[Metric, ...]:
 
 
 def _integer(value, key: str) -> int:
-    """An integer config value: 3 or 3.0, but not a bool or 2.7."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return as_integer(value, key, ConfigError)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -263,7 +260,8 @@ def _graph_arms(g: Graph, k: int, rand_seeds: Sequence[int],
                 metrics: Sequence[Metric]) -> tuple[float, list[float], list[float]]:
     """λ of `g` intact, after each random removal and after each metric's top k."""
     plans = [plan_random(g, k, seed=s) for s in rand_seeds]
-    plans += [plan_topk(g, metric, k) for metric in metrics]
+    scores = compute_many(g, metrics)
+    plans += [plan_topk(g, metric, k, scores=scores[metric]) for metric in metrics]
     reports = eigen_drop(g, plans)
     after = [r.lambda_after for r in reports]
     return reports[0].lambda_before, after[:len(rand_seeds)], after[len(rand_seeds):]
@@ -487,7 +485,7 @@ def run_spectral(g: Graph, out_path, beta: Optional[float] = None,
         "converged": res.converged,
     }
     if g.m > 0:
-        bounds = spectral_bounds_check(g)
+        bounds = spectral_bounds_check(g, res.lambda_max)
         payload["bounds"] = {"deg_avg": bounds.deg_avg, "deg_max": bounds.deg_max,
                              "holds": bounds.holds}
     if beta is not None and delta is not None:

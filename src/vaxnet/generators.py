@@ -49,6 +49,13 @@ _ALIASES = {
 GEOMETRIC_TARGET_DEGREE = 100.0
 
 
+def as_integer(value, key: str, error: type[ValueError]) -> int:
+    """An integer setting: 3 or 3.0, but not a bool or 2.7, which raise `error`."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise error(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def canonical_family(name: str) -> str:
     key = name.strip().lower()
     if key not in _ALIASES:
@@ -116,7 +123,9 @@ class GenSpec:
             raise ValueError(f"unknown GenSpec fields: {sorted(unknown)}")
         if "family" not in d or "n" not in d:
             raise ValueError("GenSpec needs at least 'family' and 'n'")
-        return cls(**d)
+        ints = {key: as_integer(d[key], key, ValueError) for key in ("n", "m", "dim", "seed")
+                if d.get(key) is not None}
+        return cls(**{**d, **ints})
 
 
 def generate(spec: GenSpec) -> Graph:

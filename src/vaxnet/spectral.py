@@ -96,14 +96,14 @@ def threshold_check(rates: SirRates, lam: float) -> ThresholdReport:
     return ThresholdReport(ratio, inv, ratio <= inv, inv - ratio)
 
 
-def spectral_bounds_check(g: Graph) -> BoundsReport:
-    """Verify deg_avg <= lambda_max <= deg_max on a graph with edges."""
+def spectral_bounds_check(g: Graph, lam: float) -> BoundsReport:
+    """Verify deg_avg <= lam <= deg_max on a graph with edges, where `lam`
+    is the graph's dominant eigenvalue as `lambda_max` returns it."""
     if g.n == 0 or g.m == 0:
         raise EmptyGraphError("degree bounds need at least one edge")
     d = g.degrees
     deg_avg = float(d.mean())
     deg_max = float(d.max())
-    lam = lambda_max(g).lambda_max
     eps = 1e-7 * max(1.0, deg_max)
     holds = (deg_avg <= lam + eps) and (lam <= deg_max + eps)
     return BoundsReport(deg_avg, lam, deg_max, holds)

@@ -16,7 +16,7 @@ import numpy as np
 from . import seeding
 from .centrality import CentralityScores, Metric, compute, ranking, top_k
 from .graph import Graph, delete_nodes
-from .spectral import lambda_max
+from .spectral import SpectralResult, lambda_max
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,19 @@ def eigen_drop(g: Graph, plans: Sequence[VaccinationPlan]) -> list[EigenDropRepo
     """Dominant eigenvalue before and after carrying out each plan.
 
     The intact graph is solved once and shared by every report, so all of
-    them carry the same `lambda_before`. Node deletion removes a principal
+    them carry the same `lambda_before`; plans removing the same node set
+    share one solve of the reduced graph. Node deletion removes a principal
     submatrix, so the eigenvalue can never increase; each drop is reported
     both absolutely and as a percentage of the original value.
     """
     before = lambda_max(g)
+    solved: dict[frozenset, SpectralResult] = {}
     reports = []
     for plan in plans:
-        after = lambda_max(delete_nodes(g, plan.victims))
+        victims = frozenset(plan.victims)
+        if victims not in solved:
+            solved[victims] = lambda_max(delete_nodes(g, plan.victims))
+        after = solved[victims]
         drop = before.lambda_max - after.lambda_max
         pct = 100.0 * drop / before.lambda_max if before.lambda_max > 0 else 0.0
         reports.append(EigenDropReport(before.lambda_max, after.lambda_max, drop, pct,

@@ -279,7 +279,7 @@ def test_criterion_6d_degree_sandwich_100_graphs():
         g = from_edge_list(oracles.random_edges(rng, n, float(rng.uniform(0.05, 0.9))), n=n)
         if g.m == 0:
             continue
-        assert spectral_bounds_check(g).holds
+        assert spectral_bounds_check(g, lambda_max(g).lambda_max).holds
         done += 1
     assert report("criterion 6d (deg_avg <= lambda <= deg_max, 100 graphs)", True,
                   "bracket held on all 100")

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from vaxnet import (Metric, NonConvergenceError, betweenness_centrality,
-                    closeness_centrality, degree_centrality,
-                    eigenvector_centrality, from_edge_list, lambda_max, ranking,
+                    closeness_centrality, compute_many, degree_centrality,
+                    eigenvector_centrality, from_edge_list, gen_barabasi_albert,
+                    gen_duplication_divergence, gen_erdos_renyi, lambda_max, ranking,
                     top_k)
+from vaxnet import centrality
 from vaxnet.centrality import compute, write_scores_csv
 from vaxnet.graph import EmptyGraphError
 
@@ -140,6 +142,96 @@ def test_betweenness_dense_and_sparse_paths_agree(monkeypatch):
     for g, (cc, bc) in zip(graphs, dense):
         assert np.array_equal(closeness_centrality(g).values, cc)
         assert np.allclose(betweenness_centrality(g).values, bc, rtol=0, atol=1e-9)
+
+
+# -- one sweep for both path metrics -----------------------------------------------
+
+PATH_METRICS = [Metric.CLOSENESS, Metric.BETWEENNESS]
+
+
+def sweep_graphs():
+    """ER, BA and DD draws, graphs with isolated nodes and several
+    components, and an edgeless graph."""
+    rng = np.random.default_rng(24)
+    graphs = [gen_erdos_renyi(40, 0.15, seed=1), gen_barabasi_albert(50, 2, seed=2),
+              gen_duplication_divergence(45, 0.4, seed=3),
+              from_edge_list([(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)], n=11),
+              from_edge_list([], n=6)]
+    for _ in range(4):
+        n = int(rng.integers(8, 25))
+        edges = oracles.random_edges(rng, n - 3, float(rng.uniform(0.05, 0.2)))
+        graphs.append(from_edge_list(edges, n=n))
+    return graphs
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def size_regime(request, monkeypatch):
+    if request.param == "sparse":
+        monkeypatch.setattr(centrality, "_DENSE_LIMIT", 0)
+    return request.param
+
+
+def test_compute_many_is_bit_equal_to_the_single_metric_wrappers(size_regime):
+    for g in sweep_graphs():
+        cc = closeness_centrality(g).values
+        bc = betweenness_centrality(g).values
+        for order in (PATH_METRICS, PATH_METRICS[::-1]):
+            many = compute_many(g, order)
+            assert set(many) == set(PATH_METRICS)
+            assert np.array_equal(many[Metric.CLOSENESS].values, cc)
+            assert np.array_equal(many[Metric.BETWEENNESS].values, bc)
+            assert all(many[m].graph_fingerprint == g.fingerprint for m in order)
+        assert np.array_equal(compute(g, Metric.CLOSENESS).values, cc)
+        assert np.array_equal(compute(g, Metric.BETWEENNESS).values, bc)
+
+
+def test_compute_many_matches_brute_force(size_regime):
+    rng = np.random.default_rng(25)
+    for _ in range(25):
+        n = int(rng.integers(2, 10))
+        edges = oracles.random_edges(rng, n, float(rng.uniform(0.1, 0.7)))
+        many = compute_many(from_edge_list(edges, n=n), PATH_METRICS)
+        assert np.allclose(many[Metric.CLOSENESS].values,
+                           oracles.brute_closeness(n, edges), atol=1e-8)
+        assert np.allclose(many[Metric.BETWEENNESS].values,
+                           oracles.brute_betweenness(n, edges), atol=1e-8)
+
+
+def test_compute_many_closeness_needs_two_nodes(size_regime):
+    g = from_edge_list([], n=1)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        compute_many(g, PATH_METRICS)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        compute_many(g, [Metric.BETWEENNESS, Metric.CLOSENESS])
+    assert compute_many(g, [Metric.BETWEENNESS])[Metric.BETWEENNESS].values.tolist() == [0.0]
+
+
+def test_compute_many_covers_every_metric_once(star5):
+    metrics = list(Metric) + [Metric.DEGREE, Metric.CLOSENESS]
+    many = compute_many(star5, metrics)
+    assert set(many) == set(Metric)
+    for metric in Metric:
+        assert many[metric].metric is metric
+        assert np.array_equal(many[metric].values, compute(star5, metric).values)
+    assert compute_many(star5, []) == {}
+    with pytest.raises(ValueError, match="unknown metric"):
+        compute_many(star5, ["nonsense"])
+
+
+def test_one_forward_sweep_per_graph(monkeypatch, size_regime):
+    name = "_bfs_dense" if size_regime == "dense" else "_bfs_from"
+    calls = []
+    inner = getattr(centrality, name)
+
+    def counting(g, *args):
+        calls.append(g.fingerprint)
+        return inner(g, *args)
+
+    monkeypatch.setattr(centrality, name, counting)
+    g = from_edge_list([(0, 1), (1, 2), (2, 3), (4, 5)], n=8)
+    compute_many(g, [Metric.DEGREE, *PATH_METRICS, Metric.EIGENVECTOR])
+    # dense: one all-sources BFS; sparse: one BFS per non-isolated source
+    assert len(calls) == (1 if size_regime == "dense" else 6)
 
 
 # -- eigenvector ---------------------------------------------------------------

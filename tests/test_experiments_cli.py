@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 import yaml
 
+from vaxnet import centrality, experiments, gen_barabasi_albert, spectral
 from vaxnet.cli import main
 from vaxnet.experiments import (ConfigError, config_from_dict, load_config,
-                                run_eigendrop_table, run_herd, run_ingest, run_simulate)
+                                run_eigendrop_table, run_herd, run_ingest, run_simulate,
+                                run_spectral)
 from vaxnet.stats import mean_std, paired_t_test
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -176,6 +178,23 @@ def test_ingest_settings_rejected_at_load(tmp_path, capsys, ingest, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("network, key", [
+    ({"family": "ba", "n": 100.5, "m": 3}, "n"),
+    ({"family": "ba", "n": 100, "m": 3.7}, "m"),
+    ({"family": "ba", "n": True, "m": 3}, "n"),
+    ({"family": "rgg", "n": 100, "radius": 0.2, "dim": 2.5}, "dim"),
+    ({"family": "er", "n": 100, "p": 0.2, "seed": 1.5}, "seed"),
+])
+def test_non_integer_network_value_rejected_at_load(tmp_path, capsys, network, key):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        config_from_dict({"networks": [network]})
+    cfg = write_config(tmp_path, {"networks": [network]})
+    out = tmp_path / "tab"
+    assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_defaults_without_file():
     cfg = config_from_dict({})
     assert cfg.replicates == 30
@@ -213,6 +232,22 @@ def test_eigendrop_shuffle_mode(tmp_path):
     run_eigendrop_table(cfg, out)
     reps = (out / "eigendrop_replicates.csv").read_text().splitlines()
     assert len(reps) == 4
+
+
+def test_eigendrop_runs_one_path_sweep_per_graph(tmp_path, monkeypatch):
+    calls = []
+    inner = centrality._bfs_dense
+
+    def counting(g):
+        calls.append(g.fingerprint)
+        return inner(g)
+
+    monkeypatch.setattr(centrality, "_bfs_dense", counting)
+    cfg = load_config(write_config(tmp_path, {
+        "replicates": 3, "metrics": ["degree", "closeness", "betweenness", "eigenvector"]}))
+    run_eigendrop_table(cfg, tmp_path / "out")
+    # 2 families x 3 replicates, each graph swept once for both path metrics
+    assert len(calls) == len(set(calls)) == 6
 
 
 SUMMARY_COLUMNS = ["lambda_orig_mean", "lambda_orig_std", "lambda_topk_mean",
@@ -305,6 +340,23 @@ def test_cli_generate_and_spectral(tmp_path, capsys):
     assert payload["converged"]
     assert payload["bounds"]["holds"]
     assert "threshold" in payload
+
+
+def test_spectral_solves_the_graph_once(tmp_path, monkeypatch):
+    g = gen_barabasi_albert(150, 3, seed=2)
+    solved = []
+    inner = spectral.lambda_max
+
+    def counting(graph, *args, **kwargs):
+        solved.append(graph.fingerprint)
+        return inner(graph, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "lambda_max", counting)
+    monkeypatch.setattr(spectral, "lambda_max", counting)
+    payload = run_spectral(g, tmp_path / "spec.json")
+    assert solved == [g.fingerprint]
+    assert payload["bounds"]["holds"]
+    assert payload["bounds"]["deg_max"] == float(g.degrees.max())
 
 
 def test_cli_generate_deterministic_bytes(tmp_path, capsys):

@@ -323,3 +323,21 @@ def test_genspec_round_trip():
         assert GenSpec.from_dict(spec.to_dict()) == spec
     with pytest.raises(ValueError):
         GenSpec.from_dict({"family": "gnp", "n": 5, "p": 0.2, "bogus": 1})
+
+
+@pytest.mark.parametrize("key", ["n", "m", "dim", "seed"])
+@pytest.mark.parametrize("bad", [100.5, 3.7, True])
+def test_genspec_from_dict_refuses_non_integral(key, bad):
+    d = {"family": "rgg", "n": 200, "radius": 0.1, "dim": 2, "seed": 4}
+    if key == "m":
+        d = {"family": "ba", "n": 200, "m": 3, "seed": 4}
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        GenSpec.from_dict({**d, key: bad})
+
+
+def test_genspec_from_dict_takes_integral_floats():
+    spec = GenSpec.from_dict({"family": "ba", "n": 200.0, "m": 3.0, "seed": 4.0})
+    assert spec == GenSpec("ba", 200, m=3, seed=4)
+    assert all(type(v) is int for v in (spec.n, spec.m, spec.seed))
+    rgg = GenSpec.from_dict({"family": "rgg", "n": 50, "radius": 0.2, "dim": 3.0})
+    assert type(rgg.dim) is int and rgg.dim == 3

@@ -39,6 +39,11 @@ INTERVENTIONS = {
     "topk_at_zero": (Intervention(0.0, "topk", 5, Metric.DEGREE),),
     "beyond_horizon": (Intervention(1.5, "topk", 4, Metric.BETWEENNESS),
                        Intervention(99.0, "random", 3)),
+    # closeness and betweenness ranked from one shared sweep
+    "path_metrics": (Intervention(1.0, "topk", 4, Metric.CLOSENESS),
+                     Intervention(3.0, "topk", 3, Metric.BETWEENNESS),
+                     Intervention(4.0, "topk", 2, Metric.CLOSENESS),
+                     Intervention(99.0, "topk", 2, Metric.EIGENVECTOR)),
 }
 
 PARAMS = {

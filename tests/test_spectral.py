@@ -103,9 +103,9 @@ def test_deletion_never_increases_eigenvalue():
 
 def test_degree_sandwich(k4, star5):
     for g in (k4, star5):
-        rep = spectral_bounds_check(g)
+        rep = spectral_bounds_check(g, lambda_max(g).lambda_max)
         assert rep.holds
-    rep = spectral_bounds_check(star5)
+    rep = spectral_bounds_check(star5, lambda_max(star5).lambda_max)
     assert rep.deg_avg == pytest.approx(1.6)
     assert rep.deg_max == 4.0
 
@@ -117,13 +117,21 @@ def test_degree_sandwich_random():
         edges = oracles.random_edges(rng, n, float(rng.uniform(0.1, 0.9)))
         if not edges:
             continue
-        rep = spectral_bounds_check(from_edge_list(edges, n=n))
+        g = from_edge_list(edges, n=n)
+        rep = spectral_bounds_check(g, lambda_max(g).lambda_max)
         assert rep.holds
+
+
+def test_bounds_check_judges_the_lambda_it_is_given(star5):
+    assert spectral_bounds_check(star5, 2.0).holds
+    assert spectral_bounds_check(star5, 2.0).lambda_max == 2.0
+    assert not spectral_bounds_check(star5, 1.0).holds    # below deg_avg 1.6
+    assert not spectral_bounds_check(star5, 4.5).holds    # above deg_max 4
 
 
 def test_bounds_need_an_edge():
     with pytest.raises(EmptyGraphError):
-        spectral_bounds_check(from_edge_list([], n=3))
+        spectral_bounds_check(from_edge_list([], n=3), 0.0)
 
 
 def test_residual_reported_small(k4):

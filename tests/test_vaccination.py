@@ -140,6 +140,30 @@ def test_eigen_drop_solves_the_intact_graph_once(monkeypatch):
     assert eigen_drop(g, []) == []
 
 
+def test_eigen_drop_solves_each_victim_set_once(monkeypatch):
+    g = gen_barabasi_albert(200, 3, seed=6)
+    top = plan_topk(g, Metric.DEGREE, 10)
+    plans = [top, plan_random(g, 10, seed=1),
+             VaccinationPlan(tuple(reversed(top.victims)), "random"),
+             plan_topk(g, Metric.DEGREE, 10), VaccinationPlan((), "random"),
+             VaccinationPlan((3, 1, 2), "random"), VaccinationPlan((2, 3, 1), "random")]
+    solved = []
+
+    def counting(graph, *args, **kwargs):
+        solved.append(graph.n)
+        return lambda_max(graph, *args, **kwargs)
+
+    monkeypatch.setattr(vaccination, "lambda_max", counting)
+    reports = eigen_drop(g, plans)
+    sets = [frozenset(p.victims) for p in plans]
+    assert len(set(sets)) == 4
+    assert len(solved) == 1 + len(set(sets))
+    for plan, victims, rep in zip(plans, sets, reports):
+        assert rep.lambda_after == lambda_max(delete_nodes(g, plan.victims)).lambda_max
+        assert all(other.lambda_after == rep.lambda_after
+                   for v, other in zip(sets, reports) if v == victims)
+
+
 # -- herd equivalence ----------------------------------------------------------------
 
 
