@@ -162,20 +162,10 @@ def _bfs_from(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray
 # -- closeness and betweenness -----------------------------------------------------
 
 
-def _sweep_dense(g: Graph, betweenness: bool
-                 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Closeness sums and, if asked, betweenness from one all-sources BFS.
-
-    Returns per-source reach and total distance, and the betweenness
-    scores (None unless asked). The n x n closeness temporaries are freed
-    before the backward pass allocates its own.
-    """
-    A, dist, sigma, depth = _bfs_dense(g)
-    reach = (dist > 0).sum(axis=1).astype(np.float64)
-    totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
-    if not betweenness:
-        return reach, totals, None
-    n = g.n
+def _backward_dense(A: np.ndarray, dist: np.ndarray, sigma: np.ndarray,
+                    depth: int) -> np.ndarray:
+    """Betweenness by back-propagating dependencies over `_bfs_dense`."""
+    n = len(dist)
     delta = np.zeros((n, n))
     # Level 1 would only feed each source's own delta, which does not count.
     for lvl in range(depth, 1, -1):
@@ -186,15 +176,34 @@ def _sweep_dense(g: Graph, betweenness: bool
         T *= sigma
         on_prev = dist == lvl - 1
         delta[on_prev] += T[on_prev]
-    return reach, totals, delta.sum(axis=0) / 2.0
+    return delta.sum(axis=0) / 2.0
 
 
-def _sweep_sparse(g: Graph, betweenness: bool
-                  ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+def _sweep_dense(g: Graph, closeness: bool, betweenness: bool
+                 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+    """Closeness sums and betweenness, each only if asked, from one
+    all-sources BFS.
+
+    Returns per-source reach and total distance, and the betweenness
+    scores; None stands for what was not asked for. The closeness sums are
+    taken after the backward pass has freed its n x n temporaries, so they
+    add nothing to its peak memory.
+    """
+    A, dist, sigma, depth = _bfs_dense(g)
+    bc = _backward_dense(A, dist, sigma, depth) if betweenness else None
+    reach = totals = None
+    if closeness:
+        reach = (dist > 0).sum(axis=1).astype(np.float64)
+        totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
+    return reach, totals, bc
+
+
+def _sweep_sparse(g: Graph, closeness: bool, betweenness: bool
+                  ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
     """As `_sweep_dense`, with one CSR BFS per source feeding both metrics."""
     n = g.n
-    reach = np.zeros(n)
-    totals = np.zeros(n)
+    reach = np.zeros(n) if closeness else None
+    totals = np.zeros(n) if closeness else None
     bc = np.zeros(n)
     deg = g.degrees
     for s in range(n):
@@ -202,9 +211,10 @@ def _sweep_sparse(g: Graph, betweenness: bool
         if deg[s] == 0:
             continue
         dist, sigma, levels = _bfs_from(g, s)
-        hit = dist > 0
-        reach[s] = hit.sum()
-        totals[s] = dist[hit].sum()
+        if closeness:
+            hit = dist > 0
+            reach[s] = hit.sum()
+            totals[s] = dist[hit].sum()
         if not betweenness:
             continue
         delta = np.zeros(n)
@@ -230,7 +240,7 @@ def _path_values(g: Graph, closeness: bool, betweenness: bool
         bc = np.zeros(n) if betweenness else None
     else:
         sweep = _sweep_dense if n <= _DENSE_LIMIT else _sweep_sparse
-        reach, totals, bc = sweep(g, betweenness)
+        reach, totals, bc = sweep(g, closeness, betweenness)
     cc = None
     if closeness:
         cc = np.zeros(n)
@@ -240,11 +250,11 @@ def _path_values(g: Graph, closeness: bool, betweenness: bool
 
 
 def _betweenness_dense(g: Graph) -> np.ndarray:
-    return _sweep_dense(g, True)[2]
+    return _sweep_dense(g, False, True)[2]
 
 
 def _betweenness_sparse(g: Graph) -> np.ndarray:
-    return _sweep_sparse(g, True)[2]
+    return _sweep_sparse(g, False, True)[2]
 
 
 def closeness_centrality(g: Graph) -> CentralityScores:

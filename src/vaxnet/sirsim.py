@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import seeding
-from .centrality import Metric, compute, compute_many, ranking
+from .centrality import Metric, compute, ranking
 from .generators import GenSpec, generate
 from .graph import Graph
 
@@ -170,24 +170,18 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
                     push(tw, _TRANSMIT, w)
 
     # Intervention plans are fixed before the outbreak: rankings come from
-    # the intact graph, random orders from dedicated child streams. The
-    # metrics of all top-k interventions inside the horizon are scored in
-    # one `compute_many` call, so closeness and betweenness share a sweep.
-    # A lone metric goes through `compute`, the name perfbench's per-layer
-    # trace wraps in this module.
-    wanted = list(dict.fromkeys(iv.metric for iv in interventions
-                                if iv.strategy == "topk" and iv.time <= params.t_max))
-    scores = (compute_many(g, wanted) if len(wanted) > 1
-              else {metric: compute(g, metric) for metric in wanted})
-    ranks = {metric: ranking(sc) for metric, sc in scores.items()}
+    # the intact graph, random orders from dedicated child streams.
     plans: list[np.ndarray] = []
+    rank_cache: dict[Metric, np.ndarray] = {}
     for idx, iv in enumerate(interventions):
         if iv.time > params.t_max:
             warnings.append(f"intervention {idx} at t={iv.time} beyond horizon; skipped")
             plans.append(np.empty(0, np.int64))
             continue
         if iv.strategy == "topk":
-            plans.append(ranks[iv.metric])
+            if iv.metric not in rank_cache:
+                rank_cache[iv.metric] = ranking(compute(g, iv.metric))
+            plans.append(rank_cache[iv.metric])
         else:
             order = seeding.rng_from(seed, "intervention", idx).permutation(n)
             plans.append(order.astype(np.int64))

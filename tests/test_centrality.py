@@ -234,6 +234,19 @@ def test_one_forward_sweep_per_graph(monkeypatch, size_regime):
     assert len(calls) == (1 if size_regime == "dense" else 6)
 
 
+@pytest.mark.parametrize("sweep", ["_sweep_dense", "_sweep_sparse"])
+def test_sweep_computes_only_the_metrics_asked_for(sweep):
+    g = gen_erdos_renyi(30, 0.2, seed=5)
+    run = getattr(centrality, sweep)
+    reach, totals, bc = run(g, False, True)
+    assert reach is None and totals is None
+    assert np.array_equal(bc, run(g, True, True)[2])
+    reach, totals, bc = run(g, True, False)
+    assert bc is None
+    assert np.array_equal(reach, run(g, True, True)[0])
+    assert np.array_equal(totals, run(g, True, True)[1])
+
+
 # -- eigenvector ---------------------------------------------------------------
 
 

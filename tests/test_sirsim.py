@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vaxnet import (Intervention, Metric, SirParams, centrality, ensemble, from_edge_list,
+from vaxnet import (Intervention, Metric, SirParams, ensemble, from_edge_list,
                     gen_duplication_divergence, gen_erdos_renyi, lambda_max,
                     peak_and_final, simulate)
 
@@ -154,24 +154,6 @@ def test_topk_intervention_targets_hub():
         if np.isnan(tr.meta["infection_time"][0]):  # hub never infected
             assert tr.r[-1] == 1.0
             assert tr.v[-1] >= 1.0
-
-
-def test_path_metric_interventions_share_one_sweep(monkeypatch):
-    calls = []
-    inner = centrality._bfs_dense
-
-    def counting(g):
-        calls.append(g.fingerprint)
-        return inner(g)
-
-    monkeypatch.setattr(centrality, "_bfs_dense", counting)
-    g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (5, 6)])
-    params = SirParams(tau=0.5, initial_infected=1, t_max=10.0)
-    ivs = (Intervention(1.0, "topk", 1, Metric.BETWEENNESS),
-           Intervention(2.0, "topk", 1, Metric.CLOSENESS),
-           Intervention(3.0, "topk", 1, Metric.DEGREE))
-    simulate(g, params, ivs, seed=4)
-    assert calls == [g.fingerprint]
 
 
 def test_intervention_beyond_horizon_skipped_with_warning(k4):
