@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import EmptyGraphError, Graph
+from .graph import EmptyGraphError, Graph, sorted_distinct
 from .spectral import lambda_max
 
 # Graphs up to this many nodes use the dense all-sources BFS; above it its
@@ -150,7 +150,7 @@ def _bfs_from(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray
     while True:
         d = len(levels) - 1
         src, tgt = _expand(g, levels[-1])
-        fresh = np.unique(tgt[dist[tgt] == -1])
+        fresh = sorted_distinct(tgt[dist[tgt] == -1])
         if fresh.size == 0:
             return dist, sigma, levels
         dist[fresh] = d + 1

@@ -127,6 +127,15 @@ def _integer(value, key: str) -> int:
     return as_integer(value, key, ConfigError)
 
 
+def _section(raw: dict, name: str, allowed: set[str], source: str) -> dict:
+    """Config section `name` (empty if absent); unknown keys raise ConfigError."""
+    section = dict(raw.get(name, {}))
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigError(f"{source}: unknown {name} keys {sorted(unknown)}")
+    return section
+
+
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Parse a YAML configuration file into an ExperimentConfig."""
     try:
@@ -151,12 +160,8 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
     try:
         networks = tuple(GenSpec.from_dict(d) for d in raw.get("networks", []))
-        sir_raw = dict(raw.get("sir", {}))
-        sir_allowed = {"tau", "recovery_days", "initial_infected", "t_max", "grid_dt",
-                       "runs", "metrics", "interventions"}
-        bad = set(sir_raw) - sir_allowed
-        if bad:
-            raise ConfigError(f"{source}: unknown sir keys {sorted(bad)}")
+        sir_raw = _section(raw, "sir", {"tau", "recovery_days", "initial_infected", "t_max",
+                                        "grid_dt", "runs", "metrics", "interventions"}, source)
         params = SirParams(
             tau=float(sir_raw.get("tau", 0.4)),
             recovery_days=float(sir_raw.get("recovery_days", 14.0)),
@@ -173,12 +178,13 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
             metrics=_metrics_from(sir_raw.get("metrics", ["degree"])),
             interventions=interventions,
         )
-        herd_raw = dict(raw.get("herd", {}))
+        herd_raw = _section(raw, "herd", {"fraction", "replicates"}, source)
         herd = HerdConfig(
             fraction=float(herd_raw.get("fraction", 0.7)),
             replicates=_integer(herd_raw.get("replicates", 5), "herd.replicates"),
         )
-        ing_raw = dict(raw.get("ingest", {}))
+        ing_raw = _section(raw, "ingest", {"columns", "day_length", "k", "k_fraction",
+                                           "replicates"}, source)
         ingest = IngestConfig(
             columns=_integer(ing_raw.get("columns", 3), "ingest.columns"),
             day_length=(_integer(ing_raw["day_length"], "ingest.day_length")

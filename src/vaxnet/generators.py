@@ -11,6 +11,7 @@ quadratic reference the fast path can be checked against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -28,18 +29,14 @@ FAMILIES = (
 )
 
 _ALIASES = {
-    "gnp": "gnp",
+    **{name: name for name in FAMILIES},
     "g(n,p)": "gnp",
-    "erdos_renyi": "erdos_renyi",
     "erdos-renyi": "erdos_renyi",
     "er": "erdos_renyi",
-    "duplication_divergence": "duplication_divergence",
     "duplication-divergence": "duplication_divergence",
     "dd": "duplication_divergence",
-    "barabasi_albert": "barabasi_albert",
     "barabasi-albert": "barabasi_albert",
     "ba": "barabasi_albert",
-    "random_geometric": "random_geometric",
     "rgg": "random_geometric",
     "geometric": "random_geometric",
 }
@@ -50,8 +47,13 @@ GEOMETRIC_TARGET_DEGREE = 100.0
 
 
 def as_integer(value, key: str, error: type[ValueError]) -> int:
-    """An integer setting: 3 or 3.0, but not a bool or 2.7, which raise `error`."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    """An integer setting: 3 or 3.0, but not a bool, 2.7 or "3", which raise `error`.
+
+    Integers pass through unchanged, so seeds beyond 2**53 stay exact.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
         raise error(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -165,10 +167,6 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
     total = n * (n - 1) // 2
     if total == 0 or p == 0.0:
         return from_arrays(np.empty(0, np.int64), np.empty(0, np.int64), n=n)
-    if p == 1.0:
-        pos = np.arange(total, dtype=np.int64)
-        u, v = _pair_from_linear(pos, n)
-        return from_arrays(u, v, n=n)
     rng = seeding.rng_from(seed)
     expected = total * p
     chunk = int(expected + 6.0 * math.sqrt(expected + 1.0)) + 16
@@ -189,8 +187,6 @@ def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p) by one Bernoulli draw per node pair (quadratic reference)."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    if n < 2:
-        return from_arrays(np.empty(0, np.int64), np.empty(0, np.int64), n=n)
     rng = seeding.rng_from(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
@@ -215,6 +211,7 @@ def gen_duplication_divergence(n: int, p: float, seed: int = 0) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     rng = seeding.rng_from(seed)
     adj: list[list[int]] = [[1], [0]]
+    us, vs = [0], [1]
     for t in range(2, n):
         kept: list[int] = []
         if p > 0.0:
@@ -226,12 +223,8 @@ def gen_duplication_divergence(n: int, p: float, seed: int = 0) -> Graph:
         for w in kept:
             adj[w].append(t)
         adj.append(kept)
-    us, vs = [], []
-    for u, nbrs in enumerate(adj):
-        for w in nbrs:
-            if u < w:
-                us.append(u)
-                vs.append(w)
+        us.extend(kept)
+        vs.extend([t] * len(kept))
     return from_arrays(np.asarray(us, np.int64), np.asarray(vs, np.int64), n=n)
 
 

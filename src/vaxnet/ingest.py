@@ -113,9 +113,12 @@ def build_daily_graphs(records: Sequence[ContactRecord],
             raise ValueError("day_length must be positive")
         day_idx = (ts - ts.min()) // day_length
 
+    by_day: dict[int, list[ContactRecord]] = {}
+    for rec, day in zip(records, day_idx.tolist()):
+        by_day.setdefault(day, []).append(rec)
     days, graphs, id_maps, weights = [], [], [], []
-    for day in sorted(set(day_idx.tolist())):
-        sel = [rec for rec, d in zip(records, day_idx.tolist()) if d == day]
+    for day in sorted(by_day):
+        sel = by_day[day]
         ids = sorted({r.id_a for r in sel} | {r.id_b for r in sel})
         id_map = {ext: i for i, ext in enumerate(ids)}
         counts: dict[tuple[int, int], int] = {}
@@ -123,9 +126,9 @@ def build_daily_graphs(records: Sequence[ContactRecord],
             u, v = id_map[rec.id_a], id_map[rec.id_b]
             key = (u, v) if u < v else (v, u)
             counts[key] = counts.get(key, 0) + 1
-        pairs = np.asarray(sorted(counts), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(list(counts), dtype=np.int64).reshape(-1, 2)
         g = from_arrays(pairs[:, 0], pairs[:, 1], n=len(ids), labels=ids)
-        days.append(int(day))
+        days.append(day)
         graphs.append(g)
         id_maps.append(id_map)
         weights.append(counts)

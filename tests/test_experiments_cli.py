@@ -143,10 +143,34 @@ def test_ingest_replicates_below_one_rejected_at_load(tmp_path, capsys):
     ({"ingest": {"day_length": 3600.5}}, "ingest.day_length"),
     ({"ingest": {"k": False}}, "ingest.k"),
     ({"ingest": {"replicates": 1.5}}, "ingest.replicates"),
+    ({"seed": "3"}, "seed"),
+    ({"seed": "3.0"}, "seed"),
+    ({"seed": None}, "seed"),
+    ({"seed": float("inf")}, "seed"),
+    ({"sir": {"runs": "2"}}, "sir.runs"),
+    ({"herd": {"replicates": [3]}}, "herd.replicates"),
 ])
 def test_non_integer_config_value_rejected(raw, key):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be an integer"):
         config_from_dict(raw)
+
+
+def test_large_integer_seed_kept_exact():
+    seed = 2**63 + 1
+    assert config_from_dict({"seed": seed}).seed == seed
+
+
+@pytest.mark.parametrize("section, command", [
+    ("sir", "simulate"), ("herd", "herd"), ("ingest", "ingest")])
+def test_unknown_section_key_rejected_at_load(tmp_path, capsys, section, command):
+    with pytest.raises(ConfigError, match=f"unknown {section} keys \\['fracton'\\]"):
+        config_from_dict({section: {"fracton": 0.5}})
+    cfg = write_config(tmp_path, {section: {"fracton": 0.5}})
+    out = tmp_path / "o"
+    files = CONTACT_FILES if command == "ingest" else []
+    assert main([command, *files, "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_integral_config_values_accepted():

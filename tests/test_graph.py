@@ -63,8 +63,18 @@ def test_empty_graph():
     assert g2.n == 7 and g2.m == 0
 
 
+def messy_copy(rng, n, edges):
+    """The same edge set shuffled, with some pairs flipped or repeated and
+    self loops added."""
+    pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    pairs += [pairs[i] for i in rng.integers(0, len(pairs), size=len(pairs) // 2)]
+    pairs += [(w, w) for w in rng.integers(0, n, size=3).tolist()]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
 def test_random_graphs_match_dense_reference():
     rng = np.random.default_rng(42)
+    mess = np.random.default_rng(7)
     for _ in range(25):
         n = int(rng.integers(2, 14))
         edges = oracles.random_edges(rng, n, float(rng.uniform(0.1, 0.9)))
@@ -76,6 +86,8 @@ def test_random_graphs_match_dense_reference():
         # matvec against the dense product
         x = rng.normal(size=n)
         assert np.allclose(g.matvec(x), A @ x, atol=1e-12)
+        # input order and orientation do not matter
+        assert from_edge_list(messy_copy(mess, n, edges), n=n) == g
 
 
 def test_edges_returns_canonical_pairs(k4):
