@@ -10,7 +10,10 @@ distances and betweenness back-propagates dependencies over them (Brandes
 accumulation). `compute_many` runs that sweep once when both are asked
 for. Graphs up to a few thousand nodes run the BFS from every source at
 once as dense matrix products; larger graphs, where that needs too much
-memory, sweep each source over the CSR arrays. Eigenvector scores are the
+memory, sweep each source over the CSR arrays. The dense sweep's peak
+holds five float64 n x n arrays and one int32: the adjacency, distances,
+path counts, dependencies, and a level's coefficients and their product,
+about 44 n^2 bytes (107 MiB at n = 1600). Eigenvector scores are the
 dominant eigenvector from `spectral.lambda_max`.
 """
 
@@ -115,24 +118,39 @@ def _bfs_dense(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     shortest-path counts sigma[s, v] and the deepest level reached. Row s
     of the frontier matrix holds the path counts of the nodes at the
     current level from s, so one product both finds the next level and
-    counts the paths into it.
+    counts the paths into it. Level 1 is the adjacency itself, which is
+    exactly what eye(n) @ A gives. The loop ends on an empty level, or as
+    soon as no pair is left unreached, when the next level would be empty.
+
+    n x n arrays held at the peak, during a product: A, dist (int32),
+    sigma, the frontier and the product. A level's masks take one byte per
+    entry and are freed before the product.
     """
     n = g.n
     A = g.to_dense()
     dist = np.full((n, n), -1, np.int32)
     np.fill_diagonal(dist, 0)
     sigma = np.eye(n)
-    F = np.eye(n)
+    unreached = n * n - n
     depth = 0
+    F = A.copy()
     while True:
-        W = F @ A
-        new = (W > 0) & (dist < 0)
-        if not new.any():
-            return A, dist, sigma, depth
+        # Counts into pairs already reached are not a frontier; the rest
+        # are non-negative, so every kept entry is > 0 or exactly +0.0.
+        np.copyto(F, 0.0, where=dist >= 0)
+        new = F > 0
+        found = np.count_nonzero(new)
+        if found == 0:
+            break
         depth += 1
-        dist[new] = depth
-        F = np.where(new, W, 0.0)
+        np.copyto(dist, depth, where=new)
+        del new
         sigma += F
+        unreached -= found
+        if unreached == 0:
+            break
+        F = F @ A
+    return A, dist, sigma, depth
 
 
 def _bfs_from(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -164,18 +182,30 @@ def _bfs_from(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray
 
 def _backward_dense(A: np.ndarray, dist: np.ndarray, sigma: np.ndarray,
                     depth: int) -> np.ndarray:
-    """Betweenness by back-propagating dependencies over `_bfs_dense`."""
+    """Betweenness by back-propagating dependencies over `_bfs_dense`.
+
+    Each level applies its masks with full-array arithmetic in place,
+    `np.copyto(..., where=)` and a masked add, not with gathers and
+    scatters: every entry that counts gets the same IEEE operations either
+    way, so the result is the same to the bit. n x n arrays held at the
+    peak, during a product: A, dist (int32), sigma, delta, the
+    coefficients and the product. Each is freed before the next level's
+    is made; a mask takes one byte per entry and lives for one call.
+    """
     n = len(dist)
     delta = np.zeros((n, n))
     # Level 1 would only feed each source's own delta, which does not count.
     for lvl in range(depth, 1, -1):
-        on_l = dist == lvl
-        coef = np.zeros((n, n))
-        coef[on_l] = (1.0 + delta[on_l]) / sigma[on_l]
+        coef = delta + 1.0
+        # Unreached pairs have sigma 0; their quotients are masked out next.
+        with np.errstate(divide="ignore"):
+            coef /= sigma
+        np.copyto(coef, 0.0, where=dist != lvl)
         T = coef @ A
+        del coef
         T *= sigma
-        on_prev = dist == lvl - 1
-        delta[on_prev] += T[on_prev]
+        np.add(delta, T, out=delta, where=dist == lvl - 1)
+        del T
     return delta.sum(axis=0) / 2.0
 
 

@@ -355,10 +355,10 @@ def run_herd(cfg: ExperimentConfig, out_dir) -> dict:
     for fi, spec in enumerate(cfg.networks):
         graphs = [generate(spec.with_seed(seeding.child_seed(cfg.seed, "herd", fi, rep)))
                   for rep in range(cfg.herd.replicates)]
-        for metric in cfg.metrics:
-            report = herd_equivalent(graphs, metric, cfg.herd.fraction,
-                                     seed=seeding.child_seed(cfg.seed, "herdbase", fi))
-            rows.append([_spec_label(spec), metric.value, report.n, report.replicates,
+        reports = herd_equivalent(graphs, cfg.metrics, cfg.herd.fraction,
+                                  seed=seeding.child_seed(cfg.seed, "herdbase", fi))
+        for report in reports:
+            rows.append([_spec_label(spec), report.metric.value, report.n, report.replicates,
                          report.n_h_fraction, report.n_h, report.lambda_target,
                          report.n_hs, report.n_hs_fraction])
     write_csv(out_dir / "herd.csv",

@@ -102,18 +102,22 @@ def eigen_drop(g: Graph, plans: Sequence[VaccinationPlan]) -> list[EigenDropRepo
     return reports
 
 
-def herd_equivalent(graphs: Sequence[Graph], metric: Metric,
-                    n_h_fraction: float = 0.7, seed: int = 0) -> HerdReport:
-    """Smallest targeted removal matching a random-removal baseline.
+def herd_equivalent(graphs: Sequence[Graph], metrics: Sequence[Metric],
+                    n_h_fraction: float = 0.7, seed: int = 0) -> list[HerdReport]:
+    """Smallest targeted removal matching a random-removal baseline, one
+    report per metric.
 
     The baseline removes floor(n * n_h_fraction) random nodes from each
     graph; the target eigenvalue is the ensemble mean after that removal.
-    The search then finds the least k such that removing each graph's top
-    k nodes (ranked once, on the intact graph) brings the ensemble mean
+    It is solved once and shared by every report. For each metric the
+    search then finds the least k such that removing each graph's top k
+    nodes (ranked once, on the intact graph) brings the ensemble mean
     eigenvalue to or below the target. Rankings are fixed per graph, so
     larger k removes a superset of nodes and the mean is monotone in k;
     that makes bisection exact.
     """
+    if isinstance(metrics, Metric):
+        raise TypeError("metrics must be a sequence of Metric, not one Metric")
     if not graphs:
         raise ValueError("need at least one graph")
     if not (0.0 <= n_h_fraction <= 1.0):
@@ -129,7 +133,19 @@ def herd_equivalent(graphs: Sequence[Graph], metric: Metric,
         targets.append(lambda_max(delete_nodes(g, plan.victims)).lambda_max)
     lambda_target = float(np.mean(targets))
 
-    orders = [ranking(compute(g, metric)) for g in graphs]
+    reports = []
+    for metric in metrics:
+        orders = [ranking(compute(g, metric)) for g in graphs]
+        n_hs = _smallest_matching_k(graphs, orders, lambda_target)
+        reports.append(HerdReport(metric, n, n_h, n_h_fraction, lambda_target,
+                                  n_hs, n_hs / n if n else 0.0, len(graphs)))
+    return reports
+
+
+def _smallest_matching_k(graphs: Sequence[Graph], orders: Sequence[np.ndarray],
+                         lambda_target: float) -> int:
+    """Least k for which removing each graph's first k nodes of its order
+    brings the ensemble mean eigenvalue to or below `lambda_target`."""
     cache: dict[int, float] = {}
 
     def mean_after(k: int) -> float:
@@ -139,12 +155,11 @@ def herd_equivalent(graphs: Sequence[Graph], metric: Metric,
             cache[k] = float(np.mean(vals))
         return cache[k]
 
-    lo, hi = 0, n
+    lo, hi = 0, graphs[0].n
     while lo < hi:
         mid = (lo + hi) // 2
         if mean_after(mid) <= lambda_target:
             hi = mid
         else:
             lo = mid + 1
-    return HerdReport(metric, n, n_h, n_h_fraction, lambda_target,
-                      lo, lo / n if n else 0.0, len(graphs))
+    return lo

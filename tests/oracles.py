@@ -3,7 +3,8 @@
 Everything here recomputes results by a different route than the library:
 eigenvalues via cyclic Jacobi rotations on the dense matrix, betweenness by
 explicitly enumerating every geodesic, closeness from a hand-rolled BFS
-table, the t distribution by numerical quadrature of its density, SIR runs
+table, the dense all-sources sweep with boolean-mask gathers and scatters,
+the t distribution by numerical quadrature of its density, SIR runs
 by an event loop that queues every transmission, and SIR final sizes by
 enumerating bond-percolation outcomes. Slow and simple on purpose.
 """
@@ -162,6 +163,47 @@ def dense_from_edges(n: int, edges) -> np.ndarray:
         if u != v:
             A[u, v] = A[v, u] = 1.0
     return A
+
+
+# -- dense all-sources sweep with boolean masks ----------------------------------------
+
+
+def mask_sweep_dense(A: np.ndarray):
+    """Distances, path counts, deepest level, betweenness and closeness sums
+    of the dense adjacency `A`, by boolean-mask gathers and scatters.
+
+    The same products as the library's dense sweep, masked the other way:
+    the frontier starts at eye(n), the forward loop stops only on an empty
+    level, and each backward level gathers its entries and scatters the
+    results. Returns (dist, sigma, depth, betweenness, reach, totals).
+    """
+    n = len(A)
+    dist = np.full((n, n), -1, np.int32)
+    np.fill_diagonal(dist, 0)
+    sigma = np.eye(n)
+    F = np.eye(n)
+    depth = 0
+    while True:
+        W = F @ A
+        new = (W > 0) & (dist < 0)
+        if not new.any():
+            break
+        depth += 1
+        dist[new] = depth
+        F = np.where(new, W, 0.0)
+        sigma += F
+    delta = np.zeros((n, n))
+    for lvl in range(depth, 1, -1):
+        on_l = dist == lvl
+        coef = np.zeros((n, n))
+        coef[on_l] = (1.0 + delta[on_l]) / sigma[on_l]
+        T = coef @ A
+        T *= sigma
+        on_prev = dist == lvl - 1
+        delta[on_prev] += T[on_prev]
+    reach = (dist > 0).sum(axis=1).astype(np.float64)
+    totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
+    return dist, sigma, depth, delta.sum(axis=0) / 2.0, reach, totals
 
 
 # -- Student's t by quadrature --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Centrality scores against closed forms and brute-force enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,61 @@ def test_sweep_computes_only_the_metrics_asked_for(sweep):
     assert bc is None
     assert np.array_equal(reach, run(g, True, True)[0])
     assert np.array_equal(totals, run(g, True, True)[1])
+
+
+# -- the dense sweep against its boolean-mask reference --------------------------------
+
+
+def mask_oracle_graphs():
+    """ER, BA and DD draws of a few hundred nodes, a path, a star, a graph
+    with isolated nodes and one of two components."""
+    rng = np.random.default_rng(26)
+    half = gen_barabasi_albert(150, 2, seed=7)
+    u, v = half.edges()
+    return {
+        "er": gen_erdos_renyi(400, 0.03, seed=4),
+        "ba": gen_barabasi_albert(450, 3, seed=5),
+        "dd": gen_duplication_divergence(350, 0.4, seed=6),
+        "path": from_edge_list([(i, i + 1) for i in range(299)], n=300),
+        "star": from_edge_list([(0, i) for i in range(1, 300)], n=300),
+        "isolated": from_edge_list(oracles.random_edges(rng, 290, 0.02), n=300),
+        "two_components": from_edge_list(
+            list(zip(u.tolist(), v.tolist()))
+            + list(zip((u + 150).tolist(), (v + 150).tolist())), n=300),
+    }
+
+
+def test_dense_sweep_is_bit_equal_to_the_mask_reference():
+    stops = set()
+    for name, g in mask_oracle_graphs().items():
+        dist, sigma, depth, bc, reach, totals = oracles.mask_sweep_dense(g.to_dense())
+        _, got_dist, got_sigma, got_depth = centrality._bfs_dense(g)
+        assert got_dist.dtype == dist.dtype, name
+        assert got_dist.tobytes() == dist.tobytes(), name
+        assert got_sigma.tobytes() == sigma.tobytes(), name
+        assert got_depth == depth, name
+        got_reach, got_totals, got_bc = centrality._sweep_dense(g, True, True)
+        assert got_bc.tobytes() == bc.tobytes(), name
+        assert got_reach.tobytes() == reach.tobytes(), name
+        assert got_totals.tobytes() == totals.tobytes(), name
+        # Connected graphs stop once every pair is reached, the others on
+        # an empty level.
+        stops.add(bool((dist >= 0).all()))
+    assert stops == {True, False}
+
+
+def test_dense_sweep_peak_memory():
+    # The dense sweep holds five float64 n x n arrays and one int32 at its
+    # peak (5.5 n^2 float64s); gather copies and unfreed temporaries took
+    # the boolean-mask version to 6.8.
+    g = gen_barabasi_albert(600, 3, seed=8)
+    tracemalloc.start()
+    try:
+        centrality._sweep_dense(g, True, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (g.n * g.n * 8) < 6.0
 
 
 # -- eigenvector ---------------------------------------------------------------

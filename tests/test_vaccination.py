@@ -171,7 +171,7 @@ def test_herd_complete_graph_exact():
     # on K_n every node is equivalent, so targeted removal needs exactly
     # the baseline count: lambda(K_{n-k}) = n-k-1 is monotone in k
     g = complete_graph(20)
-    report = herd_equivalent([g], Metric.DEGREE, n_h_fraction=0.7, seed=1)
+    (report,) = herd_equivalent([g], [Metric.DEGREE], n_h_fraction=0.7, seed=1)
     assert report.n_h == 14
     assert report.lambda_target == pytest.approx(5.0, abs=1e-8)
     assert report.n_hs == 14
@@ -181,14 +181,16 @@ def test_herd_complete_graph_exact():
 def test_herd_hub_graph_needs_far_fewer():
     # star-like topology: removing the hub kills the spectrum at once
     graphs = [gen_barabasi_albert(200, 3, seed=s) for s in range(3)]
-    report = herd_equivalent(graphs, Metric.DEGREE, n_h_fraction=0.7, seed=2)
+    (report,) = herd_equivalent(graphs, [Metric.DEGREE], n_h_fraction=0.7, seed=2)
     assert report.n_hs < report.n_h
 
 
 def test_herd_never_exceeds_graph_size():
     graphs = [gen_erdos_renyi(60, 0.2, seed=s) for s in range(3)]
-    for metric in (Metric.DEGREE, Metric.BETWEENNESS, Metric.EIGENVECTOR):
-        report = herd_equivalent(graphs, metric, n_h_fraction=0.7, seed=3)
+    metrics = [Metric.DEGREE, Metric.BETWEENNESS, Metric.EIGENVECTOR]
+    reports = herd_equivalent(graphs, metrics, n_h_fraction=0.7, seed=3)
+    assert [report.metric for report in reports] == metrics
+    for report in reports:
         assert 0 <= report.n_hs <= 60
         assert report.lambda_target >= 0
 
@@ -200,7 +202,7 @@ def test_herd_bisection_matches_linear_scan():
     from vaxnet.graph import delete_nodes
     graphs = [gen_erdos_renyi(25, 0.3, seed=s) for s in range(4)]
     metric = Metric.DEGREE
-    report = herd_equivalent(graphs, metric, n_h_fraction=0.6, seed=9)
+    (report,) = herd_equivalent(graphs, [metric], n_h_fraction=0.6, seed=9)
     orders = [ranking(compute(g, metric)) for g in graphs]
     means = []
     for k in range(26):
@@ -217,7 +219,7 @@ def test_herd_fraction_one_target_zero():
     # the target is lambda = 0; eleven removals already leave an edgeless
     # K_1, so the smallest matching k is n - 1
     g = complete_graph(12)
-    report = herd_equivalent([g], Metric.DEGREE, n_h_fraction=1.0, seed=4)
+    (report,) = herd_equivalent([g], [Metric.DEGREE], n_h_fraction=1.0, seed=4)
     assert report.n_h == 12
     assert report.lambda_target == 0.0
     assert report.n_hs == 11
@@ -226,15 +228,42 @@ def test_herd_fraction_one_target_zero():
 def test_herd_validation():
     g = complete_graph(5)
     with pytest.raises(ValueError):
-        herd_equivalent([], Metric.DEGREE)
+        herd_equivalent([], [Metric.DEGREE])
     with pytest.raises(ValueError):
-        herd_equivalent([g], Metric.DEGREE, n_h_fraction=1.5)
+        herd_equivalent([g], [Metric.DEGREE], n_h_fraction=1.5)
     with pytest.raises(ValueError):
-        herd_equivalent([g, complete_graph(6)], Metric.DEGREE)
+        herd_equivalent([g, complete_graph(6)], [Metric.DEGREE])
+    with pytest.raises(TypeError, match="sequence of Metric"):
+        herd_equivalent([g], Metric.DEGREE)
 
 
 def test_herd_deterministic():
     graphs = [gen_erdos_renyi(40, 0.25, seed=s) for s in range(3)]
-    a = herd_equivalent(graphs, Metric.DEGREE, seed=11)
-    b = herd_equivalent(graphs, Metric.DEGREE, seed=11)
+    a = herd_equivalent(graphs, [Metric.DEGREE], seed=11)
+    b = herd_equivalent(graphs, [Metric.DEGREE], seed=11)
     assert a == b
+
+
+def test_herd_metrics_share_one_baseline(monkeypatch):
+    # Each metric's report equals its one-metric search, and the random
+    # baseline is solved once for all of them.
+    from vaxnet import vaccination
+    calls = []
+    inner = vaccination.lambda_max
+
+    def counting(g, *args, **kwargs):
+        calls.append(g.fingerprint)
+        return inner(g, *args, **kwargs)
+
+    monkeypatch.setattr(vaccination, "lambda_max", counting)
+    graphs = [gen_barabasi_albert(80, 3, seed=s) for s in range(3)]
+    metrics = [Metric.DEGREE, Metric.CLOSENESS, Metric.BETWEENNESS]
+    alone = []
+    for metric in metrics:
+        del calls[:]
+        alone.append((herd_equivalent(graphs, [metric], n_h_fraction=0.6, seed=5)[0],
+                      len(calls)))
+    del calls[:]
+    together = herd_equivalent(graphs, metrics, n_h_fraction=0.6, seed=5)
+    assert together == [report for report, _ in alone]
+    assert len(calls) == sum(n for _, n in alone) - (len(metrics) - 1) * len(graphs)
