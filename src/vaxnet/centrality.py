@@ -279,14 +279,6 @@ def _path_values(g: Graph, closeness: bool, betweenness: bool
     return cc, bc
 
 
-def _betweenness_dense(g: Graph) -> np.ndarray:
-    return _sweep_dense(g, False, True)[2]
-
-
-def _betweenness_sparse(g: Graph) -> np.ndarray:
-    return _sweep_sparse(g, False, True)[2]
-
-
 def closeness_centrality(g: Graph) -> CentralityScores:
     """Harmonic-free closeness with a component-size correction.
 

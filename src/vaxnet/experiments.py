@@ -10,11 +10,12 @@ changes wall time, never results.
 from __future__ import annotations
 
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 import yaml
@@ -119,21 +120,72 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
 
 
-def _metrics_from(names) -> tuple[Metric, ...]:
-    return tuple(Metric.from_name(nm) for nm in names)
-
-
 def _integer(value, key: str) -> int:
     return as_integer(value, key, ConfigError)
 
 
-def _section(raw: dict, name: str, allowed: set[str], source: str) -> dict:
-    """Config section `name` (empty if absent); unknown keys raise ConfigError."""
-    section = dict(raw.get(name, {}))
-    unknown = set(section) - allowed
+def _number(value, key: str) -> float:
+    """A float setting: 0.4 or 14, but not a bool or "0.4", which raise ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _metrics(value, key: str) -> tuple[Metric, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of metric names, got {value!r}")
+    return tuple(Metric.from_name(name) for name in value)
+
+
+def _interventions(value, key: str) -> tuple[dict, ...]:
+    """Each entry is {time: number, k: integer}; any other key raises ConfigError."""
+    out = []
+    for iv in value:
+        unknown = set(iv) - {"time", "k"}
+        if unknown:
+            raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
+        out.append({"time": _number(iv["time"], f"{key}.time"),
+                    "k": _integer(iv["k"], f"{key}.k")})
+    return tuple(out)
+
+
+# One reader per field annotation of the config dataclasses: reader(value, key).
+_READERS = {
+    int: _integer,
+    Optional[int]: lambda value, key: None if value is None else _integer(value, key),
+    float: _number,
+    str: lambda value, key: str(value),
+    tuple[Metric, ...]: _metrics,
+    tuple[GenSpec, ...]: lambda value, key: tuple(GenSpec.from_dict(d) for d in value),
+    tuple[dict, ...]: _interventions,
+}
+
+
+def _settings(cls) -> dict:
+    """Setting name -> annotation of the fields of dataclass `cls`. A dataclass
+    field (SirConfig.params) adds its own settings instead, so the `sir:`
+    section holds those of SirConfig and of SirParams."""
+    out = {}
+    for name, kind in get_type_hints(cls).items():
+        out.update(_settings(kind) if is_dataclass(kind) else {name: kind})
+    return out
+
+
+def _build(cls, values: dict):
+    """`cls` from read setting values; a setting without one keeps its default."""
+    return cls(**{name: _build(kind, values) if is_dataclass(kind) else values[name]
+                  for name, kind in get_type_hints(cls).items()
+                  if is_dataclass(kind) or name in values})
+
+
+def _section(cls, raw: dict, name: str, source: str):
+    """Config section `name` as dataclass `cls`; unknown keys raise ConfigError."""
+    settings = _settings(cls)
+    unknown = set(raw) - set(settings)
     if unknown:
         raise ConfigError(f"{source}: unknown {name} keys {sorted(unknown)}")
-    return section
+    return _build(cls, {key: _READERS[settings[key]](value, f"{name}.{key}")
+                        for key, value in raw.items()})
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -153,58 +205,18 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
-    allowed = {"seed", "replicates", "k", "metrics", "replicate_mode", "workers",
-               "networks", "sir", "herd", "ingest"}
-    unknown = set(raw) - allowed
+    """ExperimentConfig from a config mapping. Each key is read by the
+    annotation of its dataclass field, and an absent key keeps the field's
+    default. The dataclass fields `sir`, `herd` and `ingest` are sections."""
+    top = get_type_hints(ExperimentConfig)
+    unknown = set(raw) - set(top)
     if unknown:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
     try:
-        networks = tuple(GenSpec.from_dict(d) for d in raw.get("networks", []))
-        sir_raw = _section(raw, "sir", {"tau", "recovery_days", "initial_infected", "t_max",
-                                        "grid_dt", "runs", "metrics", "interventions"}, source)
-        params = SirParams(
-            tau=float(sir_raw.get("tau", 0.4)),
-            recovery_days=float(sir_raw.get("recovery_days", 14.0)),
-            initial_infected=_integer(sir_raw.get("initial_infected", 5), "sir.initial_infected"),
-            t_max=float(sir_raw.get("t_max", 30.0)),
-            grid_dt=float(sir_raw.get("grid_dt", 0.25)),
-        )
-        interventions = tuple(
-            {"time": float(iv["time"]), "k": _integer(iv["k"], "sir.interventions.k")}
-            for iv in sir_raw.get("interventions", []))
-        sir = SirConfig(
-            params=params,
-            runs=_integer(sir_raw.get("runs", 10), "sir.runs"),
-            metrics=_metrics_from(sir_raw.get("metrics", ["degree"])),
-            interventions=interventions,
-        )
-        herd_raw = _section(raw, "herd", {"fraction", "replicates"}, source)
-        herd = HerdConfig(
-            fraction=float(herd_raw.get("fraction", 0.7)),
-            replicates=_integer(herd_raw.get("replicates", 5), "herd.replicates"),
-        )
-        ing_raw = _section(raw, "ingest", {"columns", "day_length", "k", "k_fraction",
-                                           "replicates"}, source)
-        ingest = IngestConfig(
-            columns=_integer(ing_raw.get("columns", 3), "ingest.columns"),
-            day_length=(_integer(ing_raw["day_length"], "ingest.day_length")
-                        if ing_raw.get("day_length") is not None else None),
-            k=_integer(ing_raw["k"], "ingest.k") if ing_raw.get("k") is not None else None,
-            k_fraction=float(ing_raw.get("k_fraction", 0.10)),
-            replicates=_integer(ing_raw.get("replicates", 10), "ingest.replicates"),
-        )
-        return ExperimentConfig(
-            seed=_integer(raw.get("seed", 0), "seed"),
-            replicates=_integer(raw.get("replicates", 30), "replicates"),
-            k=_integer(raw.get("k", 100), "k"),
-            metrics=_metrics_from(raw.get("metrics", [m.value for m in DEFAULT_METRICS])),
-            replicate_mode=str(raw.get("replicate_mode", "generate")),
-            workers=_integer(raw.get("workers", 1), "workers"),
-            networks=networks,
-            sir=sir,
-            herd=herd,
-            ingest=ingest,
-        )
+        return ExperimentConfig(**{
+            key: _section(top[key], dict(value), key, source) if is_dataclass(top[key])
+            else _READERS[top[key]](value, key)
+            for key, value in raw.items()})
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -384,33 +396,16 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
         sim_seed = seeding.child_seed(cfg.seed, "sim", fi)
         graphs = replicate_graphs(spec, cfg.sir.runs, sim_seed)
         for arm_name, ivs in cfg.sir.arms():
-            result = ensemble(graphs, cfg.sir.params, ivs, runs=cfg.sir.runs,
-                              seed=sim_seed)
-            tr = result.mean
+            tr = ensemble(graphs, cfg.sir.params, ivs, seed=sim_seed).mean
             fname = out_dir / f"trajectory_{label}_{arm_name}.csv"
             write_csv(fname, ["time", "s", "i", "r", "v"],
                       [[tr.times[j], tr.s[j], tr.i[j], tr.r[j], tr.v[j]]
                        for j in range(tr.times.size)])
             paths[f"{label}:{arm_name}"] = str(fname)
-            summ = peak_and_final(tr)
-            summary[label][arm_name] = {
-                "peak_infected": summ.peak_infected,
-                "peak_time": summ.peak_time,
-                "attack_rate": summ.attack_rate,
-                "final_s": summ.final_s,
-                "final_i": summ.final_i,
-                "final_r": summ.final_r,
-                "final_v": summ.final_v,
-                "runs": cfg.sir.runs,
-                "warnings": sorted(set(tr.meta["warnings"])),
-            }
+            summary[label][arm_name] = {**asdict(peak_and_final(tr)), "runs": cfg.sir.runs,
+                                        "warnings": sorted(set(tr.meta["warnings"]))}
     write_json(out_dir / "sir_summary.json",
-               {"seed": cfg.seed, "params": {
-                   "tau": cfg.sir.params.tau,
-                   "recovery_days": cfg.sir.params.recovery_days,
-                   "initial_infected": cfg.sir.params.initial_infected,
-                   "t_max": cfg.sir.params.t_max,
-                   "grid_dt": cfg.sir.params.grid_dt},
+               {"seed": cfg.seed, "params": asdict(cfg.sir.params),
                 "interventions": list(cfg.sir.interventions),
                 "results": summary})
     paths["summary"] = str(out_dir / "sir_summary.json")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -242,38 +242,30 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
     return SirTrajectory(grid, rows[:, S], rows[:, I], rows[:, R], rows[:, V], n, meta)
 
 
-def replicate_graphs(source: Union[Graph, GenSpec], runs: int,
-                     seed: int = 0) -> list[Graph]:
-    """The graph of each of `runs` runs: a Graph is reused by every run, a
-    GenSpec is drawn once per run from the child seed ("net", run)."""
-    if isinstance(source, Graph):
-        return [source] * runs
-    return [generate(source.with_seed(seeding.child_seed(seed, "net", rep)))
+def replicate_graphs(spec: GenSpec, runs: int, seed: int = 0) -> list[Graph]:
+    """The graph of each of `runs` runs, drawn from `spec` with the child
+    seed ("net", run)."""
+    return [generate(spec.with_seed(seeding.child_seed(seed, "net", rep)))
             for rep in range(runs)]
 
 
-def ensemble(source: Union[Graph, GenSpec, Sequence[Graph]], params: SirParams,
-             interventions: Sequence[Intervention] = (), runs: int = 10,
-             seed: int = 0) -> EnsembleResult:
-    """Average of independent runs.
+def ensemble(graphs: Sequence[Graph], params: SirParams,
+             interventions: Sequence[Intervention] = (), seed: int = 0) -> EnsembleResult:
+    """Average of one independent run per graph in `graphs`.
 
-    `source` is one graph for every run, a GenSpec drawn afresh per run, or
-    the per-run graphs themselves, as `replicate_graphs` returns them. Arms
-    that pass the same list share each run's graph instead of redrawing it.
+    Pass `[g] * runs` to run on one graph, or `replicate_graphs(spec, runs,
+    seed)` for a fresh draw per run. Arms that pass the same list share each
+    run's graph instead of redrawing it.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
-    if isinstance(source, (Graph, GenSpec)):
-        source = replicate_graphs(source, runs, seed)
-    if len(source) != runs:
-        raise ValueError(f"need one graph per run: got {len(source)} for {runs} runs")
+    if not graphs:
+        raise ValueError("need at least one graph")
     trajs = [simulate(g, params, interventions, seed=seeding.child_seed(seed, "sir", rep))
-             for rep, g in enumerate(source)]
+             for rep, g in enumerate(graphs)]
     times = trajs[0].times
     stack = lambda attr: np.mean([getattr(tr, attr) for tr in trajs], axis=0)
     warnings = [w for tr in trajs for w in tr.meta["warnings"]]
     mean = SirTrajectory(times, stack("s"), stack("i"), stack("r"), stack("v"),
-                         trajs[0].n, {"seed": int(seed), "runs": runs,
+                         trajs[0].n, {"seed": int(seed), "runs": len(trajs),
                                       "warnings": warnings})
     return EnsembleResult(mean, trajs)
 

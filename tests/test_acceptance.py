@@ -17,8 +17,8 @@ import pytest
 from vaxnet import (GenSpec, Intervention, Metric, SirParams, delete_nodes,
                     eigen_drop, ensemble, from_edge_list, gen_erdos_renyi,
                     generate, herd_equivalent, lambda_max, paired_t_test,
-                    peak_and_final, plan_random, plan_topk, seeding, simulate,
-                    t_cdf)
+                    peak_and_final, plan_random, plan_topk, replicate_graphs, seeding,
+                    simulate, t_cdf)
 from vaxnet.centrality import (betweenness_centrality, closeness_centrality,
                                degree_centrality, eigenvector_centrality)
 
@@ -138,10 +138,11 @@ def _peak_ordering(spec: GenSpec, label: str):
         "random": (Intervention(2.0, "random", 100),),
         "none": (),
     }
+    seed = seeding.child_seed(MASTER, "c4", label)
+    graphs = replicate_graphs(spec, 10, seed)
     peaks, late = {}, {}
     for arm, ivs in arms.items():
-        res = ensemble(spec, params, ivs, runs=10,
-                       seed=seeding.child_seed(MASTER, "c4", label))
+        res = ensemble(graphs, params, ivs, seed=seed)
         summ = peak_and_final(res.mean)
         peaks[arm] = summ.peak_infected
         tr = res.mean

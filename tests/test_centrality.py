@@ -118,14 +118,15 @@ def test_betweenness_matches_enumeration():
 
 def test_betweenness_dense_and_sparse_paths_agree(monkeypatch):
     from vaxnet import centrality
-    from vaxnet.centrality import _betweenness_dense, _betweenness_sparse
+    from vaxnet.centrality import _sweep_dense, _sweep_sparse
     rng = np.random.default_rng(23)
     for _ in range(15):
         n = int(rng.integers(3, 30))
         g = from_edge_list(oracles.random_edges(rng, n, 0.3), n=n)
         if g.m == 0:
             continue
-        assert np.allclose(_betweenness_dense(g), _betweenness_sparse(g), atol=1e-9)
+        assert np.allclose(_sweep_dense(g, False, True)[2], _sweep_sparse(g, False, True)[2],
+                           atol=1e-9)
     # The public functions on both sides of the size switch, on graphs with
     # several components and three isolated nodes (the last three ids).
     graphs, split = [], 0

@@ -12,7 +12,7 @@ import yaml
 
 from vaxnet import centrality, experiments, gen_barabasi_albert, spectral
 from vaxnet.cli import main
-from vaxnet.experiments import (ConfigError, config_from_dict, load_config,
+from vaxnet.experiments import (ConfigError, ExperimentConfig, config_from_dict, load_config,
                                 run_eigendrop_table, run_herd, run_ingest, run_simulate,
                                 run_spectral)
 from vaxnet.stats import mean_std, paired_t_test
@@ -130,28 +130,39 @@ def test_ingest_replicates_below_one_rejected_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("raw, key", [
-    ({"replicates": 2.7}, "replicates"),
-    ({"k": 99.9}, "k"),
-    ({"seed": 1.5}, "seed"),
-    ({"workers": True}, "workers"),
-    ({"sir": {"runs": 1.9}}, "sir.runs"),
-    ({"sir": {"initial_infected": True}}, "sir.initial_infected"),
-    ({"sir": {"interventions": [{"time": 2.0, "k": 12.5}]}}, "sir.interventions.k"),
-    ({"herd": {"replicates": 3.2}}, "herd.replicates"),
-    ({"ingest": {"columns": 2.5}}, "ingest.columns"),
-    ({"ingest": {"day_length": 3600.5}}, "ingest.day_length"),
-    ({"ingest": {"k": False}}, "ingest.k"),
-    ({"ingest": {"replicates": 1.5}}, "ingest.replicates"),
-    ({"seed": "3"}, "seed"),
-    ({"seed": "3.0"}, "seed"),
-    ({"seed": None}, "seed"),
-    ({"seed": float("inf")}, "seed"),
-    ({"sir": {"runs": "2"}}, "sir.runs"),
-    ({"herd": {"replicates": [3]}}, "herd.replicates"),
+@pytest.mark.parametrize("raw, key, kind", [
+    ({"replicates": 2.7}, "replicates", "an integer"),
+    ({"k": 99.9}, "k", "an integer"),
+    ({"seed": 1.5}, "seed", "an integer"),
+    ({"workers": True}, "workers", "an integer"),
+    ({"sir": {"runs": 1.9}}, "sir.runs", "an integer"),
+    ({"sir": {"initial_infected": True}}, "sir.initial_infected", "an integer"),
+    ({"sir": {"interventions": [{"time": 2.0, "k": 12.5}]}}, "sir.interventions.k",
+     "an integer"),
+    ({"herd": {"replicates": 3.2}}, "herd.replicates", "an integer"),
+    ({"ingest": {"columns": 2.5}}, "ingest.columns", "an integer"),
+    ({"ingest": {"day_length": 3600.5}}, "ingest.day_length", "an integer"),
+    ({"ingest": {"k": False}}, "ingest.k", "an integer"),
+    ({"ingest": {"replicates": 1.5}}, "ingest.replicates", "an integer"),
+    ({"seed": "3"}, "seed", "an integer"),
+    ({"seed": "3.0"}, "seed", "an integer"),
+    ({"seed": None}, "seed", "an integer"),
+    ({"seed": float("inf")}, "seed", "an integer"),
+    ({"sir": {"runs": "2"}}, "sir.runs", "an integer"),
+    ({"herd": {"replicates": [3]}}, "herd.replicates", "an integer"),
+    ({"sir": {"tau": "0.4"}}, "sir.tau", "a number"),
+    ({"sir": {"recovery_days": True}}, "sir.recovery_days", "a number"),
+    ({"sir": {"t_max": "30"}}, "sir.t_max", "a number"),
+    ({"sir": {"grid_dt": None}}, "sir.grid_dt", "a number"),
+    ({"sir": {"interventions": [{"time": "2", "k": 12}]}}, "sir.interventions.time",
+     "a number"),
+    ({"herd": {"fraction": True}}, "herd.fraction", "a number"),
+    ({"ingest": {"k_fraction": "0.1"}}, "ingest.k_fraction", "a number"),
+    ({"metrics": "degree"}, "metrics", "a list"),
+    ({"sir": {"metrics": "degree"}}, "sir.metrics", "a list"),
 ])
-def test_non_integer_config_value_rejected(raw, key):
-    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be an integer"):
+def test_mistyped_config_value_rejected(raw, key, kind):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be {kind}"):
         config_from_dict(raw)
 
 
@@ -171,6 +182,12 @@ def test_unknown_section_key_rejected_at_load(tmp_path, capsys, section, command
     assert main([command, *files, "--config", str(cfg), "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+def test_unknown_intervention_key_rejected():
+    iv = {"time": 2, "k": 5, "metric": "betweenness"}
+    with pytest.raises(ConfigError, match=re.escape("unknown sir.interventions keys ['metric']")):
+        config_from_dict({"sir": {"interventions": [iv]}})
 
 
 def test_integral_config_values_accepted():
@@ -221,6 +238,7 @@ def test_non_integer_network_value_rejected_at_load(tmp_path, capsys, network, k
 
 def test_defaults_without_file():
     cfg = config_from_dict({})
+    assert cfg == ExperimentConfig()
     assert cfg.replicates == 30
     assert cfg.k == 100
     assert cfg.replicate_mode == "generate"

@@ -178,9 +178,9 @@ def test_intervention_validation():
 def test_adding_intervention_never_increases_attack_rate():
     g = gen_duplication_divergence(150, 0.4, seed=14)
     params = SirParams(tau=0.4, t_max=30.0)
-    plain = ensemble(g, params, (), runs=15, seed=15)
-    helped = ensemble(g, params, (Intervention(2.0, "topk", 15, Metric.DEGREE),),
-                      runs=15, seed=15)
+    plain = ensemble([g] * 15, params, (), seed=15)
+    helped = ensemble([g] * 15, params, (Intervention(2.0, "topk", 15, Metric.DEGREE),),
+                      seed=15)
     assert peak_and_final(helped.mean).attack_rate <= peak_and_final(plain.mean).attack_rate
 
 
@@ -216,7 +216,7 @@ def test_supercritical_on_dense_graph_spreads():
 def test_ensemble_mean_of_single_run_is_that_run():
     g = gen_erdos_renyi(50, 0.2, seed=18)
     params = SirParams(t_max=15.0)
-    res = ensemble(g, params, runs=1, seed=19)
+    res = ensemble([g], params, seed=19)
     only = res.runs[0]
     assert np.array_equal(res.mean.i, only.i)
 
@@ -224,7 +224,7 @@ def test_ensemble_mean_of_single_run_is_that_run():
 def test_ensemble_average_and_store():
     g = gen_duplication_divergence(100, 0.4, seed=20)
     params = SirParams(t_max=20.0)
-    res = ensemble(g, params, runs=8, seed=21)
+    res = ensemble([g] * 8, params, seed=21)
     assert len(res.runs) == 8
     stacked = np.mean([tr.i for tr in res.runs], axis=0)
     assert np.allclose(res.mean.i, stacked)
@@ -232,10 +232,10 @@ def test_ensemble_average_and_store():
 
 
 def test_ensemble_regenerates_graph_per_run():
-    from vaxnet import GenSpec
+    from vaxnet import GenSpec, replicate_graphs
     spec = GenSpec("erdos_renyi", 60, p=0.15, seed=0)
     params = SirParams(t_max=10.0)
-    res = ensemble(spec, params, runs=4, seed=22)
+    res = ensemble(replicate_graphs(spec, 4, seed=22), params, seed=22)
     # runs on fresh draws differ (same spec would tie them if reused)
     assert len({tuple(tr.i.tolist()) for tr in res.runs}) > 1
 

@@ -127,18 +127,16 @@ def test_shared_draws_equal_per_arm_redraws():
     for rep, g in enumerate(graphs):
         drawn = generate(spec.with_seed(seeding.child_seed(5, "net", rep)))
         assert g.fingerprint == drawn.fingerprint
-    shared = ensemble(graphs, params, ivs, runs=3, seed=5)
-    redrawn = ensemble(spec, params, ivs, runs=3, seed=5)
+    shared = ensemble(graphs, params, ivs, seed=5)
+    redrawn = ensemble(replicate_graphs(spec, 3, seed=5), params, ivs, seed=5)
     for a, b in zip(shared.runs + [shared.mean], redrawn.runs + [redrawn.mean]):
         for attr in ("times", "s", "i", "r", "v"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
 
-def test_ensemble_needs_one_graph_per_run():
-    graphs = replicate_graphs(complete_graph(5), 2)
-    assert len(graphs) == 2
-    with pytest.raises(ValueError, match="one graph per run"):
-        ensemble(graphs, SirParams(initial_infected=1), runs=3)
+def test_ensemble_needs_at_least_one_graph():
+    with pytest.raises(ValueError, match="at least one graph"):
+        ensemble([], SirParams(initial_infected=1))
 
 
 # -- exact final-size law by bond percolation --------------------------------------------------
