@@ -138,12 +138,18 @@ def _metrics(value, key: str) -> tuple[Metric, ...]:
 
 
 def _interventions(value, key: str) -> tuple[dict, ...]:
-    """Each entry is {time: number, k: integer}; any other key raises ConfigError."""
+    """A list of {time: number, k: integer} mappings; a missing or other key
+    raises ConfigError."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(iv, dict) for iv in value):
+        raise ConfigError(f"{key} must be a list of mappings with time and k, got {value!r}")
     out = []
     for iv in value:
         unknown = set(iv) - {"time", "k"}
         if unknown:
             raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
+        for name in ("time", "k"):
+            if name not in iv:
+                raise ConfigError(f"{key}.{name} must be given in every entry")
         out.append({"time": _number(iv["time"], f"{key}.time"),
                     "k": _integer(iv["k"], f"{key}.k")})
     return tuple(out)
@@ -178,8 +184,13 @@ def _build(cls, values: dict):
                   if is_dataclass(kind) or name in values})
 
 
-def _section(cls, raw: dict, name: str, source: str):
-    """Config section `name` as dataclass `cls`; unknown keys raise ConfigError."""
+def _section(cls, raw, name: str, source: str):
+    """Config section `name` as dataclass `cls`. An empty section (YAML null)
+    keeps every default; a non-mapping or an unknown key raises ConfigError."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{source}: {name} must be a mapping, got {raw!r}")
     settings = _settings(cls)
     unknown = set(raw) - set(settings)
     if unknown:
@@ -214,7 +225,7 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
     try:
         return ExperimentConfig(**{
-            key: _section(top[key], dict(value), key, source) if is_dataclass(top[key])
+            key: _section(top[key], value, key, source) if is_dataclass(top[key])
             else _READERS[top[key]](value, key)
             for key, value in raw.items()})
     except ConfigError:
@@ -372,10 +383,11 @@ def run_herd(cfg: ExperimentConfig, out_dir) -> dict:
         for report in reports:
             rows.append([_spec_label(spec), report.metric.value, report.n, report.replicates,
                          report.n_h_fraction, report.n_h, report.lambda_target,
-                         report.n_hs, report.n_hs_fraction])
+                         report.n_hs, report.n_hs_fraction, report.solves,
+                         report.nonconverged])
     write_csv(out_dir / "herd.csv",
               ["family", "metric", "n", "replicates", "n_h_fraction", "n_h",
-               "lambda_target", "n_hs", "n_hs_fraction"],
+               "lambda_target", "n_hs", "n_hs_fraction", "solves", "nonconverged"],
               rows)
     return {"herd": str(out_dir / "herd.csv")}
 

@@ -8,8 +8,9 @@ finds how many targeted removals match a given random-removal baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +55,8 @@ class HerdReport:
     n_hs: int                 # smallest top-k removal matching the target
     n_hs_fraction: float
     replicates: int
+    solves: int               # eigenvalue solves made by this metric's search
+    nonconverged: int         # solves that hit max_iter, baseline included
 
 
 def plan_topk(g: Graph, metric: Metric, k: int,
@@ -114,7 +117,8 @@ def herd_equivalent(graphs: Sequence[Graph], metrics: Sequence[Metric],
     nodes (ranked once, on the intact graph) brings the ensemble mean
     eigenvalue to or below the target. Rankings are fixed per graph, so
     larger k removes a superset of nodes and the mean is monotone in k;
-    that makes bisection exact.
+    that makes the bracketing search exact. Each report counts its
+    search's solves and the solves, baseline included, that hit max_iter.
     """
     if isinstance(metrics, Metric):
         raise TypeError("metrics must be a sequence of Metric, not one Metric")
@@ -127,39 +131,68 @@ def herd_equivalent(graphs: Sequence[Graph], metrics: Sequence[Metric],
         raise ValueError("all graphs must have the same node count")
     n_h = int(n * n_h_fraction)
 
-    targets = []
+    baseline = []
     for i, g in enumerate(graphs):
         plan = plan_random(g, n_h, seed=seeding.child_seed(seed, "baseline", i))
-        targets.append(lambda_max(delete_nodes(g, plan.victims)).lambda_max)
-    lambda_target = float(np.mean(targets))
+        baseline.append(lambda_max(delete_nodes(g, plan.victims)))
+    lambda_target = float(np.mean([res.lambda_max for res in baseline]))
 
     reports = []
     for metric in metrics:
         orders = [ranking(compute(g, metric)) for g in graphs]
-        n_hs = _smallest_matching_k(graphs, orders, lambda_target)
+        solved: list[SpectralResult] = []
+
+        def mean_after(k: int) -> float:
+            results = [lambda_max(delete_nodes(g, order[:k]))
+                       for g, order in zip(graphs, orders)]
+            solved.extend(results)
+            return float(np.mean([res.lambda_max for res in results]))
+
+        n_hs = _smallest_matching_k(mean_after, n, lambda_target)
+        nonconverged = sum(not res.converged for res in baseline + solved)
         reports.append(HerdReport(metric, n, n_h, n_h_fraction, lambda_target,
-                                  n_hs, n_hs / n if n else 0.0, len(graphs)))
+                                  n_hs, n_hs / n if n else 0.0, len(graphs),
+                                  len(solved), nonconverged))
     return reports
 
 
-def _smallest_matching_k(graphs: Sequence[Graph], orders: Sequence[np.ndarray],
-                         lambda_target: float) -> int:
-    """Least k for which removing each graph's first k nodes of its order
-    brings the ensemble mean eigenvalue to or below `lambda_target`."""
-    cache: dict[int, float] = {}
+def _smallest_matching_k(mean_after: Callable[[int], float], n: int,
+                         target: float) -> int:
+    """Least k in [0, n] with mean_after(k) <= target, for a mean_after that
+    does not increase with k. k = n leaves no node, so its mean is taken as
+    0 without a call; no k is evaluated twice.
 
-    def mean_after(k: int) -> float:
-        if k not in cache:
-            vals = [lambda_max(delete_nodes(g, order[:k])).lambda_max
-                    for g, order in zip(graphs, orders)]
-            cache[k] = float(np.mean(vals))
-        return cache[k]
-
-    lo, hi = 0, graphs[0].n
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971) on the excess
+    mean_after(k) - target. The answer lies in [lo, hi]: lo - 1 was
+    evaluated above the target (or lo = 0) and hi at or below it (or
+    hi = n). While lo - 1 is unevaluated a step takes the midpoint;
+    afterwards it takes the point where the line between the two ends'
+    excesses crosses zero, rounded up into [lo, hi - 1]. When the same end
+    moves twice in a row, the other end's stored excess is halved. After
+    ceil(log2(n + 1)) evaluations only midpoints are taken, which caps a
+    search at twice that many.
+    """
+    lo, hi = 0, n
+    low_excess: Optional[float] = None      # excess at lo - 1, once evaluated
+    high_excess = -target                   # excess at hi
+    last_below: Optional[bool] = None       # whether the last step moved hi
+    evaluations, guard = 0, n.bit_length()        # guard = ceil(log2(n + 1))
     while lo < hi:
-        mid = (lo + hi) // 2
-        if mean_after(mid) <= lambda_target:
-            hi = mid
+        if low_excess is None or evaluations >= guard:
+            k = (lo + hi) // 2
         else:
-            lo = mid + 1
+            cross = lo - 1 + (hi - lo + 1) * low_excess / (low_excess - high_excess)
+            k = min(max(math.ceil(cross), lo), hi - 1)
+        mean = mean_after(k)
+        evaluations += 1
+        below = mean <= target
+        if below:
+            hi, high_excess = k, mean - target
+            if last_below and low_excess is not None:
+                low_excess /= 2
+        else:
+            lo, low_excess = k + 1, mean - target
+            if last_below is False:
+                high_excess /= 2
+        last_below = below
     return lo

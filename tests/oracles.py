@@ -5,8 +5,9 @@ eigenvalues via cyclic Jacobi rotations on the dense matrix, betweenness by
 explicitly enumerating every geodesic, closeness from a hand-rolled BFS
 table, the dense all-sources sweep with boolean-mask gathers and scatters,
 the t distribution by numerical quadrature of its density, SIR runs
-by an event loop that queues every transmission, and SIR final sizes by
-enumerating bond-percolation outcomes. Slow and simple on purpose.
+by an event loop that queues every transmission, SIR final sizes by
+enumerating bond-percolation outcomes, and the herd search by plain
+bisection. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -347,3 +348,19 @@ def percolation_final_sizes(n: int, edges, transmissibility: float) -> np.ndarra
             size = sum(1 for d in bfs_dists(adj, s) if d >= 0)
             dist[size] += weight / n
     return dist
+
+
+# -- herd search by plain bisection ------------------------------------------------
+
+
+def bisect_smallest_k(mean_after, n: int, target: float) -> int:
+    """Least k in [0, n] with mean_after(k) <= target, for a mean_after that
+    does not increase with k, by halving [lo, hi]; k = n is never called."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mean_after(mid) <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

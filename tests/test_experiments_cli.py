@@ -160,6 +160,12 @@ def test_ingest_replicates_below_one_rejected_at_load(tmp_path, capsys):
     ({"ingest": {"k_fraction": "0.1"}}, "ingest.k_fraction", "a number"),
     ({"metrics": "degree"}, "metrics", "a list"),
     ({"sir": {"metrics": "degree"}}, "sir.metrics", "a list"),
+    ({"sir": {"interventions": [{"time": 2}]}}, "sir.interventions.k", "given"),
+    ({"sir": {"interventions": [{"k": 5}]}}, "sir.interventions.time", "given"),
+    ({"sir": {"interventions": [5]}}, "sir.interventions", "a list of mappings"),
+    ({"sir": {"interventions": [{"time": 2, "k": 5}, [2, 5]]}}, "sir.interventions",
+     "a list of mappings"),
+    ({"sir": {"interventions": 5}}, "sir.interventions", "a list of mappings"),
 ])
 def test_mistyped_config_value_rejected(raw, key, kind):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be {kind}"):
@@ -181,6 +187,28 @@ def test_unknown_section_key_rejected_at_load(tmp_path, capsys, section, command
     files = CONTACT_FILES if command == "ingest" else []
     assert main([command, *files, "--config", str(cfg), "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["sir", "herd", "ingest"])
+def test_empty_config_section_keeps_defaults(tmp_path, section):
+    assert config_from_dict({section: None}) == ExperimentConfig()
+    path = tmp_path / "config.yaml"
+    path.write_text(f"seed: 3\n{section}:\n")
+    assert load_config(path) == ExperimentConfig(seed=3)
+
+
+@pytest.mark.parametrize("section, command", [
+    ("sir", "simulate"), ("herd", "herd"), ("ingest", "ingest")])
+@pytest.mark.parametrize("value", [[0.7, 5], 5, "fraction"])
+def test_non_mapping_config_section_rejected_at_load(tmp_path, capsys, section, command, value):
+    with pytest.raises(ConfigError, match=f"{section} must be a mapping"):
+        config_from_dict({section: value})
+    cfg = write_config(tmp_path, {section: value})
+    out = tmp_path / "o"
+    files = CONTACT_FILES if command == "ingest" else []
+    assert main([command, *files, "--config", str(cfg), "--out", str(out)]) == 1
+    assert "must be a mapping" in json.loads(capsys.readouterr().err)["message"]
     assert not out.exists()
 
 
@@ -341,6 +369,10 @@ def test_herd_runner_outputs(tmp_path):
     n_h, n_hs = int(cells[5]), int(cells[7])
     assert n_h == 70
     assert 0 <= n_hs <= 100
+    (row,) = read_csv(out / "herd.csv")
+    assert rows[0].endswith(",solves,nonconverged")
+    assert 0 < int(row["solves"]) <= 2 * 7 * cfg.herd.replicates
+    assert row["nonconverged"] == "0"
 
 
 def test_simulate_runner_outputs(tmp_path):

@@ -1,11 +1,14 @@
 """Vaccination plans, eigenvalue drops, and the herd-equivalence search."""
 
+import math
+
 import numpy as np
 import pytest
 
 from vaxnet import (Metric, VaccinationPlan, delete_nodes, eigen_drop, from_edge_list,
-                    gen_barabasi_albert, gen_erdos_renyi, herd_equivalent,
-                    lambda_max, plan_random, plan_topk, seeding, vaccination)
+                    gen_barabasi_albert, gen_duplication_divergence, gen_erdos_renyi,
+                    gen_random_geometric, herd_equivalent, lambda_max, plan_random,
+                    plan_topk, seeding, vaccination)
 from vaxnet.centrality import degree_centrality
 
 import oracles
@@ -267,3 +270,143 @@ def test_herd_metrics_share_one_baseline(monkeypatch):
     together = herd_equivalent(graphs, metrics, n_h_fraction=0.6, seed=5)
     assert together == [report for report, _ in alone]
     assert len(calls) == sum(n for _, n in alone) - (len(metrics) - 1) * len(graphs)
+
+
+# -- the herd search ----------------------------------------------------------------
+
+
+def check_search(values, target):
+    """Run the herd search on a fixed curve and return the k it asked for.
+    values[k] is the mean after k removals; values[n] = 0 is never asked for."""
+    n = len(values) - 1
+    assert values[n] == 0.0 and all(b <= a for a, b in zip(values, values[1:]))
+    asked = []
+
+    def mean_after(k):
+        asked.append(k)
+        return values[k]
+
+    k = vaccination._smallest_matching_k(mean_after, n, target)
+    assert k == min(j for j in range(n + 1) if values[j] <= target)
+    assert len(asked) == len(set(asked)) <= 2 * math.ceil(math.log2(n + 1))
+    assert all(0 <= j < n for j in asked)
+    return asked
+
+
+def curve(n, f):
+    return [float(f(k / n)) for k in range(n)] + [0.0]
+
+
+@pytest.mark.parametrize("name, values, target", [
+    ("plateaus", [5.0] * 300 + [3.0] * 400 + [1.0] * 300 + [0.0], 3.0),
+    ("plateau above", [5.0] * 300 + [3.0] * 400 + [1.0] * 300 + [0.0], 2.9),
+    ("step at 1", [1.0] + [0.0] * 1000, 0.5),
+    ("step at 500", [1.0] * 500 + [0.0] * 501, 0.5),
+    ("step at 999", [1.0] * 999 + [0.0] * 2, 0.5),
+    ("convex", curve(1000, lambda x: 100 * (1 - x) ** 3), 10.0),
+    ("concave", curve(1000, lambda x: 100 * (1 - x ** 3)), 10.0),
+    ("linear", curve(1000, lambda x: 188 * (1 - x)), 120.27),
+    ("answer 0", curve(1000, lambda x: 50 * (1 - x)), 50.0),
+    ("answer n", [7.0] * 1000 + [0.0], 0.0),
+    ("target 0, answer n - 1", curve(12, lambda x: 11 - 12 * x)[:-2] + [0.0, 0.0], 0.0),
+    ("one node", [1.0, 0.0], 0.5),
+    ("no nodes", [0.0], 0.0),
+])
+def test_herd_search_finds_least_k_on_fixed_curves(name, values, target):
+    check_search(values, target)
+
+
+def test_herd_search_interpolates_smooth_curves():
+    # on a straight line two midpoints find an end above the target, the
+    # first interpolated step lands on the answer and one more confirms it;
+    # smooth curves take fewer evaluations than the 10 of bisection. On the
+    # last two, one end would stay put for many steps without the Illinois
+    # halving (18 and 19 evaluations).
+    assert check_search(curve(1000, lambda x: 188 * (1 - x)), 120.27) == [500, 250, 361, 360]
+    for f, target, most in [(lambda x: 100 * (1 - x) ** 3, 10.0, 6),
+                            (lambda x: 100 * (1 - x ** 3), 10.0, 5),
+                            (lambda x: 100 * math.exp(-10 * x), 1.0, 7),
+                            (lambda x: 100 * (1 - x ** 8), 90.0, 8)]:
+        assert len(check_search(curve(1000, f), target)) <= most
+
+
+def test_herd_search_finds_least_k_on_random_curves():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        n = int(rng.integers(1, 300))
+        # non-increasing with repeated values, ending at 0
+        steps = rng.exponential(size=n) * (rng.random(n) < rng.random())
+        values = list(np.cumsum(steps[::-1])[::-1]) + [0.0]
+        # half the targets sit exactly on a value, so plateaus meet the target
+        if rng.random() < 0.5:
+            target = float(rng.choice(values))
+        else:
+            target = float(rng.uniform(0, values[0] + 1))
+        check_search(values, target)
+
+
+def test_herd_search_matches_bisection_on_random_ensembles():
+    # the false-position search returns the oracle bisection's k on real
+    # mean-eigenvalue curves
+    from vaxnet.centrality import compute, ranking
+    rng = np.random.default_rng(7)
+    makers = [lambda n, s: gen_erdos_renyi(n, 0.15, seed=s),
+              lambda n, s: gen_barabasi_albert(n, 3, seed=s),
+              lambda n, s: gen_duplication_divergence(n, 0.4, seed=s),
+              lambda n, s: gen_random_geometric(n, 0.3, seed=s)]
+    metrics = [Metric.DEGREE, Metric.EIGENVECTOR, Metric.CLOSENESS]
+    for case in range(100):
+        n = int(rng.integers(30, 60))
+        graphs = [makers[case % 4](n, 100 * case + r) for r in range(2)]
+        metric = metrics[case % 3]
+        fraction = float(rng.choice([0.0, 0.3, 0.7, 1.0]))
+        (report,) = herd_equivalent(graphs, [metric], n_h_fraction=fraction, seed=case)
+        orders = [ranking(compute(g, metric)) for g in graphs]
+
+        def mean_after(k):
+            return float(np.mean([lambda_max(delete_nodes(g, order[:k])).lambda_max
+                                  for g, order in zip(graphs, orders)]))
+
+        assert report.n_hs == oracles.bisect_smallest_k(mean_after, n, report.lambda_target)
+        assert report.solves <= 2 * math.ceil(math.log2(n + 1)) * len(graphs)
+
+
+def test_herd_search_solve_count(monkeypatch):
+    # three ER(400, 0.4) graphs, two metrics: 3 baseline solves plus the two
+    # searches; plain bisection took 54 solves here
+    calls = []
+    inner = vaccination.lambda_max
+
+    def counting(g, *args, **kwargs):
+        calls.append(g.n)
+        return inner(g, *args, **kwargs)
+
+    monkeypatch.setattr(vaccination, "lambda_max", counting)
+    graphs = [gen_erdos_renyi(400, 0.4, seed=s) for s in range(3)]
+    reports = herd_equivalent(graphs, [Metric.DEGREE, Metric.EIGENVECTOR],
+                              n_h_fraction=0.7, seed=3)
+    assert [report.n_hs for report in reports] == [263, 264]
+    assert len(calls) == 3 + sum(report.solves for report in reports) <= 30
+    assert [report.nonconverged for report in reports] == [0, 0]
+
+
+def test_herd_counts_nonconverged_solves(monkeypatch):
+    # with a two-step iteration cap most solves stop short; each report
+    # counts the baseline's plus its own search's
+    results = []
+    inner = vaccination.lambda_max
+
+    def capped(g, *args, **kwargs):
+        results.append(inner(g, max_iter=2))
+        return results[-1]
+
+    monkeypatch.setattr(vaccination, "lambda_max", capped)
+    graphs = [gen_barabasi_albert(60, 3, seed=s) for s in range(3)]
+    reports = herd_equivalent(graphs, [Metric.DEGREE, Metric.EIGENVECTOR],
+                              n_h_fraction=0.5, seed=1)
+    failed = [not res.converged for res in results]
+    base = sum(failed[:3])
+    first, second = reports[0].solves, reports[1].solves
+    assert len(results) == 3 + first + second
+    assert reports[0].nonconverged == base + sum(failed[3:3 + first]) > base
+    assert reports[1].nonconverged == base + sum(failed[3 + first:])
