@@ -9,12 +9,17 @@ yields distances and shortest-path counts together; closeness reads the
 distances and betweenness back-propagates dependencies over them (Brandes
 accumulation). `compute_many` runs that sweep once when both are asked
 for. Graphs up to a few thousand nodes run the BFS from every source at
-once as dense matrix products; larger graphs, where that needs too much
-memory, sweep each source over the CSR arrays. The dense sweep's peak
-holds five float64 n x n arrays and one int32: the adjacency, distances,
-path counts, dependencies, and a level's coefficients and their product,
-about 44 n^2 bytes (107 MiB at n = 1600). Eigenvector scores are the
-dominant eigenvector from `spectral.lambda_max`.
+once, one level per step; larger graphs, where that needs too much
+memory, sweep each source over the CSR arrays. Each forward step of the
+all-sources BFS is a dense matrix product on dense graphs, and on sparse
+ones (2m below 1% of n^2) a gather and sum of the frontier's rows at each
+node's neighbors, which skips the product's work on zeros. Path counts
+are integers, so both kernels give the same bits while the counts stay
+below 2^53. The dense sweep's peak holds five float64 n x n arrays and
+one int32: the adjacency, distances, path counts, dependencies, and a
+level's coefficients and their product, about 44 n^2 bytes (107 MiB at
+n = 1600). Eigenvector scores are the dominant eigenvector from
+`spectral.lambda_max`.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .spectral import lambda_max
 # Graphs up to this many nodes use the dense all-sources BFS; above it its
 # n x n arrays take too much memory.
 _DENSE_LIMIT = 2048
+# The all-sources BFS steps by row gathers on graphs with 2m below this
+# share of n^2, and by dense matrix products above it.
+_GATHER_DENSITY = 0.01
 
 
 class NonConvergenceError(RuntimeError):
@@ -111,29 +119,42 @@ def _expand(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(frontier, counts), g.indices[pos]
 
 
-def _bfs_dense(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """BFS from every source at once as dense matrix products.
+def _bfs_dense(g: Graph) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray, int]:
+    """BFS from every source at once, one level per step.
 
-    Returns the adjacency matrix, distances (int32, -1 for unreachable),
-    shortest-path counts sigma[s, v] and the deepest level reached. Row s
-    of the frontier matrix holds the path counts of the nodes at the
-    current level from s, so one product both finds the next level and
-    counts the paths into it. Level 1 is the adjacency itself, which is
-    exactly what eye(n) @ A gives. The loop ends on an empty level, or as
-    soon as no pair is left unreached, when the next level would be empty.
+    Returns the adjacency matrix (None if the kernel did not need it),
+    distances (int32, -1 for unreachable), shortest-path counts sigma[s, v]
+    and the deepest level reached. Row s of the frontier matrix F holds the
+    path counts of the nodes at the current level from s, so one step both
+    finds the next level and counts the paths into it. Level 1 is the
+    adjacency itself, which is exactly what eye(n) @ A gives. The loop ends
+    on an empty level, or as soon as no pair is left unreached, when the
+    next level would be empty.
 
-    n x n arrays held at the peak, during a product: A, dist (int32),
-    sigma, the frontier and the product. A level's masks take one byte per
-    entry and are freed before the product.
+    Dense graphs step by the product F @ A. Sparse ones, with 2m below
+    `_GATHER_DENSITY` n^2, build no adjacency matrix: row j of the next
+    step is the sum of F's rows at j's neighbors, which is column j of
+    F @ A because F is symmetric. The kept entries of both are sums of
+    integer path counts, exact in any order while they stay below 2^53, so
+    the two kernels give the same bits; only the masked entries, which are
+    zeroed, may differ.
+
+    n x n arrays held at the peak, during a step: dist (int32), sigma, the
+    frontier and the next one, and A for the product. A level's masks take
+    one byte per entry and are freed before the step.
     """
     n = g.n
-    A = g.to_dense()
+    gather = 2 * g.m < _GATHER_DENSITY * n * n
+    F = g.to_dense()
+    A = None if gather else F.copy()
+    if gather:
+        nxt = np.empty_like(F)
+        neighbors = np.split(g.indices, g.indptr[1:-1])
     dist = np.full((n, n), -1, np.int32)
     np.fill_diagonal(dist, 0)
     sigma = np.eye(n)
     unreached = n * n - n
     depth = 0
-    F = A.copy()
     while True:
         # Counts into pairs already reached are not a frontier; the rest
         # are non-negative, so every kept entry is > 0 or exactly +0.0.
@@ -149,7 +170,12 @@ def _bfs_dense(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         unreached -= found
         if unreached == 0:
             break
-        F = F @ A
+        if gather:
+            for nbrs, row in zip(neighbors, nxt):
+                F.take(nbrs, axis=0).sum(axis=0, out=row)
+            F, nxt = nxt, F
+        else:
+            F = F @ A
     return A, dist, sigma, depth
 
 
@@ -220,7 +246,9 @@ def _sweep_dense(g: Graph, closeness: bool, betweenness: bool
     add nothing to its peak memory.
     """
     A, dist, sigma, depth = _bfs_dense(g)
-    bc = _backward_dense(A, dist, sigma, depth) if betweenness else None
+    bc = None
+    if betweenness:
+        bc = _backward_dense(g.to_dense() if A is None else A, dist, sigma, depth)
     reach = totals = None
     if closeness:
         reach = (dist > 0).sum(axis=1).astype(np.float64)

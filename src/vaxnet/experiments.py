@@ -10,6 +10,7 @@ changes wall time, never results.
 from __future__ import annotations
 
 import json
+import logging
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass
@@ -31,6 +32,8 @@ from .stats import mean_std, paired_t_test
 from .vaccination import eigen_drop, herd_equivalent, plan_random, plan_topk
 
 DEFAULT_METRICS = (Metric.DEGREE, Metric.BETWEENNESS, Metric.EIGENVECTOR)
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -287,11 +290,20 @@ def _replicate_graph(spec: GenSpec, mode: str, master_seed: int,
 
 def _graph_arms(g: Graph, k: int, rand_seeds: Sequence[int],
                 metrics: Sequence[Metric]) -> tuple[float, list[float], list[float]]:
-    """λ of `g` intact, after each random removal and after each metric's top k."""
+    """λ of `g` intact, after each random removal and after each metric's top k.
+
+    A plan whose report did not converge, before or after its removal, is
+    logged as a warning; its λ is still returned.
+    """
     plans = [plan_random(g, k, seed=s) for s in rand_seeds]
     scores = compute_many(g, metrics)
     plans += [plan_topk(g, metric, k, scores=scores[metric]) for metric in metrics]
     reports = eigen_drop(g, plans)
+    for plan, report in zip(plans, reports):
+        if not report.converged:
+            name = plan.strategy if plan.seed is None else f"{plan.strategy} (seed {plan.seed})"
+            log.warning("eigenvalue solve did not converge: graph %s (n=%d, m=%d), plan %s",
+                        g.fingerprint, g.n, g.m, name)
     after = [r.lambda_after for r in reports]
     return reports[0].lambda_before, after[:len(rand_seeds)], after[len(rand_seeds):]
 

@@ -5,7 +5,9 @@ integer seed: the same call always returns the identical edge set. Two
 implementations of the Bernoulli family are provided on purpose. `gen_gnp`
 skip-samples pair indices with geometric jumps and scales to large sparse
 graphs; `gen_erdos_renyi` flips one coin per pair and serves as the
-quadratic reference the fast path can be checked against.
+quadratic reference the fast path can be checked against. Both map the
+kept pair indices, row-major over the upper triangle, to node pairs the
+same way.
 """
 
 from __future__ import annotations
@@ -188,9 +190,8 @@ def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     rng = seeding.rng_from(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    return from_arrays(iu[mask], iv[mask], n=n)
+    u, v = _pair_from_linear(np.flatnonzero(rng.random(n * (n - 1) // 2) < p), n)
+    return from_arrays(u, v, n=n)
 
 
 # -- growth models -------------------------------------------------------------

@@ -167,11 +167,20 @@ def sweep_graphs():
     return graphs
 
 
-@pytest.fixture(params=["dense", "sparse"])
+@pytest.fixture(params=["dense", "gather", "sparse"])
 def size_regime(request, monkeypatch):
+    """The all-sources sweep stepping by products ("dense") or by row
+    gathers ("gather"), or the per-source sweep ("sparse")."""
     if request.param == "sparse":
         monkeypatch.setattr(centrality, "_DENSE_LIMIT", 0)
+    else:
+        force_kernel(monkeypatch, request.param == "gather")
     return request.param
+
+
+def force_kernel(monkeypatch, gather: bool):
+    # 2m < n^2 holds on every graph, and 2m < 0 on none.
+    monkeypatch.setattr(centrality, "_GATHER_DENSITY", 1.0 if gather else 0.0)
 
 
 def test_compute_many_is_bit_equal_to_the_single_metric_wrappers(size_regime):
@@ -222,7 +231,7 @@ def test_compute_many_covers_every_metric_once(star5):
 
 
 def test_one_forward_sweep_per_graph(monkeypatch, size_regime):
-    name = "_bfs_dense" if size_regime == "dense" else "_bfs_from"
+    name = "_bfs_from" if size_regime == "sparse" else "_bfs_dense"
     calls = []
     inner = getattr(centrality, name)
 
@@ -233,8 +242,8 @@ def test_one_forward_sweep_per_graph(monkeypatch, size_regime):
     monkeypatch.setattr(centrality, name, counting)
     g = from_edge_list([(0, 1), (1, 2), (2, 3), (4, 5)], n=8)
     compute_many(g, [Metric.DEGREE, *PATH_METRICS, Metric.EIGENVECTOR])
-    # dense: one all-sources BFS; sparse: one BFS per non-isolated source
-    assert len(calls) == (1 if size_regime == "dense" else 6)
+    # all sources: one BFS; sparse: one BFS per non-isolated source
+    assert len(calls) == (6 if size_regime == "sparse" else 1)
 
 
 @pytest.mark.parametrize("sweep", ["_sweep_dense", "_sweep_sparse"])
@@ -255,11 +264,13 @@ def test_sweep_computes_only_the_metrics_asked_for(sweep):
 
 def mask_oracle_graphs():
     """ER, BA and DD draws of a few hundred nodes, a path, a star, a graph
-    with isolated nodes and one of two components."""
+    with isolated nodes and one of two components, at 2m/n^2 from 0.7% to
+    3%, around the gather density, and a dense ER draw at 30%."""
     rng = np.random.default_rng(26)
     half = gen_barabasi_albert(150, 2, seed=7)
     u, v = half.edges()
     return {
+        "er_dense": gen_erdos_renyi(300, 0.3, seed=9),
         "er": gen_erdos_renyi(400, 0.03, seed=4),
         "ba": gen_barabasi_albert(450, 3, seed=5),
         "dd": gen_duplication_divergence(350, 0.4, seed=6),
@@ -272,11 +283,14 @@ def mask_oracle_graphs():
     }
 
 
-def test_dense_sweep_is_bit_equal_to_the_mask_reference():
+@pytest.mark.parametrize("gather", [False, True], ids=["product", "gather"])
+def test_dense_sweep_is_bit_equal_to_the_mask_reference(monkeypatch, gather):
+    force_kernel(monkeypatch, gather)
     stops = set()
     for name, g in mask_oracle_graphs().items():
         dist, sigma, depth, bc, reach, totals = oracles.mask_sweep_dense(g.to_dense())
-        _, got_dist, got_sigma, got_depth = centrality._bfs_dense(g)
+        A, got_dist, got_sigma, got_depth = centrality._bfs_dense(g)
+        assert (A is None) == gather, name
         assert got_dist.dtype == dist.dtype, name
         assert got_dist.tobytes() == dist.tobytes(), name
         assert got_sigma.tobytes() == sigma.tobytes(), name
@@ -291,11 +305,36 @@ def test_dense_sweep_is_bit_equal_to_the_mask_reference():
     assert stops == {True, False}
 
 
-def test_dense_sweep_peak_memory():
+def test_gather_and_product_kernels_agree_around_the_density_switch(monkeypatch):
+    # 2m < n^2 / 100 gathers: at n = 400 that is m <= 799.
+    n = 400
+    u, v = gen_erdos_renyi(n, 0.02, seed=10).edges()
+    order = np.random.default_rng(27).permutation(len(u))
+    sides = {780: True, 799: True, 800: False, 820: False}
+    graphs = {m: from_edge_list(list(zip(u[order[:m]].tolist(), v[order[:m]].tolist())), n=n)
+              for m in sides}
+    picked = {m: centrality._bfs_dense(g) for m, g in graphs.items()}
+    for m, gather in sides.items():
+        assert graphs[m].m == m
+        assert (picked[m][0] is None) == gather, m
+    for forced in (False, True):
+        force_kernel(monkeypatch, forced)
+        for m, g in graphs.items():
+            _, dist, sigma, depth = centrality._bfs_dense(g)
+            assert dist.tobytes() == picked[m][1].tobytes(), (m, forced)
+            assert sigma.tobytes() == picked[m][2].tobytes(), (m, forced)
+            assert depth == picked[m][3], (m, forced)
+
+
+@pytest.mark.parametrize("g, gather", [
+    (gen_barabasi_albert(600, 3, seed=8), True),
+    (gen_erdos_renyi(600, 0.05, seed=8), False)], ids=["gather", "product"])
+def test_dense_sweep_peak_memory(g, gather):
     # The dense sweep holds five float64 n x n arrays and one int32 at its
-    # peak (5.5 n^2 float64s); gather copies and unfreed temporaries took
-    # the boolean-mask version to 6.8.
-    g = gen_barabasi_albert(600, 3, seed=8)
+    # peak (5.5 n^2 float64s), in the backward pass; gather copies and
+    # unfreed temporaries took the boolean-mask version to 6.8. The gather
+    # kernel builds the adjacency only for the backward pass.
+    assert (centrality._bfs_dense(g)[0] is None) == gather
     tracemalloc.start()
     try:
         centrality._sweep_dense(g, True, True)

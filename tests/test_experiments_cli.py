@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vaxnet import centrality, experiments, gen_barabasi_albert, spectral
+from vaxnet import centrality, experiments, gen_barabasi_albert, spectral, vaccination
 from vaxnet.cli import main
 from vaxnet.experiments import (ConfigError, ExperimentConfig, config_from_dict, load_config,
                                 run_eigendrop_table, run_herd, run_ingest, run_simulate,
@@ -318,6 +318,30 @@ def test_eigendrop_runs_one_path_sweep_per_graph(tmp_path, monkeypatch):
     run_eigendrop_table(cfg, tmp_path / "out")
     # 2 families x 3 replicates, each graph swept once for both path metrics
     assert len(calls) == len(set(calls)) == 6
+
+
+def test_eigendrop_logs_each_solve_that_did_not_converge(tmp_path, monkeypatch, caplog):
+    cfg = load_config(write_config(tmp_path, {
+        "replicates": 2, "metrics": ["degree"],
+        "networks": [{"family": "barabasi_albert", "n": 120, "m": 4}]}))
+    with caplog.at_level("WARNING", logger="vaxnet.experiments"):
+        run_eigendrop_table(cfg, tmp_path / "converged")
+    assert caplog.records == []
+
+    solve = vaccination.lambda_max
+    monkeypatch.setattr(vaccination, "lambda_max", lambda g: solve(g, max_iter=2))
+    with caplog.at_level("WARNING", logger="vaxnet.experiments"):
+        run_eigendrop_table(cfg, tmp_path / "capped")
+    # 2 replicates x (one random and one top-k plan), each solve cut short
+    assert len(caplog.records) == 4
+    assert all(r.levelname == "WARNING" and r.name == "vaxnet.experiments"
+               for r in caplog.records)
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("plan random (seed " in m for m in messages) == 2
+    assert sum(m.endswith("plan topk:degree") for m in messages) == 2
+    assert all(re.search(r"graph [0-9a-f]{16} \(n=120, m=\d+\)", m) for m in messages)
+    assert read_bytes_map(tmp_path / "capped").keys() == \
+        read_bytes_map(tmp_path / "converged").keys()
 
 
 SUMMARY_COLUMNS = ["lambda_orig_mean", "lambda_orig_std", "lambda_topk_mean",
