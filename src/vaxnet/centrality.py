@@ -1,25 +1,29 @@
 """Node importance measures: degree, closeness, betweenness, eigenvector.
 
-Scores are plain float arrays indexed by node id. Every ranking produced
-here breaks ties by lower node id, so orderings are total and reproducible
-across runs and platforms.
+Scores are plain float arrays indexed by node id. Rankings order nodes by
+descending score and break ties by lower node id; scores within 1e-12 of
+the largest |score| of each other count as tied, so orderings are total
+and do not move with summation noise in the last bits.
 
-Betweenness and closeness share one forward BFS per size regime, which
-yields distances and shortest-path counts together; closeness reads the
-distances and betweenness back-propagates dependencies over them (Brandes
+Betweenness and closeness share one shortest-path sweep, which yields
+distances and path counts together; closeness reads the distances and
+betweenness back-propagates dependencies over them (Brandes
 accumulation). `compute_many` runs that sweep once when both are asked
-for. Graphs up to a few thousand nodes run the BFS from every source at
-once, one level per step; larger graphs, where that needs too much
-memory, sweep each source over the CSR arrays. Each forward step of the
-all-sources BFS is a dense matrix product on dense graphs, and on sparse
-ones (2m below 1% of n^2) a gather and sum of the frontier's rows at each
-node's neighbors, which skips the product's work on zeros. Path counts
-are integers, so both kernels give the same bits while the counts stay
-below 2^53. The dense sweep's peak holds five float64 n x n arrays and
-one int32: the adjacency, distances, path counts, dependencies, and a
-level's coefficients and their product, about 44 n^2 bytes (107 MiB at
-n = 1600). Eigenvector scores are the dominant eigenvector from
-`spectral.lambda_max`.
+for. It sweeps each connected component with an edge as its own
+relabelled graph; isolated nodes score 0. A component of n nodes runs
+the BFS from a block of b = min(n, `_BLOCK_ENTRIES` // n) sources at
+once, one level per step, on node-major n x b arrays, block after block.
+Every step, forward and backward, is the product A @ X: a dense matrix
+product on dense graphs, and on sparse ones (2m below 1% of n^2), or
+when a dense A would not fit in the budget, a gather and sum of X's rows
+at each node's neighbors, which skips the product's work on zeros. Path
+counts are integers, so both kernels give the same forward bits while
+the counts stay below 2^53. The peak holds four float64 n x b arrays,
+one int32 and a one-byte mask (distances, path counts, dependencies, and
+a level's coefficients and their product), plus the dense A when there
+is one, which only a single block of n = b <= 2048 uses: about 5.6
+`_BLOCK_ENTRIES` float64s, 180 MiB, at most. Eigenvector scores are the
+dominant eigenvector from `spectral.lambda_max`.
 """
 
 from __future__ import annotations
@@ -30,15 +34,17 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import EmptyGraphError, Graph, sorted_distinct
+from .graph import EmptyGraphError, Graph
 from .spectral import lambda_max
 
-# Graphs up to this many nodes use the dense all-sources BFS; above it its
-# n x n arrays take too much memory.
-_DENSE_LIMIT = 2048
-# The all-sources BFS steps by row gathers on graphs with 2m below this
-# share of n^2, and by dense matrix products above it.
+# The path sweep holds its n x b arrays to this many entries, and builds a
+# dense adjacency only if it fits too.
+_BLOCK_ENTRIES = 2048 * 2048
+# The path sweep steps by row gathers on graphs with 2m below this share
+# of n^2, and by dense matrix products above it.
 _GATHER_DENSITY = 0.01
+# Ranked scores this close, relative to the largest |score|, count as tied.
+_TIE = 1e-12
 
 
 class NonConvergenceError(RuntimeError):
@@ -104,207 +110,165 @@ def degree_centrality(g: Graph, normalized: bool = False) -> CentralityScores:
     return _scores(g, Metric.DEGREE, vals)
 
 
-# -- BFS kernels ------------------------------------------------------------------
+# -- closeness and betweenness -----------------------------------------------------
 
 
-def _expand(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All CSR entries leaving `frontier`, as (source, target) arrays."""
-    starts = g.indptr[frontier]
-    counts = g.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    base = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    pos = np.arange(total, dtype=np.int64) + base
-    return np.repeat(frontier, counts), g.indices[pos]
+def _components(g: Graph):
+    """Each connected component of `g` with an edge, as its node ids and
+    the subgraph on them, relabelled 0.. in id order."""
+    rows, cols = g.entry_rows, g.indices
+    # Each node takes its neighbors' least label, then its label's label,
+    # until every component carries its least node id.
+    label = np.arange(g.n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    if g.n > 1 and not label.any():
+        yield np.arange(g.n), g
+        return
+    # Renumber the nodes component by component, in id order within each,
+    # so that every component's CSR is one contiguous slice.
+    order = np.argsort(label, kind="stable")
+    pos = np.empty(g.n, np.int64)
+    pos[order] = np.arange(g.n)
+    indptr = np.zeros(g.n + 1, np.int64)
+    np.cumsum(g.degrees[order], out=indptr[1:])
+    indices = pos[cols[np.argsort(pos[rows], kind="stable")]]
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1, append=-1))
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        if b - a > 1:
+            lo, hi = indptr[a], indptr[b]
+            yield order[a:b], Graph(b - a, indptr[a:b + 1] - lo, indices[lo:hi] - a)
 
 
-def _bfs_dense(g: Graph) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray, int]:
-    """BFS from every source at once, one level per step.
+def _step(g: Graph):
+    """The product `out = A @ X` for node-major X of n rows, as a function
+    of (X, out).
 
-    Returns the adjacency matrix (None if the kernel did not need it),
-    distances (int32, -1 for unreachable), shortest-path counts sigma[s, v]
-    and the deepest level reached. Row s of the frontier matrix F holds the
-    path counts of the nodes at the current level from s, so one step both
-    finds the next level and counts the paths into it. Level 1 is the
-    adjacency itself, which is exactly what eye(n) @ A gives. The loop ends
-    on an empty level, or as soon as no pair is left unreached, when the
-    next level would be empty.
-
-    Dense graphs step by the product F @ A. Sparse ones, with 2m below
-    `_GATHER_DENSITY` n^2, build no adjacency matrix: row j of the next
-    step is the sum of F's rows at j's neighbors, which is column j of
-    F @ A because F is symmetric. The kept entries of both are sums of
-    integer path counts, exact in any order while they stay below 2^53, so
-    the two kernels give the same bits; only the masked entries, which are
-    zeroed, may differ.
-
-    n x n arrays held at the peak, during a step: dist (int32), sigma, the
-    frontier and the next one, and A for the product. A level's masks take
-    one byte per entry and are freed before the step.
+    Sparse graphs (2m below `_GATHER_DENSITY` n^2), and graphs whose dense
+    A would not fit in `_BLOCK_ENTRIES`, build no adjacency matrix: row v
+    of the product is the sum of X's rows at v's neighbors. Other graphs
+    use a dense matrix product. Integer path counts sum exactly in any
+    order, so the forward pass gets the same bits from either kernel
+    while they stay below 2^53; the backward pass sums floats in an order
+    set by the kernel, and for the product by BLAS blocking.
     """
     n = g.n
-    gather = 2 * g.m < _GATHER_DENSITY * n * n
-    F = g.to_dense()
-    A = None if gather else F.copy()
-    if gather:
-        nxt = np.empty_like(F)
+    if 2 * g.m < _GATHER_DENSITY * n * n or n * n > _BLOCK_ENTRIES:
         neighbors = np.split(g.indices, g.indptr[1:-1])
-    dist = np.full((n, n), -1, np.int32)
-    np.fill_diagonal(dist, 0)
-    sigma = np.eye(n)
-    unreached = n * n - n
-    depth = 0
-    while True:
+
+        def gather(X, out):
+            for nbrs, row in zip(neighbors, out):
+                X.take(nbrs, axis=0).sum(axis=0, out=row)
+        return gather
+    A = g.to_dense()
+    return lambda X, out: np.matmul(A, X, out=out)
+
+
+def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """BFS from the sources s0..s1-1 of the connected graph `g` at once,
+    one level per step.
+
+    Returns distances dist[v, j] (int32) and shortest-path counts
+    sigma[v, j] from source s0 + j, and the deepest level reached. Column
+    j of the frontier holds the path counts of the nodes at the current
+    level from s0 + j, so one step both finds the next level and counts
+    the paths into it. Level 1 is read off the sources' CSR rows. Every
+    pair is reachable, so the loop ends when none is left unreached.
+
+    n x b arrays held during a step: dist (int32), sigma, the frontier and
+    the next one. A level's masks take one byte per entry.
+    """
+    n, b = g.n, s1 - s0
+    lo, hi = g.indptr[s0], g.indptr[s1]
+    F = np.zeros((n, b))
+    F[g.indices[lo:hi], g.entry_rows[lo:hi] - s0] = 1.0
+    dist = np.full((n, b), -1, np.int32)
+    np.copyto(dist, 1, where=F > 0)
+    diag = (np.arange(s0, s1), np.arange(b))
+    dist[diag] = 0
+    sigma = F.copy()
+    sigma[diag] = 1.0
+    nxt = np.empty_like(F)
+    unreached = n * b - b - (hi - lo)
+    depth = 1
+    while unreached:
+        step(F, nxt)
+        F, nxt = nxt, F
         # Counts into pairs already reached are not a frontier; the rest
         # are non-negative, so every kept entry is > 0 or exactly +0.0.
         np.copyto(F, 0.0, where=dist >= 0)
         new = F > 0
-        found = np.count_nonzero(new)
-        if found == 0:
-            break
         depth += 1
         np.copyto(dist, depth, where=new)
+        unreached -= np.count_nonzero(new)
         del new
         sigma += F
-        unreached -= found
-        if unreached == 0:
-            break
-        if gather:
-            for nbrs, row in zip(neighbors, nxt):
-                F.take(nbrs, axis=0).sum(axis=0, out=row)
-            F, nxt = nxt, F
-        else:
-            F = F @ A
-    return A, dist, sigma, depth
+    return dist, sigma, depth
 
 
-def _bfs_from(g: Graph, s: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """BFS from one source over the CSR arrays.
-
-    Returns distances (-1 for unreachable), shortest-path counts and the
-    nodes of each level, level 0 being [s].
-    """
-    n = g.n
-    dist = np.full(n, -1, np.int64)
-    dist[s] = 0
-    sigma = np.zeros(n)
-    sigma[s] = 1.0
-    levels = [np.array([s], dtype=np.int64)]
-    while True:
-        d = len(levels) - 1
-        src, tgt = _expand(g, levels[-1])
-        fresh = sorted_distinct(tgt[dist[tgt] == -1])
-        if fresh.size == 0:
-            return dist, sigma, levels
-        dist[fresh] = d + 1
-        step = dist[tgt] == d + 1
-        sigma += np.bincount(tgt[step], weights=sigma[src[step]], minlength=n)
-        levels.append(fresh)
-
-
-# -- closeness and betweenness -----------------------------------------------------
-
-
-def _backward_dense(A: np.ndarray, dist: np.ndarray, sigma: np.ndarray,
-                    depth: int) -> np.ndarray:
-    """Betweenness by back-propagating dependencies over `_bfs_dense`.
+def _backward(step, dist: np.ndarray, sigma: np.ndarray, depth: int) -> np.ndarray:
+    """Each node's dependency summed over the sources of a `_forward`
+    block, by back-propagating over its levels (Brandes accumulation).
 
     Each level applies its masks with full-array arithmetic in place,
-    `np.copyto(..., where=)` and a masked add, not with gathers and
-    scatters: every entry that counts gets the same IEEE operations either
-    way, so the result is the same to the bit. n x n arrays held at the
-    peak, during a product: A, dist (int32), sigma, delta, the
-    coefficients and the product. Each is freed before the next level's
-    is made; a mask takes one byte per entry and lives for one call.
+    `np.copyto(..., where=)` and a masked add. n x b arrays held during a
+    step: dist (int32), sigma, delta, the coefficients and their product;
+    a level's masks take one byte per entry.
     """
-    n = len(dist)
-    delta = np.zeros((n, n))
+    delta = np.zeros_like(sigma)
+    coef = np.empty_like(sigma)
+    T = np.empty_like(sigma)
     # Level 1 would only feed each source's own delta, which does not count.
     for lvl in range(depth, 1, -1):
-        coef = delta + 1.0
-        # Unreached pairs have sigma 0; their quotients are masked out next.
-        with np.errstate(divide="ignore"):
-            coef /= sigma
+        np.add(delta, 1.0, out=coef)
+        coef /= sigma
         np.copyto(coef, 0.0, where=dist != lvl)
-        T = coef @ A
-        del coef
+        step(coef, T)
         T *= sigma
         np.add(delta, T, out=delta, where=dist == lvl - 1)
-        del T
-    return delta.sum(axis=0) / 2.0
+    return delta.sum(axis=1)
 
 
-def _sweep_dense(g: Graph, closeness: bool, betweenness: bool
-                 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-    """Closeness sums and betweenness, each only if asked, from one
-    all-sources BFS.
-
-    Returns per-source reach and total distance, and the betweenness
-    scores; None stands for what was not asked for. The closeness sums are
-    taken after the backward pass has freed its n x n temporaries, so they
-    add nothing to its peak memory.
-    """
-    A, dist, sigma, depth = _bfs_dense(g)
-    bc = None
-    if betweenness:
-        bc = _backward_dense(g.to_dense() if A is None else A, dist, sigma, depth)
-    reach = totals = None
-    if closeness:
-        reach = (dist > 0).sum(axis=1).astype(np.float64)
-        totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
-    return reach, totals, bc
-
-
-def _sweep_sparse(g: Graph, closeness: bool, betweenness: bool
-                  ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-    """As `_sweep_dense`, with one CSR BFS per source feeding both metrics."""
+def _sweep(g: Graph, betweenness: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Total distance from each node of the connected graph `g`, and its
+    betweenness (zeros unless asked for), sweeping the sources in blocks
+    of at most `_BLOCK_ENTRIES` // n."""
     n = g.n
-    reach = np.zeros(n) if closeness else None
-    totals = np.zeros(n) if closeness else None
-    bc = np.zeros(n)
-    deg = g.degrees
-    for s in range(n):
-        # An isolated source reaches nobody and feeds no dependency.
-        if deg[s] == 0:
-            continue
-        dist, sigma, levels = _bfs_from(g, s)
-        if closeness:
-            hit = dist > 0
-            reach[s] = hit.sum()
-            totals[s] = dist[hit].sum()
-        if not betweenness:
-            continue
-        delta = np.zeros(n)
-        # Level 1 would only feed delta[s], which does not count.
-        for lvl in range(len(levels) - 1, 1, -1):
-            src, tgt = _expand(g, levels[lvl])
-            back = dist[tgt] == lvl - 1
-            contrib = (1.0 + delta[src[back]]) * sigma[tgt[back]] / sigma[src[back]]
-            delta += np.bincount(tgt[back], weights=contrib, minlength=n)
-        bc += delta
-    return reach, totals, (bc / 2.0 if betweenness else None)
+    b = max(1, min(n, _BLOCK_ENTRIES // n))
+    step = _step(g)
+    totals, bc = np.empty(n), np.zeros(n)
+    for s0 in range(0, n, b):
+        s1 = min(s0 + b, n)
+        dist, sigma, depth = _forward(g, step, s0, s1)
+        totals[s0:s1] = dist.sum(axis=0)
+        if betweenness:
+            bc += _backward(step, dist, sigma, depth)
+        del dist, sigma
+    return totals, bc / 2.0
 
 
 def _path_values(g: Graph, closeness: bool, betweenness: bool
                  ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Closeness and betweenness values of `g`, None where not asked for,
-    from one shortest-path sweep."""
+    from one shortest-path sweep per component with an edge."""
     n = g.n
     if closeness and n < 2:
         raise ValueError("closeness needs at least 2 nodes")
-    if g.m == 0:
-        reach = totals = np.zeros(n)
-        bc = np.zeros(n) if betweenness else None
-    else:
-        sweep = _sweep_dense if n <= _DENSE_LIMIT else _sweep_sparse
-        reach, totals, bc = sweep(g, closeness, betweenness)
+    reach, totals, bc = np.zeros(n), np.zeros(n), np.zeros(n)
+    for nodes, sub in _components(g):
+        reach[nodes] = nodes.size - 1
+        totals[nodes], bc[nodes] = _sweep(sub, betweenness)
     cc = None
     if closeness:
         cc = np.zeros(n)
         pos = totals > 0
         cc[pos] = (reach[pos] / totals[pos]) * (reach[pos] / (n - 1))
-    return cc, bc
+    return cc, (bc if betweenness else None)
 
 
 def closeness_centrality(g: Graph) -> CentralityScores:
@@ -387,13 +351,21 @@ def compute(g: Graph, metric: Metric) -> CentralityScores:
 
 
 def ranking(scores: CentralityScores) -> np.ndarray:
-    """All node ids ordered by descending score, ties by lower id."""
+    """All node ids ordered by descending score, ties by lower id.
+
+    Scores count as tied when each is within `_TIE` times the largest
+    |score| of the next in descending order, so summation noise in the
+    last bits does not order nodes whose exact scores are equal.
+    """
     vals = scores.values
-    return np.lexsort((np.arange(vals.size), -vals))
+    order = np.lexsort((np.arange(vals.size), -vals))
+    drops = -np.diff(vals[order], prepend=vals[order[:1]])
+    tier = np.cumsum(drops > _TIE * np.abs(vals).max(initial=0.0))
+    return order[np.lexsort((order, tier))]
 
 
 def top_k(scores: CentralityScores, k: int) -> np.ndarray:
-    """The k best-scoring node ids (descending score, ties by lower id)."""
+    """The first k node ids of `ranking(scores)`."""
     if k < 0 or k > scores.values.size:
         raise ValueError(f"k={k} out of range for {scores.values.size} nodes")
     return ranking(scores)[:k]

@@ -1,6 +1,11 @@
 """Centrality scores against closed forms and brute-force enumeration."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,37 +121,6 @@ def test_betweenness_matches_enumeration():
         assert np.allclose(betweenness_centrality(g).values, want, atol=1e-8)
 
 
-def test_betweenness_dense_and_sparse_paths_agree(monkeypatch):
-    from vaxnet import centrality
-    from vaxnet.centrality import _sweep_dense, _sweep_sparse
-    rng = np.random.default_rng(23)
-    for _ in range(15):
-        n = int(rng.integers(3, 30))
-        g = from_edge_list(oracles.random_edges(rng, n, 0.3), n=n)
-        if g.m == 0:
-            continue
-        assert np.allclose(_sweep_dense(g, False, True)[2], _sweep_sparse(g, False, True)[2],
-                           atol=1e-9)
-    # The public functions on both sides of the size switch, on graphs with
-    # several components and three isolated nodes (the last three ids).
-    graphs, split = [], 0
-    for _ in range(15):
-        n = int(rng.integers(3, 30)) + 3
-        edges = oracles.random_edges(rng, n - 3, float(rng.uniform(0.05, 0.2)))
-        adj = oracles.adjacency_sets(n, edges)
-        dists = oracles.all_pairs_dists(adj)
-        touched = [v for v in range(n) if adj[v]]
-        split += any(dists[u][v] < 0 for u in touched for v in touched)
-        graphs.append(from_edge_list(edges, n=n))
-    assert split >= 5
-    dense = [(closeness_centrality(g).values, betweenness_centrality(g).values)
-             for g in graphs]
-    monkeypatch.setattr(centrality, "_DENSE_LIMIT", 0)
-    for g, (cc, bc) in zip(graphs, dense):
-        assert np.array_equal(closeness_centrality(g).values, cc)
-        assert np.allclose(betweenness_centrality(g).values, bc, rtol=0, atol=1e-9)
-
-
 # -- one sweep for both path metrics -----------------------------------------------
 
 PATH_METRICS = [Metric.CLOSENESS, Metric.BETWEENNESS]
@@ -167,12 +141,14 @@ def sweep_graphs():
     return graphs
 
 
-@pytest.fixture(params=["dense", "gather", "sparse"])
+@pytest.fixture(params=["dense", "gather", "blocks"])
 def size_regime(request, monkeypatch):
-    """The all-sources sweep stepping by products ("dense") or by row
-    gathers ("gather"), or the per-source sweep ("sparse")."""
-    if request.param == "sparse":
-        monkeypatch.setattr(centrality, "_DENSE_LIMIT", 0)
+    """The sweep stepping by products ("dense") or by row gathers
+    ("gather") over one block of sources, or with a budget of 64 entries
+    per n x b array ("blocks"): blocks of 64 // n sources, and products
+    only on components of up to 8 nodes."""
+    if request.param == "blocks":
+        monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", 64)
     else:
         force_kernel(monkeypatch, request.param == "gather")
     return request.param
@@ -181,6 +157,14 @@ def size_regime(request, monkeypatch):
 def force_kernel(monkeypatch, gather: bool):
     # 2m < n^2 holds on every graph, and 2m < 0 on none.
     monkeypatch.setattr(centrality, "_GATHER_DENSITY", 1.0 if gather else 0.0)
+
+
+def block_width(n: int) -> int:
+    return max(1, min(n, centrality._BLOCK_ENTRIES // n))
+
+
+def kernel(g) -> str:
+    return "gather" if centrality._step(g).__name__ == "gather" else "product"
 
 
 def test_compute_many_is_bit_equal_to_the_single_metric_wrappers(size_regime):
@@ -218,6 +202,14 @@ def test_compute_many_closeness_needs_two_nodes(size_regime):
     assert compute_many(g, [Metric.BETWEENNESS])[Metric.BETWEENNESS].values.tolist() == [0.0]
 
 
+def test_edgeless_graphs_score_zero(size_regime):
+    for n in (0, 2, 5):
+        g = from_edge_list([], n=n)
+        assert betweenness_centrality(g).values.tolist() == [0.0] * n
+        if n >= 2:
+            assert closeness_centrality(g).values.tolist() == [0.0] * n
+
+
 def test_compute_many_covers_every_metric_once(star5):
     metrics = list(Metric) + [Metric.DEGREE, Metric.CLOSENESS]
     many = compute_many(star5, metrics)
@@ -231,35 +223,85 @@ def test_compute_many_covers_every_metric_once(star5):
 
 
 def test_one_forward_sweep_per_graph(monkeypatch, size_regime):
-    name = "_bfs_from" if size_regime == "sparse" else "_bfs_dense"
     calls = []
-    inner = getattr(centrality, name)
+    inner = centrality._sweep
 
     def counting(g, *args):
-        calls.append(g.fingerprint)
+        calls.append(g.n)
         return inner(g, *args)
 
-    monkeypatch.setattr(centrality, name, counting)
+    monkeypatch.setattr(centrality, "_sweep", counting)
     g = from_edge_list([(0, 1), (1, 2), (2, 3), (4, 5)], n=8)
     compute_many(g, [Metric.DEGREE, *PATH_METRICS, Metric.EIGENVECTOR])
-    # all sources: one BFS; sparse: one BFS per non-isolated source
-    assert len(calls) == (6 if size_regime == "sparse" else 1)
+    # one sweep per component with an edge; the isolated nodes 6 and 7 get none
+    assert calls == [4, 2]
 
 
-@pytest.mark.parametrize("sweep", ["_sweep_dense", "_sweep_sparse"])
-def test_sweep_computes_only_the_metrics_asked_for(sweep):
+def test_sweep_computes_only_the_metrics_asked_for():
     g = gen_erdos_renyi(30, 0.2, seed=5)
-    run = getattr(centrality, sweep)
-    reach, totals, bc = run(g, False, True)
-    assert reach is None and totals is None
-    assert np.array_equal(bc, run(g, True, True)[2])
-    reach, totals, bc = run(g, True, False)
+    assert len(list(centrality._components(g))) == 1
+    cc, bc = centrality._path_values(g, False, True)
+    assert cc is None
+    assert np.array_equal(bc, centrality._path_values(g, True, True)[1])
+    cc, bc = centrality._path_values(g, True, False)
     assert bc is None
-    assert np.array_equal(reach, run(g, True, True)[0])
-    assert np.array_equal(totals, run(g, True, True)[1])
+    assert np.array_equal(cc, centrality._path_values(g, True, True)[0])
+    # Closeness alone runs no backward pass.
+    totals, bc = centrality._sweep(g, False)
+    assert not bc.any()
+    assert np.array_equal(totals, centrality._sweep(g, True)[0])
 
 
-# -- the dense sweep against its boolean-mask reference --------------------------------
+# -- components --------------------------------------------------------------------
+
+
+def component_union():
+    """A BA draw, a DD draw's largest component, a path, a triangle and
+    three isolated nodes on shuffled ids; returns the graph and each
+    component's ids and edges in its own id order."""
+    dd = gen_duplication_divergence(70, 0.4, seed=11)
+    dd_nodes, dd_sub = max(centrality._components(dd), key=lambda c: c[0].size)
+    parts = [gen_barabasi_albert(60, 2, seed=10).edges(), dd_sub.edges(),
+             (np.arange(9), np.arange(1, 10)), (np.array([0, 0, 1]), np.array([1, 2, 2]))]
+    sizes = [60, dd_nodes.size, 10, 3]
+    n = sum(sizes) + 3
+    ids = np.random.default_rng(28).permutation(n)
+    edges, comps, start = [], [], 0
+    for (u, v), size in zip(parts, sizes):
+        nodes = ids[start:start + size]
+        edges += list(zip(nodes[u].tolist(), nodes[v].tolist()))
+        # The component on its own, relabelled in id order.
+        local = np.argsort(np.argsort(nodes))
+        comps.append((np.sort(nodes), list(zip(local[u].tolist(), local[v].tolist()))))
+        start += size
+    return from_edge_list(edges, n=n), comps, ids[start:]
+
+
+def test_components_are_labelled_and_relabelled_in_id_order():
+    g, comps, isolated = component_union()
+    got = list(centrality._components(g))
+    assert sorted(c[0][0] for c in comps) == [nodes[0] for nodes, _ in got]
+    for nodes, sub in got:
+        want_nodes, want_edges = next(c for c in comps if c[0][0] == nodes[0])
+        assert np.array_equal(nodes, want_nodes)
+        assert sub == from_edge_list(want_edges, n=nodes.size)
+    assert not np.isin(isolated, np.concatenate([nodes for nodes, _ in got])).any()
+
+
+def test_scores_equal_each_component_swept_alone(size_regime):
+    g, comps, isolated = component_union()
+    cc, bc = closeness_centrality(g).values, betweenness_centrality(g).values
+    for nodes, edges in comps:
+        alone = from_edge_list(edges, n=nodes.size)
+        assert bc[nodes].tobytes() == betweenness_centrality(alone).values.tobytes()
+        # Alone, a node reaches all r = size - 1 others, so its closeness is
+        # (r / D) * 1.0; in g the second factor is r / (n - 1).
+        share = (nodes.size - 1) / (g.n - 1)
+        assert cc[nodes].tobytes() == (closeness_centrality(alone).values * share).tobytes()
+    assert not cc[isolated].any() and not bc[isolated].any()
+
+
+# -- the sweep against its boolean-mask reference ---------------------------------------
 
 
 def mask_oracle_graphs():
@@ -283,65 +325,119 @@ def mask_oracle_graphs():
     }
 
 
-@pytest.mark.parametrize("gather", [False, True], ids=["product", "gather"])
-def test_dense_sweep_is_bit_equal_to_the_mask_reference(monkeypatch, gather):
-    force_kernel(monkeypatch, gather)
-    stops = set()
+@pytest.mark.parametrize("regime", ["product", "gather", "blocks"])
+def test_sweep_matches_the_mask_reference(monkeypatch, regime):
+    if regime == "blocks":
+        # Blocks of 42 to 128 sources; no dense adjacency fits.
+        monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", 300 * 64)
+    else:
+        force_kernel(monkeypatch, regime == "gather")
     for name, g in mask_oracle_graphs().items():
         dist, sigma, depth, bc, reach, totals = oracles.mask_sweep_dense(g.to_dense())
-        A, got_dist, got_sigma, got_depth = centrality._bfs_dense(g)
-        assert (A is None) == gather, name
-        assert got_dist.dtype == dist.dtype, name
-        assert got_dist.tobytes() == dist.tobytes(), name
-        assert got_sigma.tobytes() == sigma.tobytes(), name
-        assert got_depth == depth, name
-        got_reach, got_totals, got_bc = centrality._sweep_dense(g, True, True)
-        assert got_bc.tobytes() == bc.tobytes(), name
-        assert got_reach.tobytes() == reach.tobytes(), name
-        assert got_totals.tobytes() == totals.tobytes(), name
-        # Connected graphs stop once every pair is reached, the others on
-        # an empty level.
-        stops.add(bool((dist >= 0).all()))
-    assert stops == {True, False}
+        for nodes, sub in centrality._components(g):
+            assert kernel(sub) == ("product" if regime == "product" else "gather"), name
+            step, width = centrality._step(sub), block_width(sub.n)
+            assert (width < sub.n) == (regime == "blocks"), name
+            for s0 in range(0, sub.n, width):
+                s1 = min(s0 + width, sub.n)
+                got_dist, got_sigma, got_depth = centrality._forward(sub, step, s0, s1)
+                # The reference is source-major over all of g's nodes.
+                block = np.ix_(nodes[s0:s1], nodes)
+                assert got_dist.dtype == dist.dtype, name
+                assert got_dist.T.tobytes() == dist[block].tobytes(), (name, s0)
+                assert got_sigma.T.tobytes() == sigma[block].tobytes(), (name, s0)
+                assert got_depth == dist[block].max(), (name, s0)
+            # The closeness sums: each node reaches its whole component.
+            assert centrality._sweep(sub, False)[0].tobytes() == totals[nodes].tobytes(), name
+            assert (reach[nodes] == sub.n - 1).all(), name
+        cc, got_bc = centrality._path_values(g, True, True)
+        assert cc.tobytes() == closeness_centrality(g).values.tobytes(), name
+        pos = totals > 0
+        want_cc = np.zeros(g.n)
+        want_cc[pos] = (reach[pos] / totals[pos]) * (reach[pos] / (g.n - 1))
+        assert cc.tobytes() == want_cc.tobytes(), name
+        # The backward pass sums floats in the kernel's own order.
+        assert np.abs(got_bc - bc).max() <= 1e-12 * np.abs(bc).max(), name
+
+
+def test_one_block_and_multi_block_sweeps_agree(monkeypatch):
+    rng = np.random.default_rng(23)
+    graphs = [gen_barabasi_albert(200, 3, seed=12), gen_duplication_divergence(150, 0.4, seed=13)]
+    for _ in range(15):
+        n = int(rng.integers(3, 40)) + 3
+        graphs.append(from_edge_list(
+            oracles.random_edges(rng, n - 3, float(rng.uniform(0.05, 0.3))), n=n))
+    force_kernel(monkeypatch, True)
+    one = [centrality._path_values(g, True, True) for g in graphs]
+    for budget in (1, 64, 2000):
+        monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", budget)
+        for g, (cc, bc) in zip(graphs, one):
+            got_cc, got_bc = centrality._path_values(g, True, True)
+            assert got_cc.tobytes() == cc.tobytes(), budget
+            assert np.abs(got_bc - bc).max() <= 1e-12 * max(np.abs(bc).max(), 1.0), budget
+    assert block_width(graphs[0].n) == 10
+
+
+def connected_with_m_edges(n: int, ms, seed: int) -> dict:
+    """Connected graphs on n nodes with each of `ms` edges: a path, plus
+    the first of a fixed random order of other node pairs."""
+    rng = np.random.default_rng(seed)
+    path = [(i, i + 1) for i in range(n - 1)]
+    u, v = gen_erdos_renyi(n, 0.02, seed=10).edges()
+    extra = [(a, b) for a, b in zip(u.tolist(), v.tolist()) if b != a + 1]
+    extra = [extra[i] for i in rng.permutation(len(extra))]
+    return {m: from_edge_list(path + extra[:m - (n - 1)], n=n) for m in ms}
 
 
 def test_gather_and_product_kernels_agree_around_the_density_switch(monkeypatch):
     # 2m < n^2 / 100 gathers: at n = 400 that is m <= 799.
     n = 400
-    u, v = gen_erdos_renyi(n, 0.02, seed=10).edges()
-    order = np.random.default_rng(27).permutation(len(u))
-    sides = {780: True, 799: True, 800: False, 820: False}
-    graphs = {m: from_edge_list(list(zip(u[order[:m]].tolist(), v[order[:m]].tolist())), n=n)
-              for m in sides}
-    picked = {m: centrality._bfs_dense(g) for m, g in graphs.items()}
-    for m, gather in sides.items():
-        assert graphs[m].m == m
-        assert (picked[m][0] is None) == gather, m
+    sides = {780: "gather", 799: "gather", 800: "product", 820: "product"}
+    graphs = connected_with_m_edges(n, sides, seed=27)
+    picked = {}
+    for m, g in graphs.items():
+        assert g.m == m and len(list(centrality._components(g))) == 1
+        assert kernel(g) == sides[m], m
+        picked[m] = centrality._forward(g, centrality._step(g), 0, n)
     for forced in (False, True):
         force_kernel(monkeypatch, forced)
         for m, g in graphs.items():
-            _, dist, sigma, depth = centrality._bfs_dense(g)
-            assert dist.tobytes() == picked[m][1].tobytes(), (m, forced)
-            assert sigma.tobytes() == picked[m][2].tobytes(), (m, forced)
-            assert depth == picked[m][3], (m, forced)
+            dist, sigma, depth = centrality._forward(g, centrality._step(g), 0, n)
+            assert dist.tobytes() == picked[m][0].tobytes(), (m, forced)
+            assert sigma.tobytes() == picked[m][1].tobytes(), (m, forced)
+            assert depth == picked[m][2], (m, forced)
 
 
-@pytest.mark.parametrize("g, gather", [
-    (gen_barabasi_albert(600, 3, seed=8), True),
-    (gen_erdos_renyi(600, 0.05, seed=8), False)], ids=["gather", "product"])
-def test_dense_sweep_peak_memory(g, gather):
-    # The dense sweep holds five float64 n x n arrays and one int32 at its
-    # peak (5.5 n^2 float64s), in the backward pass; gather copies and
-    # unfreed temporaries took the boolean-mask version to 6.8. The gather
-    # kernel builds the adjacency only for the backward pass.
-    assert (centrality._bfs_dense(g)[0] is None) == gather
+def sweep_peak(g) -> int:
     tracemalloc.start()
     try:
-        centrality._sweep_dense(g, True, True)
-        peak = tracemalloc.get_traced_memory()[1]
+        centrality._path_values(g, True, True)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (g.n * g.n * 8) < 6.0
+
+
+@pytest.mark.parametrize("g, regime", [
+    (gen_barabasi_albert(600, 3, seed=8), "gather"),
+    (gen_erdos_renyi(600, 0.05, seed=8), "product")], ids=["gather", "product"])
+def test_sweep_peak_memory(g, regime):
+    # One block of all n sources: four float64 n x n arrays, one int32 and
+    # a one-byte mask at the backward peak (dist, sigma, delta, the
+    # coefficients and their product), plus the dense adjacency for the
+    # product: 5.625 n^2 float64s. The gather kernel builds no adjacency.
+    assert kernel(g) == regime
+    assert sweep_peak(g) / (g.n * g.n * 8) < 6.0
+
+
+def test_sweep_peak_memory_scales_with_the_block(monkeypatch):
+    g = gen_barabasi_albert(600, 3, seed=8)
+    monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", g.n * 64)
+    assert kernel(g) == "gather"
+    # 4.625 n x b float64s at the backward peak, and no n x n array; the
+    # neighbor lists and CSR copies add about 0.5 n x b at this size.
+    # Keeping one block's dist and sigma alive through the next block's
+    # forward pass reads 5.65.
+    assert sweep_peak(g) / (g.n * 64 * 8) < 5.4
 
 
 # -- eigenvector ---------------------------------------------------------------
@@ -458,6 +554,62 @@ def test_ranking_is_permutation():
     assert sorted(order.tolist()) == list(range(15))
     vals = degree_centrality(g).values
     assert np.all(np.diff(vals[order]) <= 0)
+
+
+def scores_of(vals) -> centrality.CentralityScores:
+    return centrality.CentralityScores(Metric.BETWEENNESS, np.array(vals, dtype=float), "")
+
+
+def test_ranking_ties_absorb_summation_noise():
+    # Exact ties of 3.0 with ulp-sized noise, as summation order leaves
+    # them, rank by id; plain descending order would put 5 first.
+    up, down = np.nextafter(3.0, 4.0), np.nextafter(3.0, 2.0)
+    vals = [1.0, up, 3.0, down, 2.0, np.nextafter(up, 4.0)]
+    assert ranking(scores_of(vals)).tolist() == [1, 2, 3, 5, 4, 0]
+    assert top_k(scores_of(vals), 3).tolist() == [1, 2, 3]
+    # Gaps count against the largest |score| (here 1e-10): 1e-11 ties,
+    # 1e-9 does not.
+    assert ranking(scores_of([0.5, 0.5 + 1e-11, 100.0, 0.5 - 1e-9])).tolist() == [2, 0, 1, 3]
+    assert ranking(scores_of([-100.0, 0.5 + 1e-11, 0.5, 0.5 - 1e-9])).tolist() == [1, 2, 3, 0]
+    # Adjacent gaps within the tolerance chain into one tie.
+    assert ranking(scores_of([0.0, 0.6e-12, 1.2e-12, 1.0])).tolist() == [3, 0, 1, 2]
+    # Without any spread, every score ties.
+    assert ranking(scores_of([0.0, 0.0, 0.0])).tolist() == [0, 1, 2]
+    assert ranking(scores_of([])).tolist() == []
+
+
+BLAS_SCRIPT = """
+import hashlib, json
+from vaxnet import betweenness_centrality, gen_barabasi_albert, gen_duplication_divergence
+from vaxnet import centrality
+out = {}
+for name, g in (("ba", gen_barabasi_albert(1000, 50, seed=1)),
+                ("dd", gen_duplication_divergence(1000, 0.4, seed=1))):
+    scores = betweenness_centrality(g)
+    out[name] = {"kernels": [centrality._step(sub).__name__ == "gather"
+                             for _, sub in centrality._components(g)],
+                 "ranking": centrality.ranking(scores).tolist(),
+                 "bytes": hashlib.sha256(scores.values.tobytes()).hexdigest()}
+print(json.dumps(out))
+"""
+
+
+def test_betweenness_rankings_do_not_depend_on_blas_threads():
+    src = str(Path(centrality.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", BLAS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True)
+        runs.append(json.loads(proc.stdout))
+    one, two = runs
+    # BA(1000, 50) steps by BLAS products, whose sums may split by thread;
+    # its ranking may not move. DD(1000, 0.4) gathers, in a fixed order.
+    assert one["ba"]["kernels"] == [False]
+    assert one["ba"]["ranking"] == two["ba"]["ranking"]
+    assert one["dd"]["kernels"] == [True]
+    assert one["dd"]["bytes"] == two["dd"]["bytes"]
 
 
 def test_permutation_equivariance():

@@ -306,13 +306,13 @@ def test_eigendrop_shuffle_mode(tmp_path):
 
 def test_eigendrop_runs_one_path_sweep_per_graph(tmp_path, monkeypatch):
     calls = []
-    inner = centrality._bfs_dense
+    inner = centrality._path_values
 
-    def counting(g):
+    def counting(g, *args):
         calls.append(g.fingerprint)
-        return inner(g)
+        return inner(g, *args)
 
-    monkeypatch.setattr(centrality, "_bfs_dense", counting)
+    monkeypatch.setattr(centrality, "_path_values", counting)
     cfg = load_config(write_config(tmp_path, {
         "replicates": 3, "metrics": ["degree", "closeness", "betweenness", "eigenvector"]}))
     run_eigendrop_table(cfg, tmp_path / "out")
