@@ -74,7 +74,7 @@ class Graph:
 
     @property
     def entry_rows(self) -> np.ndarray:
-        """Row id of every CSR entry; cached for repeated matvecs."""
+        """Row id of every CSR entry, built on first use and cached."""
         if self._rows is None:
             r = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
             r.setflags(write=False)
@@ -96,11 +96,20 @@ class Graph:
         return rows[keep], self.indices[keep]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Adjacency-matrix product A @ x without materializing A."""
+        """Adjacency-matrix product A @ x without materializing A.
+
+        Sums each non-empty row's neighbor values in place (pairwise, by
+        `np.add.reduceat`); `x` must have shape (n,).
+        """
         x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n,):
+            raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
+        out = np.zeros(self.n)
         if self.indices.size == 0:
-            return np.zeros(self.n)
-        return np.bincount(self.entry_rows, weights=x[self.indices], minlength=self.n)
+            return out
+        rows = np.flatnonzero(self.degrees)   # reduceat needs non-empty segments
+        out[rows] = np.add.reduceat(x[self.indices], self.indptr[rows])
+        return out
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))

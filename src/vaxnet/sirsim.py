@@ -25,6 +25,7 @@ strategy arm of an experiment runs on the same per-run graphs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,10 +55,10 @@ class SirParams:
             raise ValueError("recovery_days must be positive")
         if self.initial_infected < 1:
             raise ValueError("initial_infected must be at least 1")
-        if not (self.t_max > 0.0):
-            raise ValueError("t_max must be positive")
-        if not (self.grid_dt > 0.0):
-            raise ValueError("grid_dt must be positive")
+        if not (0.0 < self.t_max < math.inf):
+            raise ValueError("t_max must be positive and finite")
+        if not (0.0 < self.grid_dt < math.inf):
+            raise ValueError("grid_dt must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,12 @@ def lambda_max(g: Graph, tol: float = 1e-9, max_iter: int = 50_000) -> SpectralR
     bipartite graphs, where plain power iteration oscillates. The residual
     reported is ||A x - lambda x||_inf / max(1, lambda) for the returned
     vector x. Disconnected graphs converge to the largest eigenvalue over
-    all components.
+    all components. `tol` must be positive and `max_iter` at least 1.
     """
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     if g.n == 0 or g.m == 0:
         return SpectralResult(0.0, 0, 0.0, True, np.zeros(g.n))
     v = _start_vector(g.n)

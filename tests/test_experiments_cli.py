@@ -172,6 +172,21 @@ def test_mistyped_config_value_rejected(raw, key, kind):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("key", ["t_max", "grid_dt"])
+def test_infinite_sir_horizon_or_grid_rejected_at_load(tmp_path, key):
+    with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+        config_from_dict({"sir": {key: float("inf")}})
+    path = tmp_path / "config.yaml"
+    path.write_text(f"sir:\n  {key}: .inf\n")
+    with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+        load_config(path)
+
+
+def test_infinite_recovery_accepted():
+    cfg = config_from_dict({"sir": {"recovery_days": float("inf")}})
+    assert cfg.sir.params.recovery_days == float("inf")
+
+
 def test_large_integer_seed_kept_exact():
     seed = 2**63 + 1
     assert config_from_dict({"seed": seed}).seed == seed

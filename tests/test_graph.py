@@ -1,10 +1,13 @@
-"""Graph construction, deletion, and edge-list round trips."""
+"""Graph construction, deletion, matvec, and edge-list round trips."""
+
+import re
 
 import numpy as np
 import pytest
 
 from vaxnet import (DegreeStats, EmptyGraphError, degree_stats, delete_nodes,
-                    from_arrays, from_edge_list, read_edge_list, write_edge_list)
+                    from_arrays, from_edge_list, gen_barabasi_albert, gen_erdos_renyi,
+                    lambda_max, read_edge_list, write_edge_list)
 from vaxnet.graph import Graph
 
 import oracles
@@ -226,3 +229,67 @@ def test_matvec_empty_graph():
 def test_from_arrays_mismatched_lengths():
     with pytest.raises(ValueError):
         from_arrays(np.array([0, 1]), np.array([1]))
+
+
+# -- matvec -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0, 100.0], [1.0, 2.0], [[1.0], [2.0], [3.0]],
+                               np.ones((3, 3)), 1.0],
+                         ids=["longer", "shorter", "column", "matrix", "scalar"])
+def test_matvec_rejects_misshaped_x(path3, x):
+    with pytest.raises(ValueError, match=re.escape("x must have shape (3,)")):
+        path3.matvec(x)
+
+
+def test_matvec_rejects_misshaped_x_without_edges():
+    with pytest.raises(ValueError, match=re.escape("x must have shape (4,)")):
+        from_edge_list([], n=4).matvec(np.ones(5))
+
+
+def assert_matvec_matches_dense(g, rng):
+    A = g.to_dense()
+    for x in (np.ones(g.n), rng.normal(size=g.n), rng.uniform(0.0, 1e6, size=g.n)):
+        got = g.matvec(x)
+        assert got.shape == (g.n,)
+        scale = np.maximum(1.0, np.abs(A) @ np.abs(x))
+        assert np.all(np.abs(got - A @ x) <= 1e-12 * scale)
+        assert np.all(got[g.degrees == 0] == 0.0)
+
+
+def one_row_graph():
+    # CSR need not be symmetric: only row 2 has entries
+    return Graph(5, [0, 0, 0, 4, 4, 4], [0, 1, 3, 4])
+
+
+MATVEC_GRAPHS = {
+    "empty_rows_first": lambda: from_edge_list([(3, 4), (4, 5), (3, 6), (5, 6)], n=7),
+    "empty_rows_middle": lambda: from_edge_list([(0, 1), (0, 6), (5, 6), (1, 5)], n=7),
+    "empty_rows_last": lambda: from_edge_list([(0, 1), (1, 2), (0, 3)], n=7),
+    "empty_rows_everywhere": lambda: from_edge_list([(1, 4), (4, 7), (1, 7)], n=9),
+    "single_edge": lambda: from_edge_list([(0, 1)]),
+    "single_edge_among_isolated": lambda: from_edge_list([(2, 3)], n=6),
+    "one_non_empty_row": one_row_graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATVEC_GRAPHS))
+def test_matvec_matches_dense_product(name):
+    assert_matvec_matches_dense(MATVEC_GRAPHS[name](), np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("family", ["erdos_renyi", "barabasi_albert"])
+def test_matvec_matches_dense_product_after_top_degree_deletions(family):
+    g = (gen_erdos_renyi(300, 0.3, seed=8) if family == "erdos_renyi"
+         else gen_barabasi_albert(300, 5, seed=8))
+    order = np.argsort(-g.degrees, kind="stable")
+    rng = np.random.default_rng(9)
+    for k in (0, 1, 30, 100, 200, 280, 299):
+        assert_matvec_matches_dense(delete_nodes(g, order[:k]), rng)
+
+
+def test_matvec_builds_no_entry_rows():
+    g = delete_nodes(gen_barabasi_albert(200, 4, seed=3), np.arange(20))
+    g.matvec(np.ones(g.n))
+    lambda_max(g)
+    assert g._rows is None

@@ -259,3 +259,18 @@ def test_params_validation():
         SirParams(t_max=-1.0)
     with pytest.raises(ValueError):
         SirParams(grid_dt=0.0)
+
+
+@pytest.mark.parametrize("name", ["t_max", "grid_dt"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_params_need_a_finite_horizon_and_grid(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        SirParams(**{name: value})
+
+
+def test_infinite_recovery_is_an_si_model(k4):
+    params = SirParams(tau=2.0, recovery_days=math.inf, initial_infected=1, t_max=10.0)
+    tr = simulate(k4, params, seed=4)
+    assert tr.r.max() == 0
+    assert np.all(np.diff(tr.i) >= 0)
+    assert tr.times[-1] == 10.0

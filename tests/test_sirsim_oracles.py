@@ -79,6 +79,24 @@ def test_simulate_matches_reference_loop_bit_for_bit(graph, plan, params):
         assert_same_run(got, ref)
 
 
+# High-degree graphs kept out of the full grid above to bound its run time.
+HIGH_DEGREE_GRAPHS = {
+    "star150": lambda: star_graph(150),
+    "er200_dense": lambda: gen_erdos_renyi(200, 0.5, seed=34),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(HIGH_DEGREE_GRAPHS))
+@pytest.mark.parametrize("plan", ["none", "random", "topk_at_zero"])
+def test_simulate_matches_reference_loop_on_high_degree_graphs(graph, plan):
+    g = HIGH_DEGREE_GRAPHS[graph]()
+    assert g.degrees.max() >= 100
+    for seed in (0, 1, 2):
+        got = simulate(g, PARAMS["default"], INTERVENTIONS[plan], seed=seed)
+        ref = oracles.reference_simulate(g, PARAMS["default"], INTERVENTIONS[plan], seed=seed)
+        assert_same_run(got, ref)
+
+
 def test_reference_warnings_are_exercised():
     # the grid above must reach both warning paths, or their comparison is empty
     g = star_graph(30)

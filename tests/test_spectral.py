@@ -148,6 +148,26 @@ def test_non_convergence_reported_not_raised():
     assert res.residual > 0
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": 0.0}, "tol must be positive"),
+    ({"tol": -1.0}, "tol must be positive"),
+    ({"tol": math.nan}, "tol must be positive"),
+    ({"max_iter": 0}, "max_iter must be at least 1"),
+    ({"max_iter": -5}, "max_iter must be at least 1"),
+], ids=["tol_zero", "tol_negative", "tol_nan", "max_iter_zero", "max_iter_negative"])
+def test_solver_settings_validated(k4, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        lambda_max(k4, **kwargs)
+    # also before the early return of an edgeless graph
+    with pytest.raises(ValueError, match=message):
+        lambda_max(from_edge_list([], n=3), **kwargs)
+
+
+def test_one_iteration_is_allowed(k4):
+    res = lambda_max(k4, max_iter=1)
+    assert res.iterations == 1
+
+
 def test_threshold_check_contained_and_not():
     lam = 400.0
     hot = threshold_check(SirRates(0.4, 1.0 / 14.0), lam)
