@@ -66,6 +66,8 @@ class Metric(str, Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Metric":
+        if not isinstance(name, str):
+            raise ValueError(f"centrality metric must be a name, got {name!r}")
         key = name.strip().lower().replace("-", "_")
         aliases = {
             "degree": cls.DEGREE,
@@ -377,12 +379,8 @@ def write_scores_csv(scores: CentralityScores, path, labels=None) -> None:
     order = ranking(scores)
     rank = np.empty(vals.size, dtype=np.int64)
     rank[order] = np.arange(1, vals.size + 1)
+    label = [""] * vals.size if labels is None else [f"{lbl}," for lbl in labels]
     with open(path, "w", encoding="utf-8") as fh:
-        if labels is None:
-            fh.write("node_id,score,rank\n")
-            for i in range(vals.size):
-                fh.write(f"{i},{float(vals[i])!r},{rank[i]}\n")
-        else:
-            fh.write("node_id,label,score,rank\n")
-            for i in range(vals.size):
-                fh.write(f"{i},{labels[i]},{float(vals[i])!r},{rank[i]}\n")
+        fh.write("node_id,score,rank\n" if labels is None else "node_id,label,score,rank\n")
+        for i in range(vals.size):
+            fh.write(f"{i},{label[i]}{float(vals[i])!r},{rank[i]}\n")

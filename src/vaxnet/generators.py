@@ -61,6 +61,8 @@ def as_integer(value, key: str, error: type[ValueError]) -> int:
 
 
 def canonical_family(name: str) -> str:
+    if not isinstance(name, str):
+        raise ValueError(f"graph family must be a name, got {name!r}")
     key = name.strip().lower()
     if key not in _ALIASES:
         raise ValueError(f"unknown graph family {name!r}; known: {', '.join(FAMILIES)}")
@@ -97,7 +99,7 @@ class GenSpec:
             if self.n <= self.m:
                 raise ValueError("barabasi_albert needs n > m")
         elif fam == "random_geometric":
-            if self.radius is not None and self.radius < 0:
+            if self.radius is not None and not self.radius >= 0:
                 raise ValueError("radius must be non-negative")
             if self.dim < 1:
                 raise ValueError("dim must be >= 1")
@@ -283,7 +285,7 @@ def gen_random_geometric(n: int, radius: Optional[float] = None, seed: int = 0,
         if dim != 2:
             raise ValueError("default radius is defined for dim=2 only")
         radius = default_geometric_radius(max(n, 1))
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be non-negative")
     rng = seeding.rng_from(seed)
     pts = rng.random((n, dim))

@@ -10,11 +10,12 @@ as an edge weight in metadata rather than in the graph itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, from_arrays
+from .graph import Graph, from_arrays, sorted_distinct
 
 SECONDS_PER_DAY = 86_400
 
@@ -38,16 +39,14 @@ class ParseResult:
 
 @dataclass
 class DailyGraphSet:
-    """One graph per observation day, with external-id labels.
+    """One graph per observation day; node i of a graph is external id labels[i].
 
-    `days` holds the day index of each graph (timestamp // day_length,
-    offset so the first day is 0). `id_maps` give external id -> node id
-    for each day; `edge_weights` count how many raw contacts each collapsed
-    edge represents, keyed by (node_id, node_id) with the smaller id first.
+    `days` holds each graph's day index (timestamp // day_length, offset so
+    the first day is 0). `edge_weights` count the raw contacts behind each
+    collapsed edge, keyed by (node_id, node_id) with the smaller id first.
     """
     days: list[int]
     graphs: list[Graph]
-    id_maps: list[dict[int, int]]
     edge_weights: list[dict[tuple[int, int], int]]
     warnings: list[str] = field(default_factory=list)
 
@@ -55,10 +54,10 @@ class DailyGraphSet:
 def parse_contacts(path, columns: int = 3) -> ParseResult:
     """Read a contact file; malformed lines are skipped with a warning.
 
-    A line is malformed when it has the wrong field count, a non-integer
-    field, or equal endpoint ids. Raises ZeroRecordsError when nothing
-    valid remains (the first few per-line complaints are included, so a
-    wrong `columns` setting is visible with line numbers).
+    A line is malformed when it has the wrong field count, a non-integer or
+    out-of-int64 field, or equal endpoint ids. Raises ZeroRecordsError when
+    nothing valid remains (the first few per-line complaints are included,
+    so a wrong `columns` setting is visible with line numbers).
     """
     if columns not in (2, 3):
         raise ValueError("columns must be 2 or 3")
@@ -82,6 +81,9 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
                 ts, a, b = nums
             else:
                 ts, (a, b) = 0, nums
+            if not (-2**63 <= ts < 2**63 and -2**63 <= a < 2**63 and -2**63 <= b < 2**63):
+                warnings.append(f"line {line_no}: field outside the int64 range")
+                continue
             if a == b:
                 warnings.append(f"line {line_no}: self contact {a}")
                 continue
@@ -92,48 +94,49 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
     return ParseResult(records, warnings, str(path))
 
 
+def _columns(records: Sequence[ContactRecord]) -> np.ndarray:
+    """The (timestamp, id_a, id_b) columns of `records` as int64 rows."""
+    if not records:
+        raise ZeroRecordsError("no contact records to bucket")
+    return np.fromiter(chain.from_iterable(records), np.int64,
+                       count=3 * len(records)).reshape(-1, 3).T
+
+
+def _daily(day: np.ndarray, a: np.ndarray, b: np.ndarray) -> DailyGraphSet:
+    """One simple graph per distinct `day` key, in ascending key order.
+
+    Contact i joins external ids a[i] and b[i] on day[i]. Node ids follow
+    sorted external-id order per day, so record order does not matter.
+    """
+    order = np.argsort(day)
+    day, a, b = day[order], np.minimum(a, b)[order], np.maximum(a, b)[order]
+    keys = sorted_distinct(day)
+    bounds = np.append(np.searchsorted(day, keys), day.size).tolist()
+    graphs, weights = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ids = sorted_distinct(np.concatenate([a[lo:hi], b[lo:hi]]))
+        code = np.searchsorted(ids, a[lo:hi]) * ids.size + np.searchsorted(ids, b[lo:hi])
+        pairs = sorted_distinct(code)
+        count = np.diff(np.append(np.searchsorted(code, pairs), code.size))
+        rows, cols = np.divmod(pairs, ids.size)
+        graphs.append(from_arrays(rows, cols, n=ids.size, labels=ids.tolist()))
+        weights.append(dict(zip(zip(rows.tolist(), cols.tolist()), count.tolist())))
+    return DailyGraphSet(keys.tolist(), graphs, weights)
+
+
 def build_daily_graphs(records: Sequence[ContactRecord],
-                       day_length: Optional[int] = SECONDS_PER_DAY,
-                       warnings: Optional[list[str]] = None) -> DailyGraphSet:
+                       day_length: Optional[int] = SECONDS_PER_DAY) -> DailyGraphSet:
     """Bucket contacts into days and build one simple graph per day.
 
     Days are `(timestamp - min timestamp) // day_length`; passing
     `day_length=None` puts every record in a single bucket (useful when
-    each input file already holds exactly one day). Node ids are assigned
-    per day in sorted external-id order, so the result is independent of
-    record order.
+    each input file already holds exactly one day).
     """
-    if not records:
-        raise ZeroRecordsError("no contact records to bucket")
-    ts = np.asarray([r.timestamp for r in records], dtype=np.int64)
-    if day_length is None:
-        day_idx = np.zeros(ts.size, dtype=np.int64)
-    else:
-        if day_length <= 0:
-            raise ValueError("day_length must be positive")
-        day_idx = (ts - ts.min()) // day_length
-
-    by_day: dict[int, list[ContactRecord]] = {}
-    for rec, day in zip(records, day_idx.tolist()):
-        by_day.setdefault(day, []).append(rec)
-    days, graphs, id_maps, weights = [], [], [], []
-    for day in sorted(by_day):
-        sel = by_day[day]
-        ids = sorted({r.id_a for r in sel} | {r.id_b for r in sel})
-        id_map = {ext: i for i, ext in enumerate(ids)}
-        counts: dict[tuple[int, int], int] = {}
-        for rec in sel:
-            u, v = id_map[rec.id_a], id_map[rec.id_b]
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-        pairs = np.asarray(list(counts), dtype=np.int64).reshape(-1, 2)
-        g = from_arrays(pairs[:, 0], pairs[:, 1], n=len(ids), labels=ids)
-        days.append(day)
-        graphs.append(g)
-        id_maps.append(id_map)
-        weights.append(counts)
-    return DailyGraphSet(days, graphs, id_maps, weights,
-                         list(warnings) if warnings else [])
+    if day_length is not None and day_length <= 0:
+        raise ValueError("day_length must be positive")
+    ts, a, b = _columns(records)
+    day = np.zeros_like(ts) if day_length is None else (ts - ts.min()) // day_length
+    return _daily(day, a, b)
 
 
 def load_daily_graphs(paths: Sequence, columns: int = 3,
@@ -145,15 +148,11 @@ def load_daily_graphs(paths: Sequence, columns: int = 3,
     buckets them by timestamp.
     """
     results = [parse_contacts(p, columns=columns) for p in paths]
-    all_warnings = [f"{res.path}: {w}" for res in results for w in res.warnings]
-    if day_length is not None:
-        merged = [rec for res in results for rec in res.records]
-        return build_daily_graphs(merged, day_length=day_length, warnings=all_warnings)
-    days, graphs, id_maps, weights = [], [], [], []
-    for file_idx, res in enumerate(results):
-        one = build_daily_graphs(res.records, day_length=None)
-        days.append(file_idx)
-        graphs.append(one.graphs[0])
-        id_maps.append(one.id_maps[0])
-        weights.append(one.edge_weights[0])
-    return DailyGraphSet(days, graphs, id_maps, weights, all_warnings)
+    records = [rec for res in results for rec in res.records]
+    if day_length is None:
+        file_of = np.repeat(np.arange(len(results)), [len(r.records) for r in results])
+        dataset = _daily(file_of, *_columns(records)[1:])
+    else:
+        dataset = build_daily_graphs(records, day_length=day_length)
+    dataset.warnings = [f"{res.path}: {w}" for res in results for w in res.warnings]
+    return dataset

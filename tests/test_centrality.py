@@ -633,3 +633,14 @@ def test_scores_csv_export(tmp_path, star5):
     assert lines[0] == "node_id,score,rank"
     assert lines[1] == "0,4.0,1"
     assert lines[2] == "1,1.0,2"
+
+
+def test_scores_csv_export_with_labels(tmp_path, star5):
+    out = tmp_path / "scores.csv"
+    write_scores_csv(degree_centrality(star5), out, labels=(1200, 1300, 1500, 7, -3))
+    assert out.read_text() == ("node_id,label,score,rank\n"
+                               "0,1200,4.0,1\n"
+                               "1,1300,1.0,2\n"
+                               "2,1500,1.0,3\n"
+                               "3,7,1.0,4\n"
+                               "4,-3,1.0,5\n")

@@ -279,6 +279,33 @@ def test_non_integer_network_value_rejected_at_load(tmp_path, capsys, network, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw, command", [
+    ({"metrics": [1]}, "table1"),
+    ({"sir": {"metrics": [None]}}, "simulate"),
+    ({"networks": [{"family": 5, "n": 10, "p": 0.1}]}, "table1"),
+], ids=["metric", "sir_metric", "family"])
+def test_non_string_name_rejected_at_load(tmp_path, capsys, raw, command):
+    with pytest.raises(ConfigError, match="must be a name"):
+        config_from_dict(raw)
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_nan_radius_rejected_at_load(tmp_path, capsys):
+    network = {"family": "rgg", "n": 50, "radius": float("nan")}
+    with pytest.raises(ConfigError, match="radius must be non-negative"):
+        config_from_dict({"networks": [network]})
+    cfg = write_config(tmp_path, {"networks": [network]})
+    assert ".nan" in cfg.read_text()
+    out = tmp_path / "tab"
+    assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_defaults_without_file():
     cfg = config_from_dict({})
     assert cfg == ExperimentConfig()

@@ -305,6 +305,8 @@ def test_family_aliases():
     assert canonical_family("Duplication-Divergence") == "duplication_divergence"
     with pytest.raises(ValueError):
         canonical_family("smallworld")
+    with pytest.raises(ValueError, match="graph family must be a name, got 5"):
+        canonical_family(5)
 
 
 def test_genspec_validation():
@@ -316,6 +318,15 @@ def test_genspec_validation():
         GenSpec("duplication_divergence", 1, p=0.4)
     with pytest.raises(ValueError):
         GenSpec("random_geometric", 10, dim=3)  # default radius undefined
+
+
+@pytest.mark.parametrize("radius", [-0.1, float("nan")])
+def test_negative_or_nan_radius_rejected(radius):
+    # NaN fails every comparison, so a `radius < 0` test would let it through
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        GenSpec("random_geometric", 50, radius=radius)
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        gen_random_geometric(50, radius=radius)
 
 
 def test_genspec_round_trip():

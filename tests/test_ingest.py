@@ -1,5 +1,7 @@
 """Contact-list parsing and daily graph construction."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,41 @@ def test_missing_file_raises_oserror(tmp_path):
         parse_contacts(tmp_path / "nope.txt")
 
 
+@pytest.mark.parametrize("line, columns", [
+    (f"{2**63}\t1100\t1200", 3),
+    (f"{-2**63 - 1}\t1100\t1200", 3),
+    (f"40\t{2**63}\t1200", 3),
+    (f"40\t1100\t{-2**63 - 1}", 3),
+    (f"1100\t{2**63}", 2),
+], ids=["timestamp_high", "timestamp_low", "id_a_high", "id_b_low", "two_column_id_high"])
+def test_field_outside_int64_is_malformed(tmp_path, line, columns):
+    good = "40\t1100\t1300" if columns == 3 else "1100\t1300"
+    path = write(tmp_path, "c.txt", f"{good}\n{line}\n")
+    res = parse_contacts(path, columns=columns)
+    assert len(res.records) == 1
+    assert res.warnings == ["line 2: field outside the int64 range"]
+
+
+def test_int64_extremes_are_valid_ids(tmp_path):
+    lo, hi = -2**63, 2**63 - 1
+    path = write(tmp_path, "c.txt", f"{hi}\t{lo}\t{hi}\n{lo}\t{hi}\t7\n")
+    res = parse_contacts(path)
+    assert res.warnings == []
+    ds = build_daily_graphs(res.records, day_length=None)
+    assert ds.graphs[0].labels == (lo, 7, hi)
+    assert ds.edge_weights[0] == {(0, 2): 1, (1, 2): 1}
+
+
+@pytest.mark.parametrize("day_length", [None, 86_400])
+def test_huge_timestamp_line_skipped_in_both_modes(tmp_path, day_length):
+    # per-file mode ignores timestamps, but the line is still malformed
+    path = write(tmp_path, "c.txt", f"40\t1100\t1200\n{2**64}\t1100\t1300\n")
+    ds = load_daily_graphs([path], day_length=day_length)
+    assert ds.days == [0]
+    assert ds.graphs[0].labels == (1100, 1200)
+    assert ds.warnings == [f"{path}: line 2: field outside the int64 range"]
+
+
 def test_columns_argument_validated(tmp_path):
     path = write(tmp_path, "c.txt", "1 2 3\n")
     with pytest.raises(ValueError):
@@ -113,9 +150,10 @@ def test_labels_map_back_to_external_ids():
     ds = build_daily_graphs(recs)
     g = ds.graphs[0]
     assert g.labels == (1200, 1300, 1500)
-    assert ds.id_maps[0] == {1200: 0, 1300: 1, 1500: 2}
+    assert all(type(lbl) is int for lbl in g.labels)
     # the edge between externals 1500 and 1200 is internal (0, 2)
     assert g.has_edge(0, 2)
+    assert ds.edge_weights[0] == {(0, 2): 1, (0, 1): 1}
 
 
 def test_record_order_irrelevant():
@@ -142,6 +180,66 @@ def test_no_records_rejected():
         build_daily_graphs([])
 
 
+@pytest.mark.parametrize("day_length", [None, 86_400])
+def test_no_files_rejected_in_both_modes(day_length):
+    with pytest.raises(ZeroRecordsError):
+        load_daily_graphs([], day_length=day_length)
+
+
+def reference_daily(records, day_length):
+    """(day, labels, edge counts) per day, bucketed with plain dicts."""
+    t0 = min(r.timestamp for r in records)
+    by_day = {}
+    for r in records:
+        day = 0 if day_length is None else (r.timestamp - t0) // day_length
+        by_day.setdefault(day, []).append(r)
+    out = []
+    for day in sorted(by_day):
+        sel = by_day[day]
+        ids = sorted({r.id_a for r in sel} | {r.id_b for r in sel})
+        node = {ext: i for i, ext in enumerate(ids)}
+        counts = {}
+        for r in sel:
+            key = tuple(sorted((node[r.id_a], node[r.id_b])))
+            counts[key] = counts.get(key, 0) + 1
+        out.append((day, tuple(ids), counts))
+    return out
+
+
+ID_POOLS = {
+    "small_ids": list(range(40)),
+    "negative_ids": list(range(-30, 10)),
+    "large_ids": [2**63 - 1 - i for i in range(20)] + [-2**63 + i for i in range(20)],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("day_length", [None, 3_600, 86_400])
+@pytest.mark.parametrize("pool", sorted(ID_POOLS))
+@pytest.mark.parametrize("columns", [2, 3])
+def test_daily_graphs_match_dict_reference(pool, columns, day_length, seed):
+    rng = random.Random(f"{pool}-{columns}-{seed}")
+    ids = ID_POOLS[pool]
+    recs = []
+    while len(recs) < 300:
+        a, b = rng.choice(ids), rng.choice(ids)
+        if a != b:
+            # a 2-column file parses with every timestamp 0
+            ts = 10**9 + rng.randrange(3 * 86_400) if columns == 3 else 0
+            recs.append(ContactRecord(ts, a, b))
+    want = reference_daily(recs, day_length)
+    rng.shuffle(recs)
+    ds = build_daily_graphs(recs, day_length=day_length)
+    assert ds.days == [day for day, _, _ in want]
+    assert [g.labels for g in ds.graphs] == [labels for _, labels, _ in want]
+    assert ds.edge_weights == [counts for _, _, counts in want]
+    for g, (_, _, counts) in zip(ds.graphs, want):
+        check_csr_invariants(g)
+        assert list(zip(*(x.tolist() for x in g.edges()))) == sorted(counts)
+    assert all(type(k) is int for w in ds.edge_weights for pair in w for k in pair)
+    assert all(type(lbl) is int for g in ds.graphs for lbl in g.labels)
+
+
 # -- bundled fixtures and the file-per-day loader -------------------------------------
 
 
@@ -166,6 +264,11 @@ def test_fixture_pooled_by_timestamp(contact_files):
     ds = load_daily_graphs(contact_files, day_length=86_400)
     assert ds.days == [0, 1, 2]
     assert [g.m for g in ds.graphs] == [584, 584, 584]
+    # each fixture file holds one day, so pooling by day rebuilds per-file
+    # mode; Graph equality includes the labels
+    per_file = load_daily_graphs(contact_files)
+    assert ds.graphs == per_file.graphs
+    assert ds.edge_weights == per_file.edge_weights
 
 
 def test_daily_graph_round_trips_through_edge_list(tmp_path, contact_files):
