@@ -135,7 +135,12 @@ def build_daily_graphs(records: Sequence[ContactRecord],
     if day_length is not None and day_length <= 0:
         raise ValueError("day_length must be positive")
     ts, a, b = _columns(records)
-    day = np.zeros_like(ts) if day_length is None else (ts - ts.min()) // day_length
+    if day_length is None:
+        day = np.zeros_like(ts)
+    else:
+        # the offset from the first record, exact as uint64 even where the
+        # int64 difference wraps (a log spanning more than 2**63)
+        day = (ts - ts.min()).view(np.uint64) // day_length
     return _daily(day, a, b)
 
 

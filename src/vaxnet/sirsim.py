@@ -14,6 +14,13 @@ trajectory while the random stream stays the same. A queued transmission
 still fires only if its target is susceptible when its time comes, since
 vaccination can cancel it.
 
+Delays come from a buffer drawn ahead in chunks and read in order, which
+gives the same values as one draw per infection. An infected node of low
+degree spreads by a plain Python loop over its neighbors, a high-degree
+one by one vectorized filter; both read the same state bytes. Recovery
+times rise with infection times, so recoveries wait in a FIFO queue beside
+the transmission heap and the two are merged by (time, push order).
+
 Interventions vaccinate susceptible nodes at a fixed time. Targeted plans
 rank nodes on the intact graph once; already infected, recovered, or
 vaccinated picks are skipped in favor of the next-ranked node.
@@ -24,20 +31,28 @@ strategy arm of an experiment runs on the same per-run graphs.
 
 from __future__ import annotations
 
-import heapq
 import math
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import seeding
 from .centrality import Metric, compute, ranking
-from .generators import GenSpec, generate
+from .generators import GenSpec, as_integer, generate
 from .graph import Graph
 
 S, I, R, V = 0, 1, 2, 3
 _RECOVER, _TRANSMIT, _INTERVENE = 0, 1, 2
+# An infected node of at most this degree spreads by a Python loop over its
+# neighbors, a larger one by one vectorized filter: a numpy call costs more
+# than a few neighbors do in Python.
+_PY_DEGREE = 16
+# Transmission delays drawn per refill of the delay buffer.
+_DELAY_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -53,6 +68,8 @@ class SirParams:
             raise ValueError("tau must be non-negative")
         if not (self.recovery_days > 0.0):
             raise ValueError("recovery_days must be positive")
+        object.__setattr__(self, "initial_infected",
+                           as_integer(self.initial_infected, "initial_infected", ValueError))
         if self.initial_infected < 1:
             raise ValueError("initial_infected must be at least 1")
         if not (0.0 < self.t_max < math.inf):
@@ -71,6 +88,7 @@ class Intervention:
     def __post_init__(self):
         if not (self.time >= 0.0):
             raise ValueError("intervention time must be non-negative")
+        object.__setattr__(self, "k", as_integer(self.k, "k", ValueError))
         if self.k < 0:
             raise ValueError("k must be non-negative")
         if self.strategy not in ("topk", "random"):
@@ -127,55 +145,83 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
     if params.initial_infected > n:
         raise ValueError("initial_infected exceeds node count")
     rng = seeding.rng_from(seed, "run")
-    state = np.zeros(n, dtype=np.uint8)
-    inf_time = np.full(n, np.nan)
-    rec_time = np.full(n, np.nan)
+    rd, t_max = params.recovery_days, params.t_max
+    # None: nothing spreads; 0.0 (tau = inf) still draws, all delays 0.0
+    scale = 1.0 / params.tau if params.tau > 0.0 else None
+    # Node state and earliest queued transmission per node, as plain buffers
+    # for the Python step and numpy views of the same bytes for the vector step.
+    state = bytearray(n)
+    state_np = np.frombuffer(state, np.uint8)
+    pending = array("d", [math.inf]) * n
+    pending_np = np.frombuffer(pending, np.float64)
+    inf_time = [math.nan] * n
+    rec_time = [math.nan] * n
+    indptr = g.indptr.tolist()
+    indices = g.indices
     warnings: list[str] = []
 
-    counts = [n, 0, 0, 0]
-    ev_times: list[float] = []
-    ev_counts: list[tuple[int, int, int, int]] = []
-
     heap: list[tuple[float, int, int, int]] = []
+    recoveries: deque[tuple[float, int, int, int]] = deque()
     seq = 0
-    pending = np.full(n, np.inf)    # earliest queued transmission per node
     pushes = stale_pops = events = 0
+    # the delay buffer, its list copy, and the next unread delay: one is read
+    # per susceptible neighbor, in neighbor order
+    delays = np.empty(0)
+    delay_list: list[float] = []
+    used = 0
 
-    def push(t: float, kind: int, payload: int):
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, payload))
-        seq += 1
-
-    def log(t: float):
-        ev_times.append(t)
-        ev_counts.append(tuple(counts))
+    def refill(need: int):
+        nonlocal delays, delay_list, used
+        fresh = rng.exponential(scale, size=max(_DELAY_CHUNK, need))
+        delays = np.concatenate([delays[used:], fresh])
+        delay_list = delays.tolist()
+        used = 0
 
     def infect(u: int, t: float):
-        nonlocal pushes
-        counts[state[u]] -= 1
+        nonlocal seq, pushes, used
         state[u] = I
-        counts[I] += 1
         inf_time[u] = t
-        push(t + params.recovery_days, _RECOVER, u)
-        if params.tau > 0.0:
-            nbrs = g.neighbors(u)
-            sus = nbrs[state[nbrs] == S]
-            if sus.size:
-                delays = rng.exponential(1.0 / params.tau, size=sus.size)
-                when = t + delays
-                keep = (delays < params.recovery_days) & (when < pending[sus])
-                targets, when = sus[keep], when[keep]
-                pending[targets] = when
-                pushes += targets.size
-                for w, tw in zip(targets.tolist(), when.tolist()):
-                    push(tw, _TRANSMIT, w)
+        recoveries.append((t + rd, seq, _RECOVER, u))
+        seq += 1
+        if scale is None:
+            return
+        a, b = indptr[u], indptr[u + 1]
+        if b - a <= _PY_DEGREE:
+            if used + b - a > len(delay_list):
+                refill(b - a)
+            for w in indices[a:b].tolist():
+                if state[w] == S:
+                    d = delay_list[used]
+                    used += 1
+                    tw = t + d
+                    if d < rd and tw < pending[w]:
+                        pending[w] = tw
+                        heappush(heap, (tw, seq, _TRANSMIT, w))
+                        seq += 1
+                        pushes += 1
+            return
+        nbrs = indices[a:b]
+        sus = nbrs[state_np[nbrs] == S]
+        if sus.size:
+            if used + sus.size > len(delay_list):
+                refill(sus.size)
+            d = delays[used:used + sus.size]
+            used += sus.size
+            when = t + d
+            keep = (d < rd) & (when < pending_np[sus])
+            targets, when = sus[keep], when[keep]
+            pending_np[targets] = when
+            pushes += targets.size
+            for w, tw in zip(targets.tolist(), when.tolist()):
+                heappush(heap, (tw, seq, _TRANSMIT, w))
+                seq += 1
 
     # Intervention plans are fixed before the outbreak: rankings come from
     # the intact graph, random orders from dedicated child streams.
     plans: list[np.ndarray] = []
     rank_cache: dict[Metric, np.ndarray] = {}
     for idx, iv in enumerate(interventions):
-        if iv.time > params.t_max:
+        if iv.time > t_max:
             warnings.append(f"intervention {idx} at t={iv.time} beyond horizon; skipped")
             plans.append(np.empty(0, np.int64))
             continue
@@ -186,61 +232,72 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
         else:
             order = seeding.rng_from(seed, "intervention", idx).permutation(n)
             plans.append(order.astype(np.int64))
-        push(iv.time, _INTERVENE, idx)
+        heappush(heap, (iv.time, seq, _INTERVENE, idx))
+        seq += 1
 
-    initial = rng.choice(n, size=params.initial_infected, replace=False)
-    for u in initial.tolist():
+    for u in rng.choice(n, size=params.initial_infected, replace=False).tolist():
         infect(u, 0.0)
-    log(0.0)
+    n_s, n_i, n_r, n_v = n - params.initial_infected, params.initial_infected, 0, 0
 
-    while heap:
-        t, _, kind, payload = heapq.heappop(heap)
-        if t > params.t_max:
+    # Each grid point takes the counts after the last event at or before it:
+    # before an event at t is applied, every point still unsampled below t
+    # is sampled (the inf sentinel ends the scan).
+    times = _grid(params, interventions)
+    points = times.tolist() + [math.inf]
+    rows: list[tuple[int, int, int, int]] = []
+
+    while heap or recoveries:
+        if recoveries and (not heap or recoveries[0] < heap[0]):
+            t, _, kind, payload = recoveries.popleft()
+        else:
+            t, _, kind, payload = heappop(heap)
+        if t > t_max:
             break
-        if kind == _RECOVER:
-            counts[I] -= 1
-            state[payload] = R
-            counts[R] += 1
-            rec_time[payload] = t
-        elif kind == _TRANSMIT:
-            if state[payload] != S:
-                stale_pops += 1
-                continue
+        if kind == _TRANSMIT and state[payload] != S:
+            stale_pops += 1
+            continue
+        while points[len(rows)] < t:
+            rows.append((n_s, n_i, n_r, n_v))
+        if kind == _TRANSMIT:
+            n_s -= 1
+            n_i += 1
             infect(payload, t)
+        elif kind == _RECOVER:
+            n_i -= 1
+            n_r += 1
+            state[payload] = R
+            rec_time[payload] = t
         else:
             iv = interventions[payload]
-            order = plans[payload]
             hit = 0
-            for node in order.tolist():
+            for node in plans[payload].tolist():
                 if hit == iv.k:
                     break
                 if state[node] == S:
-                    counts[S] -= 1
                     state[node] = V
-                    counts[V] += 1
                     hit += 1
+            n_s -= hit
+            n_v += hit
             if hit < iv.k:
                 warnings.append(
                     f"intervention {payload} wanted {iv.k} but only {hit} susceptible")
         events += 1
-        log(t)
 
-    grid = _grid(params, interventions)
-    pos = np.searchsorted(np.asarray(ev_times), grid, side="right") - 1
-    pos = np.clip(pos, 0, len(ev_times) - 1)
-    rows = np.asarray(ev_counts, dtype=np.float64)[pos]
+    rows += [(n_s, n_i, n_r, n_v)] * (times.size - len(rows))
+    counts = np.asarray(rows, dtype=np.float64)
     meta = {
         "seed": int(seed),
         "warnings": warnings,
-        "infection_time": inf_time,
-        "recovery_time": rec_time,
+        "infection_time": np.array(inf_time),
+        "recovery_time": np.array(rec_time),
         # work done: transmissions queued, queued ones found stale, and
         # events applied (recoveries, infections, interventions)
         "pushes": pushes,
         "stale_pops": stale_pops,
         "events": events,
     }
-    return SirTrajectory(grid, rows[:, S], rows[:, I], rows[:, R], rows[:, V], n, meta)
+    return SirTrajectory(times, counts[:, S], counts[:, I], counts[:, R], counts[:, V], n,
+                         meta)
 
 
 def replicate_graphs(spec: GenSpec, runs: int, seed: int = 0) -> list[Graph]:

@@ -6,8 +6,9 @@ explicitly enumerating every geodesic, closeness from a hand-rolled BFS
 table, the dense all-sources sweep with boolean-mask gathers and scatters,
 the t distribution by numerical quadrature of its density, SIR runs
 by an event loop that queues every transmission, SIR final sizes by
-enumerating bond-percolation outcomes, and the herd search by plain
-bisection. Slow and simple on purpose.
+enumerating bond-percolation outcomes, the herd search by plain
+bisection, and geometric graphs by testing every pair of points. Slow and
+simple on purpose.
 """
 
 from __future__ import annotations
@@ -348,6 +349,30 @@ def percolation_final_sizes(n: int, edges, transmissibility: float) -> np.ndarra
             size = sum(1 for d in bfs_dists(adj, s) if d >= 0)
             dist[size] += weight / n
     return dist
+
+
+# -- geometric graphs from every pair of points ----------------------------------------
+
+
+def all_pairs_geometric(n: int, radius: float, seed: int = 0, dim: int = 2):
+    """`gen_random_geometric(n, radius, seed, dim)` by testing all n^2 pairs.
+
+    Draws the same points and applies the same pair test, but with no
+    spatial bucketing.
+    """
+    from vaxnet import seeding
+    from vaxnet.graph import from_arrays
+
+    pts = seeding.rng_from(seed).random((n, dim))
+    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    chunk = max(1, 2**22 // max(n, 1))
+    for start in range(0, n, chunk):
+        d2 = ((pts[start:start + chunk, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        a, b = np.nonzero(d2 <= radius * radius)
+        a = a + start
+        us.append(a[a < b])
+        vs.append(b[a < b])
+    return from_arrays(np.concatenate(us), np.concatenate(vs), n=n)
 
 
 # -- herd search by plain bisection ------------------------------------------------

@@ -182,6 +182,17 @@ def test_infinite_sir_horizon_or_grid_rejected_at_load(tmp_path, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"sir": {"interventions": [{"time": 2, "k": 2.5}]}}, "sir.interventions.k"),
+    ({"sir": {"interventions": [{"time": 2, "k": True}]}}, "sir.interventions.k"),
+    ({"sir": {"initial_infected": 2.5}}, "sir.initial_infected"),
+    ({"sir": {"initial_infected": True}}, "sir.initial_infected"),
+])
+def test_non_integer_sir_count_rejected_at_load(raw, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be an integer"):
+        config_from_dict(raw)
+
+
 def test_infinite_recovery_accepted():
     cfg = config_from_dict({"sir": {"recovery_days": float("inf")}})
     assert cfg.sir.params.recovery_days == float("inf")

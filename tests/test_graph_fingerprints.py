@@ -78,3 +78,20 @@ def test_contact_day_graph_fingerprints_pinned(contact_files):
     assert [g.fingerprint for g in per_file.graphs] == CONTACT_DAYS
     pooled = load_daily_graphs(contact_files, day_length=7200)
     assert [g.fingerprint for g in pooled.graphs] == CONTACT_TWO_HOUR_BUCKETS
+
+
+# Large draws: `vaxnet simulate`'s DD(10000, 0.4) at config seed 1 (whose
+# per-run graph seed is given), and geometric graphs large enough that the
+# cell grid prunes most pairs.
+LARGE = {
+    GenSpec("duplication_divergence", 10000, p=0.4, seed=7025602488199766579):
+        "a657a686937d5c11",
+    GenSpec("duplication_divergence", 10000, p=0.4, seed=1): "800c78dd0ae0a20c",
+    GenSpec("random_geometric", 5000, seed=1): "88a8d4cbd90aeb92",
+    GenSpec("random_geometric", 2000, radius=0.05, dim=3, seed=97): "4bdd263d08abcf22",
+}
+
+
+@pytest.mark.parametrize("spec", list(LARGE), ids=lambda s: f"{s.family}-{s.n}-{s.seed}")
+def test_large_generated_graph_fingerprint_pinned(spec):
+    assert generate(spec).fingerprint == LARGE[spec]

@@ -145,6 +145,29 @@ def test_day_zero_is_earliest_timestamp():
     assert ds.days == [0, 1]
 
 
+@pytest.mark.parametrize("day_length", [1, 86_400, 2**63])
+def test_log_spanning_the_int64_range_does_not_wrap(tmp_path, day_length):
+    # the offset from the first record is 2**64 - 1, beyond int64
+    lo, hi = -2**63, 2**63 - 1
+    path = write(tmp_path, "c.txt", f"{hi}\t2\t3\n{lo}\t1\t2\n")
+    ds = load_daily_graphs([path], day_length=day_length)
+    last = (2**64 - 1) // day_length
+    assert ds.days == [0, last]
+    assert [g.labels for g in ds.graphs] == [(1, 2), (2, 3)]
+    assert all(type(day) is int for day in ds.days)
+
+
+def test_ordinary_log_days_are_offsets_from_the_first_record():
+    # negative and positive stamps, unsorted; the same days as plain
+    # integer arithmetic gives
+    stamps = [-3 * 86_400 + 7, 5, -3 * 86_400, 86_399 - 3 * 86_400, 4 * 86_400 - 1]
+    recs = [ContactRecord(t, k, k + 1) for k, t in enumerate(stamps)]
+    ds = build_daily_graphs(recs)
+    want = sorted({(t - min(stamps)) // 86_400 for t in stamps})
+    assert ds.days == want == [0, 3, 6]
+    assert [g.m for g in ds.graphs] == [3, 1, 1]
+
+
 def test_labels_map_back_to_external_ids():
     recs = [ContactRecord(0, 1500, 1200), ContactRecord(5, 1200, 1300)]
     ds = build_daily_graphs(recs)

@@ -175,6 +175,27 @@ def test_intervention_validation():
     assert iv.metric is Metric.DEGREE
 
 
+@pytest.mark.parametrize("k", [2.5, True, False, "3", None])
+def test_intervention_size_must_be_an_integer(k):
+    # the vaccination loop stops when its count equals k, which a
+    # fractional k never does
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        Intervention(1.0, "random", k)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_initial_infected_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="^initial_infected must be an integer"):
+        SirParams(initial_infected=value)
+
+
+@pytest.mark.parametrize("value", [3.0, np.int64(3)])
+def test_integral_counts_become_ints(value):
+    for got in (Intervention(1.0, "random", value).k,
+                SirParams(initial_infected=value).initial_infected):
+        assert got == 3 and type(got) is int
+
+
 def test_adding_intervention_never_increases_attack_rate():
     g = gen_duplication_divergence(150, 0.4, seed=14)
     params = SirParams(tau=0.4, t_max=30.0)

@@ -13,6 +13,8 @@ import pytest
 from vaxnet import (GenSpec, Intervention, Metric, SirParams, ensemble, from_edge_list,
                     gen_barabasi_albert, gen_duplication_divergence, gen_erdos_renyi,
                     generate, replicate_graphs, seeding, simulate)
+from vaxnet.experiments import config_from_dict
+from vaxnet.sirsim import _DELAY_CHUNK, _PY_DEGREE
 
 import oracles
 
@@ -95,6 +97,145 @@ def test_simulate_matches_reference_loop_on_high_degree_graphs(graph, plan):
         got = simulate(g, PARAMS["default"], INTERVENTIONS[plan], seed=seed)
         ref = oracles.reference_simulate(g, PARAMS["default"], INTERVENTIONS[plan], seed=seed)
         assert_same_run(got, ref)
+
+
+# Hubs and low-degree nodes in one graph: single runs take both spreading
+# steps and refill the delay buffer several times.
+MIXED_DEGREE_GRAPHS = {
+    "ba2000": lambda: gen_barabasi_albert(2000, 3, seed=35),
+    "dd3000": lambda: gen_duplication_divergence(3000, 0.4, seed=36),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(MIXED_DEGREE_GRAPHS))
+@pytest.mark.parametrize("plan", ["none", "random", "topk_at_zero"])
+def test_simulate_matches_reference_loop_on_mixed_degree_graphs(graph, plan):
+    g = MIXED_DEGREE_GRAPHS[graph]()
+    for seed in (0, 1):
+        got = simulate(g, PARAMS["default"], INTERVENTIONS[plan], seed=seed)
+        ref = oracles.reference_simulate(g, PARAMS["default"], INTERVENTIONS[plan], seed=seed)
+        assert_same_run(got, ref)
+
+
+class RecordingRng:
+    """A generator that logs the size of every exponential draw."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def exponential(self, scale, size):
+        self._log.append(size)
+        return self._rng.exponential(scale, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class InfectionLog:
+    """Just enough of a graph for the reference loop, logging each infection."""
+
+    def __init__(self, g, log):
+        self.n, self._g, self._log = g.n, g, log
+
+    def neighbors(self, u):
+        self._log.append(("infect", int(self._g.degrees[u])))
+        return self._g.neighbors(u)
+
+
+def recorded_run_stream(monkeypatch, log):
+    real = seeding.rng_from
+    monkeypatch.setattr(seeding, "rng_from", lambda seed, *path: (
+        RecordingRng(real(seed, *path), log) if path == ("run",) else real(seed, *path)))
+
+
+@pytest.mark.parametrize("graph", sorted(MIXED_DEGREE_GRAPHS))
+def test_mixed_degree_runs_take_both_steps_and_refill_inside_a_hub_draw(monkeypatch, graph):
+    g = MIXED_DEGREE_GRAPHS[graph]()
+    params = PARAMS["default"]
+    # per infection of the reference loop: the node's degree and its draw
+    ref_log, sim_log = [], []
+    recorded_run_stream(monkeypatch, ref_log)
+    ref = oracles.reference_simulate(InfectionLog(g, ref_log), params, seed=0)
+    recorded_run_stream(monkeypatch, sim_log)
+    assert_same_run(simulate(g, params, seed=0), ref)
+    steps = []
+    for entry in ref_log:
+        if isinstance(entry, tuple):
+            steps.append([entry[1], 0])
+        else:
+            steps[-1][1] = entry
+    # `simulate` refills when its unread delays do not cover a step's need:
+    # the degree in the Python step, the susceptible count in the vector step
+    unread, refills = 0, []
+    for degree, drawn in steps:
+        need = degree if degree <= _PY_DEGREE else drawn
+        if need > unread:
+            refills.append((degree, max(_DELAY_CHUNK, need)))
+            unread += max(_DELAY_CHUNK, need)
+        unread -= drawn
+    assert sim_log == [size for _, size in refills]
+    assert any(d <= _PY_DEGREE and k for d, k in steps)
+    assert any(d > _PY_DEGREE and k for d, k in steps)
+    assert len(refills) >= 4
+    assert any(degree > _PY_DEGREE for degree, _ in refills[1:])
+
+
+@pytest.mark.parametrize("graph", ["dd80", "ba80", "k12"])
+def test_events_on_grid_points_match_reference_loop(graph):
+    # seeds recover at exactly t = 2.0, a grid point and the time of the
+    # second intervention; the first intervention lands on t = 0
+    g = GRAPHS[graph]()
+    params = SirParams(tau=0.8, recovery_days=2.0, initial_infected=3, t_max=8.0,
+                       grid_dt=0.25)
+    ivs = (Intervention(0.0, "random", 4), Intervention(2.0, "topk", 3, Metric.DEGREE))
+    for seed in (0, 1, 2):
+        got = simulate(g, params, ivs, seed=seed)
+        assert_same_run(got, oracles.reference_simulate(g, params, ivs, seed=seed))
+        assert 0.0 in got.times and 2.0 in got.times
+        assert np.count_nonzero(got.meta["recovery_time"] == 2.0) == 3
+        assert got.v[0] == 4
+
+
+# `vaxnet simulate`'s benchmark config at seed 1: ER(1000, 0.4) and
+# DD(10000, 0.4), one run per arm.
+SIR_WORKLOAD = {
+    "seed": 1,
+    "networks": [{"family": "erdos_renyi", "n": 1000, "p": 0.4},
+                 {"family": "duplication_divergence", "n": 10000, "p": 0.4}],
+    "sir": {"tau": 0.4, "recovery_days": 14, "t_max": 30, "runs": 1,
+            "metrics": ["degree"], "interventions": [{"time": 2.0, "k": 100}]},
+}
+
+SIR_WORKLOAD_COUNTERS = {      # (pushes, stale_pops, events)
+    ("erdos_renyi", "none"): (5508, 4513, 1995),
+    ("erdos_renyi", "random"): (5508, 4513, 1996),
+    ("erdos_renyi", "topk_degree"): (5508, 4513, 1996),
+    ("duplication_divergence", "none"): (16744, 6756, 19981),
+    ("duplication_divergence", "random"): (16722, 6849, 19752),
+    ("duplication_divergence", "topk_degree"): (16470, 6741, 19424),
+}
+
+
+def test_sir_workload_counters_pinned():
+    cfg = config_from_dict(SIR_WORKLOAD)
+    got = {}
+    for fi, spec in enumerate(cfg.networks):
+        sim_seed = seeding.child_seed(cfg.seed, "sim", fi)
+        g, = replicate_graphs(spec, 1, sim_seed)
+        for arm, ivs in cfg.sir.arms():
+            tr = simulate(g, cfg.sir.params, ivs, seed=seeding.child_seed(sim_seed, "sir", 0))
+            got[spec.family, arm] = tuple(tr.meta[k] for k in ("pushes", "stale_pops", "events"))
+    assert got == SIR_WORKLOAD_COUNTERS
+
+
+def test_infinite_tau_matches_reference_loop():
+    # every delay is 0.0, so each outbreak sweeps its component at t = 0
+    g = GRAPHS["dd80"]()
+    params = SirParams(tau=math.inf, recovery_days=2.0, initial_infected=2, t_max=5.0)
+    for seed in (0, 1):
+        got = simulate(g, params, seed=seed)
+        assert_same_run(got, oracles.reference_simulate(g, params, seed=seed))
+        assert got.r[-1] == g.n
 
 
 def test_reference_warnings_are_exercised():
