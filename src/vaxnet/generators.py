@@ -12,7 +12,6 @@ same way.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -47,8 +46,6 @@ _ALIASES = {
 # Default target mean degree used to pick a radius for geometric graphs
 # when none is given: radius = sqrt(d_target / (n * pi)) in the unit square.
 GEOMETRIC_TARGET_DEGREE = 100.0
-# Candidate pairs tested per block by `gen_random_geometric`.
-_PAIR_BLOCK = 2**20
 
 
 def as_integer(value, key: str, error: type[ValueError]) -> int:
@@ -216,15 +213,16 @@ def gen_duplication_divergence(n: int, p: float, seed: int = 0) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     rng = seeding.rng_from(seed)
-    integers, random = rng.integers, rng.random
     adj: list[list[int]] = [[1], [0]]
     us, vs = [0], [1]
     for t in range(2, n):
         kept: list[int] = []
         if p > 0.0:
             while not kept:
-                nbrs = adj[int(integers(t))]
-                kept = [w for w, c in zip(nbrs, random(len(nbrs)).tolist()) if c < p]
+                anchor = int(rng.integers(t))
+                nbrs = adj[anchor]
+                coins = rng.random(len(nbrs))
+                kept = [w for w, c in zip(nbrs, coins) if c < p]
         for w in kept:
             adj[w].append(t)
         adj.append(kept)
@@ -278,16 +276,7 @@ def default_geometric_radius(n: int) -> float:
 
 def gen_random_geometric(n: int, radius: Optional[float] = None, seed: int = 0,
                          dim: int = 2) -> Graph:
-    """Uniform points in the unit cube; edges join pairs within `radius`.
-
-    Points are bucketed on a grid over their first min(dim, 3) coordinates,
-    in cells of side 1/c >= radius * (1 + 1e-6). Two points within `radius`
-    then lie in one cell or in two adjacent ones, even where rounding moves
-    a point's cell index (the margin keeps such a pair's index gap below 2).
-    Only those pairs are tested, each once, by the all-pairs test
-    ((p_i - p_j) ** 2).sum(-1) <= radius**2, so the edges do not depend on
-    the grid.
-    """
+    """Uniform points in the unit cube; edges join pairs within `radius`."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if dim < 1:
@@ -301,43 +290,19 @@ def gen_random_geometric(n: int, radius: Optional[float] = None, seed: int = 0,
     rng = seeding.rng_from(seed)
     pts = rng.random((n, dim))
     r2 = radius * radius
-    gd = min(dim, 3)
-    c = max(1, int(n ** (1.0 / gd)))         # at most about n cells
-    if radius * c * (1.0 + 1e-6) > 1.0:
-        c = int(1.0 / (radius * (1.0 + 1e-6)))
-    if c < 3:                                 # every cell would neighbor every other
-        c = 1
-    shape = (c,) * gd
-    cell = np.minimum((pts[:, :gd] * c).astype(np.int64), c - 1)
-    key = np.ravel_multi_index(cell.T, shape)
-    order = np.argsort(key, kind="stable")
-    pts, cell = pts[order], cell[order]
-    first = np.searchsorted(key[order], np.arange(c ** gd + 1))
-    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    # the same cell, then each pair of adjacent cells once: offsets whose
-    # first non-zero step is +1
-    for off in itertools.product((0, 1, -1), repeat=gd):
-        if off < (0,) * gd:
-            continue
-        nb = cell + off
-        src = np.flatnonzero(((nb >= 0) & (nb < c)).all(axis=1))
-        cells = np.ravel_multi_index(nb[src].T, shape)
-        lo, hi = first[cells], first[cells + 1]
-        if not any(off):
-            lo = src + 1
-        total = np.cumsum(hi - lo)
-        start = 0
-        while start < src.size:
-            done = int(total[start - 1]) if start else 0
-            stop = max(start + 1, int(np.searchsorted(total, done + _PAIR_BLOCK, "right")))
-            cnt = hi[start:stop] - lo[start:stop]
-            i = np.repeat(src[start:stop], cnt)
-            j = np.arange(i.size) + np.repeat(lo[start:stop] - np.cumsum(cnt) + cnt, cnt)
-            close = ((pts[i] - pts[j]) ** 2).sum(axis=-1) <= r2
-            us.append(order[i[close]])
-            vs.append(order[j[close]])
-            start = stop
-    return from_arrays(np.concatenate(us), np.concatenate(vs), n=n)
+    us, vs = [], []
+    chunk = max(1, int(2**22 // max(n, 1)))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        d2 = ((pts[start:stop, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        a, b = np.nonzero(d2 <= r2)
+        a = a + start
+        keep = a < b
+        us.append(a[keep])
+        vs.append(b[keep])
+    u = np.concatenate(us) if us else np.empty(0, np.int64)
+    v = np.concatenate(vs) if vs else np.empty(0, np.int64)
+    return from_arrays(u, v, n=n)
 
 
 # -- degree-preserving null model -------------------------------------------------

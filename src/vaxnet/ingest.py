@@ -139,7 +139,10 @@ def build_daily_graphs(records: Sequence[ContactRecord],
         day = np.zeros_like(ts)
     else:
         # the offset from the first record, exact as uint64 even where the
-        # int64 difference wraps (a log spanning more than 2**63)
+        # int64 difference wraps (a log spanning more than 2**63); a numpy
+        # integer length becomes a Python int, since uint64 // int64 is float64
+        if isinstance(day_length, np.integer):
+            day_length = int(day_length)
         day = (ts - ts.min()).view(np.uint64) // day_length
     return _daily(day, a, b)
 

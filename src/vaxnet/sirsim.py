@@ -17,9 +17,7 @@ vaccination can cancel it.
 Delays come from a buffer drawn ahead in chunks and read in order, which
 gives the same values as one draw per infection. An infected node of low
 degree spreads by a plain Python loop over its neighbors, a high-degree
-one by one vectorized filter; both read the same state bytes. Recovery
-times rise with infection times, so recoveries wait in a FIFO queue beside
-the transmission heap and the two are merged by (time, push order).
+one by one vectorized filter; both read the same state bytes.
 
 Interventions vaccinate susceptible nodes at a fixed time. Targeted plans
 rank nodes on the intact graph once; already infected, recovered, or
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Optional, Sequence
@@ -161,7 +158,6 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
     warnings: list[str] = []
 
     heap: list[tuple[float, int, int, int]] = []
-    recoveries: deque[tuple[float, int, int, int]] = deque()
     seq = 0
     pushes = stale_pops = events = 0
     # the delay buffer, its list copy, and the next unread delay: one is read
@@ -181,7 +177,7 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
         nonlocal seq, pushes, used
         state[u] = I
         inf_time[u] = t
-        recoveries.append((t + rd, seq, _RECOVER, u))
+        heappush(heap, (t + rd, seq, _RECOVER, u))
         seq += 1
         if scale is None:
             return
@@ -246,11 +242,8 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
     points = times.tolist() + [math.inf]
     rows: list[tuple[int, int, int, int]] = []
 
-    while heap or recoveries:
-        if recoveries and (not heap or recoveries[0] < heap[0]):
-            t, _, kind, payload = recoveries.popleft()
-        else:
-            t, _, kind, payload = heappop(heap)
+    while heap:
+        t, _, kind, payload = heappop(heap)
         if t > t_max:
             break
         if kind == _TRANSMIT and state[payload] != S:

@@ -357,8 +357,9 @@ def percolation_final_sizes(n: int, edges, transmissibility: float) -> np.ndarra
 def all_pairs_geometric(n: int, radius: float, seed: int = 0, dim: int = 2):
     """`gen_random_geometric(n, radius, seed, dim)` by testing all n^2 pairs.
 
-    Draws the same points and applies the same pair test, but with no
-    spatial bucketing.
+    Draws the same points and applies the same pair test, written apart
+    from the generator so that a pruned pair search can be checked against
+    it.
     """
     from vaxnet import seeding
     from vaxnet.graph import from_arrays

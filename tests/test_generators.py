@@ -245,9 +245,9 @@ def test_rgg_default_radius_needs_dim2():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_rgg_cell_grid_matches_all_pairs(dim):
-    # no radius, cell sides hit exactly (1/10, 1/4, 1/3), a one-cell grid,
-    # sqrt(dim) (every pair) and beyond, and random radii
+def test_rgg_matches_all_pairs_oracle(dim):
+    # no radius, round fractions (1/10, 1/4, 1/3, 1/2), sqrt(dim) (every
+    # pair) and beyond, and random radii
     radii = [0.0, 0.1, 0.25, 1 / 3, 0.5, math.sqrt(dim), 2.0 * math.sqrt(dim)]
     radii += (np.random.default_rng(dim).random(8) * 0.4).tolist()
     for k, radius in enumerate(radii):
@@ -260,7 +260,7 @@ def test_rgg_cell_grid_matches_all_pairs(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_rgg_pairs_at_exactly_the_radius(dim):
     # the radius is the distance of a drawn pair, which then sits on the
-    # boundary of the pair test wherever its cells are
+    # boundary of the pair test
     n = 400
     for s in range(6):
         seed = seeding.child_seed(12, "edge", dim, s)
@@ -269,7 +269,6 @@ def test_rgg_pairs_at_exactly_the_radius(dim):
             radius = float(np.sqrt(((pts[0] - pts[j]) ** 2).sum()))
             got = gen_random_geometric(n, radius, seed=seed, dim=dim)
             assert got == oracles.all_pairs_geometric(n, radius, seed, dim), (s, j)
-
 
 
 # -- degree-preserving shuffle ------------------------------------------------------------

@@ -81,8 +81,8 @@ def test_contact_day_graph_fingerprints_pinned(contact_files):
 
 
 # Large draws: `vaxnet simulate`'s DD(10000, 0.4) at config seed 1 (whose
-# per-run graph seed is given), and geometric graphs large enough that the
-# cell grid prunes most pairs.
+# per-run graph seed is given), and geometric graphs in two and three
+# dimensions at a few thousand nodes.
 LARGE = {
     GenSpec("duplication_divergence", 10000, p=0.4, seed=7025602488199766579):
         "a657a686937d5c11",

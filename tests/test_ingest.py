@@ -145,26 +145,28 @@ def test_day_zero_is_earliest_timestamp():
     assert ds.days == [0, 1]
 
 
-@pytest.mark.parametrize("day_length", [1, 86_400, 2**63])
+@pytest.mark.parametrize("day_length", [1, 86_400, 2**63, np.int64(1)])
 def test_log_spanning_the_int64_range_does_not_wrap(tmp_path, day_length):
     # the offset from the first record is 2**64 - 1, beyond int64
     lo, hi = -2**63, 2**63 - 1
     path = write(tmp_path, "c.txt", f"{hi}\t2\t3\n{lo}\t1\t2\n")
     ds = load_daily_graphs([path], day_length=day_length)
-    last = (2**64 - 1) // day_length
+    last = (2**64 - 1) // int(day_length)
     assert ds.days == [0, last]
     assert [g.labels for g in ds.graphs] == [(1, 2), (2, 3)]
     assert all(type(day) is int for day in ds.days)
 
 
-def test_ordinary_log_days_are_offsets_from_the_first_record():
+@pytest.mark.parametrize("day_length", [86_400, np.int64(86_400), np.uint64(86_400)])
+def test_ordinary_log_days_are_offsets_from_the_first_record(day_length):
     # negative and positive stamps, unsorted; the same days as plain
-    # integer arithmetic gives
+    # integer arithmetic gives, as ints for a numpy integer length too
     stamps = [-3 * 86_400 + 7, 5, -3 * 86_400, 86_399 - 3 * 86_400, 4 * 86_400 - 1]
     recs = [ContactRecord(t, k, k + 1) for k, t in enumerate(stamps)]
-    ds = build_daily_graphs(recs)
+    ds = build_daily_graphs(recs, day_length=day_length)
     want = sorted({(t - min(stamps)) // 86_400 for t in stamps})
     assert ds.days == want == [0, 3, 6]
+    assert all(type(day) is int for day in ds.days)
     assert [g.m for g in ds.graphs] == [3, 1, 1]
 
 
