@@ -14,8 +14,8 @@ from .generators import (GenSpec, degree_preserving_shuffle, gen_barabasi_albert
                          gen_random_geometric, generate)
 from .graph import (DegreeStats, EmptyGraphError, Graph, degree_stats, delete_nodes,
                     from_arrays, from_edge_list, read_edge_list, write_edge_list)
-from .ingest import (ContactRecord, DailyGraphSet, ZeroRecordsError,
-                     build_daily_graphs, load_daily_graphs, parse_contacts)
+from .ingest import (DailyGraphSet, ZeroRecordsError, build_daily_graphs,
+                     load_daily_graphs, parse_contacts)
 from .sirsim import (EnsembleResult, Intervention, SirParams, SirSummary,
                      SirTrajectory, ensemble, peak_and_final, replicate_graphs,
                      simulate)

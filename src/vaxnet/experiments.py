@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass
 from functools import partial
@@ -23,7 +22,8 @@ import yaml
 
 from . import seeding
 from .centrality import Metric, compute, compute_many, write_scores_csv
-from .generators import GenSpec, as_integer, degree_preserving_shuffle, generate
+from .generators import (GenSpec, as_integer, as_number, degree_preserving_shuffle,
+                         generate)
 from .graph import Graph, write_edge_list
 from .ingest import load_daily_graphs
 from .sirsim import Intervention, SirParams, ensemble, peak_and_final, replicate_graphs
@@ -123,15 +123,9 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
 
 
-def _integer(value, key: str) -> int:
-    return as_integer(value, key, ConfigError)
-
-
-def _number(value, key: str) -> float:
-    """A float setting: 0.4 or 14, but not a bool or "0.4", which raise ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+# Setting readers: reader(value, key) raises ConfigError on a wrong type.
+_integer = partial(as_integer, error=ConfigError)
+_number = partial(as_number, error=ConfigError)
 
 
 def _metrics(value, key: str) -> tuple[Metric, ...]:

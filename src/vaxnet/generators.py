@@ -60,6 +60,13 @@ def as_integer(value, key: str, error: type[ValueError]) -> int:
     return int(value)
 
 
+def as_number(value, key: str, error: type[ValueError]) -> float:
+    """A float setting: 0.4 or 14, but not a bool or "0.4", which raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def canonical_family(name: str) -> str:
     if not isinstance(name, str):
         raise ValueError(f"graph family must be a name, got {name!r}")

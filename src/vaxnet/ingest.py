@@ -10,8 +10,7 @@ as an edge weight in metadata rather than in the graph itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,15 +23,10 @@ class ZeroRecordsError(ValueError):
     """No line of the input parsed as a valid contact."""
 
 
-class ContactRecord(NamedTuple):
-    timestamp: int
-    id_a: int
-    id_b: int
-
-
 @dataclass
 class ParseResult:
-    records: list[ContactRecord]
+    """`records` holds one int64 `(timestamp, id_a, id_b)` row per valid line."""
+    records: np.ndarray
     warnings: list[str]
     path: str
 
@@ -61,7 +55,7 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
     """
     if columns not in (2, 3):
         raise ValueError("columns must be 2 or 3")
-    records: list[ContactRecord] = []
+    flat: list[int] = []
     warnings: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -87,19 +81,11 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
             if a == b:
                 warnings.append(f"line {line_no}: self contact {a}")
                 continue
-            records.append(ContactRecord(ts, a, b))
-    if not records:
+            flat += (ts, a, b)
+    if not flat:
         detail = "; ".join(warnings[:3]) if warnings else "file held no contact lines"
         raise ZeroRecordsError(f"{path}: no valid contact records ({detail})")
-    return ParseResult(records, warnings, str(path))
-
-
-def _columns(records: Sequence[ContactRecord]) -> np.ndarray:
-    """The (timestamp, id_a, id_b) columns of `records` as int64 rows."""
-    if not records:
-        raise ZeroRecordsError("no contact records to bucket")
-    return np.fromiter(chain.from_iterable(records), np.int64,
-                       count=3 * len(records)).reshape(-1, 3).T
+    return ParseResult(np.array(flat, np.int64).reshape(-1, 3), warnings, str(path))
 
 
 def _daily(day: np.ndarray, a: np.ndarray, b: np.ndarray) -> DailyGraphSet:
@@ -124,25 +110,31 @@ def _daily(day: np.ndarray, a: np.ndarray, b: np.ndarray) -> DailyGraphSet:
     return DailyGraphSet(keys.tolist(), graphs, weights)
 
 
-def build_daily_graphs(records: Sequence[ContactRecord],
-                       day_length: Optional[int] = SECONDS_PER_DAY) -> DailyGraphSet:
+def build_daily_graphs(records, day_length: Optional[int] = SECONDS_PER_DAY) -> DailyGraphSet:
     """Bucket contacts into days and build one simple graph per day.
 
-    Days are `(timestamp - min timestamp) // day_length`; passing
-    `day_length=None` puts every record in a single bucket (useful when
-    each input file already holds exactly one day).
+    `records` are int64 `(timestamp, id_a, id_b)` rows, as an array or a
+    list of 3-tuples. Days are `(timestamp - min timestamp) // day_length`;
+    `day_length=None` puts every record in one bucket (useful when each
+    input file already holds exactly one day).
     """
     if day_length is not None and day_length <= 0:
         raise ValueError("day_length must be positive")
-    ts, a, b = _columns(records)
-    if day_length is None:
+    rows = np.asarray(records, np.int64)
+    if not rows.size:
+        raise ZeroRecordsError("no contact records to bucket")
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"records must be (timestamp, id_a, id_b) rows, got shape {rows.shape}")
+    ts, a, b = rows.T
+    # a numpy integer length becomes a Python int, since uint64 // int64 is float64
+    if isinstance(day_length, np.integer):
+        day_length = int(day_length)
+    if day_length is None or day_length >= 2**64:
+        # every uint64 offset is below 2**64, so all records fall on day 0
         day = np.zeros_like(ts)
     else:
         # the offset from the first record, exact as uint64 even where the
-        # int64 difference wraps (a log spanning more than 2**63); a numpy
-        # integer length becomes a Python int, since uint64 // int64 is float64
-        if isinstance(day_length, np.integer):
-            day_length = int(day_length)
+        # int64 difference wraps (a log spanning more than 2**63)
         day = (ts - ts.min()).view(np.uint64) // day_length
     return _daily(day, a, b)
 
@@ -156,10 +148,12 @@ def load_daily_graphs(paths: Sequence, columns: int = 3,
     buckets them by timestamp.
     """
     results = [parse_contacts(p, columns=columns) for p in paths]
-    records = [rec for res in results for rec in res.records]
+    if not results:
+        raise ZeroRecordsError("no contact files to load")
+    records = np.concatenate([res.records for res in results])
     if day_length is None:
         file_of = np.repeat(np.arange(len(results)), [len(r.records) for r in results])
-        dataset = _daily(file_of, *_columns(records)[1:])
+        dataset = _daily(file_of, records[:, 1], records[:, 2])
     else:
         dataset = build_daily_graphs(records, day_length=day_length)
     dataset.warnings = [f"{res.path}: {w}" for res in results for w in res.warnings]

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import seeding
 from .centrality import Metric, compute, ranking
-from .generators import GenSpec, as_integer, generate
+from .generators import GenSpec, as_integer, as_number, generate
 from .graph import Graph
 
 S, I, R, V = 0, 1, 2, 3
@@ -61,6 +61,8 @@ class SirParams:
     grid_dt: float = 0.25
 
     def __post_init__(self):
+        for name in ("tau", "recovery_days", "t_max", "grid_dt"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name, ValueError))
         if not (self.tau >= 0.0):
             raise ValueError("tau must be non-negative")
         if not (self.recovery_days > 0.0):
@@ -83,6 +85,7 @@ class Intervention:
     metric: Optional[Metric] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "time", as_number(self.time, "time", ValueError))
         if not (self.time >= 0.0):
             raise ValueError("intervention time must be non-negative")
         object.__setattr__(self, "k", as_integer(self.k, "k", ValueError))

@@ -5,9 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from vaxnet import (ContactRecord, ZeroRecordsError, build_daily_graphs,
-                    load_daily_graphs, parse_contacts, write_edge_list,
-                    read_edge_list)
+from vaxnet import (ZeroRecordsError, build_daily_graphs, load_daily_graphs,
+                    parse_contacts, write_edge_list, read_edge_list)
 
 from test_graph import check_csr_invariants
 
@@ -24,7 +23,7 @@ def write(tmp_path, name, text):
 def test_parse_single_line(tmp_path):
     path = write(tmp_path, "c.txt", "40\t1100\t1200\n")
     res = parse_contacts(path)
-    assert res.records == [ContactRecord(40, 1100, 1200)]
+    assert res.records.tolist() == [[40, 1100, 1200]]
     assert res.warnings == []
 
 
@@ -56,7 +55,7 @@ def test_parse_comments_and_blanks_ignored(tmp_path):
 def test_parse_two_column_mode(tmp_path):
     path = write(tmp_path, "c.txt", "1100\t1200\n1100\t1300\n")
     res = parse_contacts(path, columns=2)
-    assert res.records[0] == ContactRecord(0, 1100, 1200)
+    assert res.records[0].tolist() == [0, 1100, 1200]
 
 
 def test_wrong_column_mode_fails_with_line_detail(tmp_path):
@@ -121,7 +120,7 @@ def test_columns_argument_validated(tmp_path):
 
 
 def test_repeated_contacts_collapse_to_weighted_edge():
-    recs = [ContactRecord(0, 7, 9), ContactRecord(20, 9, 7), ContactRecord(40, 7, 9)]
+    recs = [(0, 7, 9), (20, 9, 7), (40, 7, 9)]
     ds = build_daily_graphs(recs)
     assert len(ds.graphs) == 1
     g = ds.graphs[0]
@@ -132,28 +131,33 @@ def test_repeated_contacts_collapse_to_weighted_edge():
 def test_day_bucketing_by_timestamp():
     # buckets count from the earliest stamp: day = (t - t_min) // day_length
     day = 86_400
-    recs = [ContactRecord(10, 1, 2), ContactRecord(10 + day + 5, 2, 3),
-            ContactRecord(10 + 2 * day + 1, 1, 3), ContactRecord(15, 2, 3)]
+    recs = [(10, 1, 2), (10 + day + 5, 2, 3),
+            (10 + 2 * day + 1, 1, 3), (15, 2, 3)]
     ds = build_daily_graphs(recs)
     assert ds.days == [0, 1, 2]
     assert [g.m for g in ds.graphs] == [2, 1, 1]
 
 
 def test_day_zero_is_earliest_timestamp():
-    recs = [ContactRecord(10 * 86_400, 1, 2), ContactRecord(11 * 86_400, 1, 2)]
+    recs = [(10 * 86_400, 1, 2), (11 * 86_400, 1, 2)]
     ds = build_daily_graphs(recs)
     assert ds.days == [0, 1]
 
 
-@pytest.mark.parametrize("day_length", [1, 86_400, 2**63, np.int64(1)])
+@pytest.mark.parametrize("day_length", [1, 86_400, 2**63, np.int64(1), 2**64, 2**70])
 def test_log_spanning_the_int64_range_does_not_wrap(tmp_path, day_length):
-    # the offset from the first record is 2**64 - 1, beyond int64
+    # the offset from the first record is 2**64 - 1, beyond int64; a
+    # day_length of 2**64 or more puts both records on day 0
     lo, hi = -2**63, 2**63 - 1
     path = write(tmp_path, "c.txt", f"{hi}\t2\t3\n{lo}\t1\t2\n")
     ds = load_daily_graphs([path], day_length=day_length)
     last = (2**64 - 1) // int(day_length)
-    assert ds.days == [0, last]
-    assert [g.labels for g in ds.graphs] == [(1, 2), (2, 3)]
+    if last:
+        assert ds.days == [0, last]
+        assert [g.labels for g in ds.graphs] == [(1, 2), (2, 3)]
+    else:
+        assert ds.days == [0]
+        assert [g.labels for g in ds.graphs] == [(1, 2, 3)]
     assert all(type(day) is int for day in ds.days)
 
 
@@ -162,7 +166,7 @@ def test_ordinary_log_days_are_offsets_from_the_first_record(day_length):
     # negative and positive stamps, unsorted; the same days as plain
     # integer arithmetic gives, as ints for a numpy integer length too
     stamps = [-3 * 86_400 + 7, 5, -3 * 86_400, 86_399 - 3 * 86_400, 4 * 86_400 - 1]
-    recs = [ContactRecord(t, k, k + 1) for k, t in enumerate(stamps)]
+    recs = [(t, k, k + 1) for k, t in enumerate(stamps)]
     ds = build_daily_graphs(recs, day_length=day_length)
     want = sorted({(t - min(stamps)) // 86_400 for t in stamps})
     assert ds.days == want == [0, 3, 6]
@@ -171,7 +175,7 @@ def test_ordinary_log_days_are_offsets_from_the_first_record(day_length):
 
 
 def test_labels_map_back_to_external_ids():
-    recs = [ContactRecord(0, 1500, 1200), ContactRecord(5, 1200, 1300)]
+    recs = [(0, 1500, 1200), (5, 1200, 1300)]
     ds = build_daily_graphs(recs)
     g = ds.graphs[0]
     assert g.labels == (1200, 1300, 1500)
@@ -183,7 +187,7 @@ def test_labels_map_back_to_external_ids():
 
 def test_record_order_irrelevant():
     rng = np.random.default_rng(70)
-    recs = [ContactRecord(int(t), int(a), int(b))
+    recs = [(int(t), int(a), int(b))
             for t, a, b in zip(rng.integers(0, 86_400, 50),
                                rng.integers(0, 30, 50), rng.integers(30, 60, 50))]
     ds1 = build_daily_graphs(recs)
@@ -194,7 +198,7 @@ def test_record_order_irrelevant():
 
 
 def test_single_bucket_mode():
-    recs = [ContactRecord(0, 1, 2), ContactRecord(5 * 86_400, 3, 4)]
+    recs = [(0, 1, 2), (5 * 86_400, 3, 4)]
     ds = build_daily_graphs(recs, day_length=None)
     assert ds.days == [0]
     assert ds.graphs[0].m == 2
@@ -205,6 +209,15 @@ def test_no_records_rejected():
         build_daily_graphs([])
 
 
+@pytest.mark.parametrize("records", [[(1, 2), (3, 4), (5, 6)], [0, 1, 2], [[(0, 1, 2)]]],
+                         ids=["pairs", "flat", "nested"])
+def test_records_must_be_three_column_rows(records):
+    # three (id_a, id_b) pairs hold six numbers, which would reshape into
+    # two bogus records
+    with pytest.raises(ValueError, match="rows, got shape"):
+        build_daily_graphs(records)
+
+
 @pytest.mark.parametrize("day_length", [None, 86_400])
 def test_no_files_rejected_in_both_modes(day_length):
     with pytest.raises(ZeroRecordsError):
@@ -213,19 +226,19 @@ def test_no_files_rejected_in_both_modes(day_length):
 
 def reference_daily(records, day_length):
     """(day, labels, edge counts) per day, bucketed with plain dicts."""
-    t0 = min(r.timestamp for r in records)
+    t0 = min(ts for ts, _, _ in records)
     by_day = {}
-    for r in records:
-        day = 0 if day_length is None else (r.timestamp - t0) // day_length
-        by_day.setdefault(day, []).append(r)
+    for ts, a, b in records:
+        day = 0 if day_length is None else (ts - t0) // day_length
+        by_day.setdefault(day, []).append((a, b))
     out = []
     for day in sorted(by_day):
         sel = by_day[day]
-        ids = sorted({r.id_a for r in sel} | {r.id_b for r in sel})
+        ids = sorted({a for a, _ in sel} | {b for _, b in sel})
         node = {ext: i for i, ext in enumerate(ids)}
         counts = {}
-        for r in sel:
-            key = tuple(sorted((node[r.id_a], node[r.id_b])))
+        for a, b in sel:
+            key = tuple(sorted((node[a], node[b])))
             counts[key] = counts.get(key, 0) + 1
         out.append((day, tuple(ids), counts))
     return out
@@ -251,7 +264,7 @@ def test_daily_graphs_match_dict_reference(pool, columns, day_length, seed):
         if a != b:
             # a 2-column file parses with every timestamp 0
             ts = 10**9 + rng.randrange(3 * 86_400) if columns == 3 else 0
-            recs.append(ContactRecord(ts, a, b))
+            recs.append((ts, a, b))
     want = reference_daily(recs, day_length)
     rng.shuffle(recs)
     ds = build_daily_graphs(recs, day_length=day_length)

@@ -189,6 +189,27 @@ def test_initial_infected_must_be_an_integer(value):
         SirParams(initial_infected=value)
 
 
+@pytest.mark.parametrize("value", [True, False, "0.4", None])
+@pytest.mark.parametrize("key", ["tau", "recovery_days", "t_max", "grid_dt"])
+def test_sir_rates_and_times_must_be_numbers(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a number"):
+        SirParams(**{key: value})
+
+
+@pytest.mark.parametrize("value", [True, False, "2", None])
+def test_intervention_time_must_be_a_number(value):
+    with pytest.raises(ValueError, match="^time must be a number"):
+        Intervention(value, "random", 3)
+
+
+def test_numeric_settings_become_floats():
+    params = SirParams(tau=1, recovery_days=np.int64(14), t_max=30, grid_dt=np.float32(0.5))
+    got = [params.tau, params.recovery_days, params.t_max, params.grid_dt,
+           Intervention(2, "random", 3).time]
+    assert got == [1.0, 14.0, 30.0, 0.5, 2.0]
+    assert all(type(x) is float for x in got)
+
+
 @pytest.mark.parametrize("value", [3.0, np.int64(3)])
 def test_integral_counts_become_ints(value):
     for got in (Intervention(1.0, "random", value).k,
