@@ -371,16 +371,3 @@ def top_k(scores: CentralityScores, k: int) -> np.ndarray:
     if k < 0 or k > scores.values.size:
         raise ValueError(f"k={k} out of range for {scores.values.size} nodes")
     return ranking(scores)[:k]
-
-
-def write_scores_csv(scores: CentralityScores, path, labels=None) -> None:
-    """CSV rows `node_id,label,score,rank` (label column only when given)."""
-    vals = scores.values
-    order = ranking(scores)
-    rank = np.empty(vals.size, dtype=np.int64)
-    rank[order] = np.arange(1, vals.size + 1)
-    label = [""] * vals.size if labels is None else [f"{lbl}," for lbl in labels]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id,score,rank\n" if labels is None else "node_id,label,score,rank\n")
-        for i in range(vals.size):
-            fh.write(f"{i},{label[i]}{float(vals[i])!r},{rank[i]}\n")

@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands cover single-shot utilities (generate a graph, score it, report
-its spectrum, ingest contact files) and the configured batch experiments
-(eigendrop table, herd search, SIR simulation). Failures print a one-line
-JSON error object to stderr and exit nonzero so callers can script against
-the tool.
+its spectrum) and the configured batch experiments (eigendrop table, herd
+search, SIR simulation, contact-file ingest); each takes only the flags it
+reads. Failures, usage errors included, print a one-line JSON error object
+to stderr and exit nonzero (2 for a usage error, 1 otherwise) so callers
+can script against the tool.
 """
 
 from __future__ import annotations
@@ -24,15 +25,25 @@ from .generators import FAMILIES, GenSpec
 from .graph import read_edge_list
 
 
-def _add_common(p: argparse.ArgumentParser, needs_config: bool = False) -> None:
-    p.add_argument("--config", type=str, default=None, required=needs_config,
-                   help="YAML experiment configuration")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the master seed")
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for `main` to report as JSON instead of exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _add_common(p: argparse.ArgumentParser, needs_config: bool = False,
+                config: bool = True, workers: bool = True) -> None:
+    if config:
+        p.add_argument("--config", type=str, default=None, required=needs_config,
+                       help="YAML experiment configuration")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the master seed")
     p.add_argument("--out", type=str, default="out",
                    help="output directory (or file for single-shot commands)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel worker processes for replicate fan-out")
+    if workers:
+        p.add_argument("--workers", type=int, default=None,
+                       help="parallel worker processes for replicate fan-out")
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -44,14 +55,14 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="vaxnet",
         description="Contact-network analysis: centralities, spectral epidemic "
                     "thresholds, vaccination strategies, and SIR simulation.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw one random graph and write its edge list")
-    _add_common(p)
+    _add_common(p, workers=False)
     p.add_argument("--family", default=None, metavar="FAMILY",
                    help=f"one of {', '.join(FAMILIES)} (short aliases accepted)")
     p.add_argument("--n", type=int, default=None)
@@ -61,13 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
 
     p = sub.add_parser("centrality", help="score nodes of an edge-list graph")
-    _add_common(p)
+    _add_common(p, config=False, workers=False)
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--metric", required=True,
                    help="degree, degree_normalized, closeness, betweenness, eigenvector")
 
     p = sub.add_parser("spectral", help="dominant eigenvalue and threshold report")
-    _add_common(p)
+    _add_common(p, config=False, workers=False)
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--beta", type=float, default=None, help="infection rate per contact")
     p.add_argument("--delta", type=float, default=None, help="recovery rate")
@@ -104,10 +115,8 @@ def _cmd_generate(args) -> dict:
         spec = GenSpec(family=args.family, n=args.n, p=args.p, m=args.m,
                        radius=args.radius, dim=args.dim,
                        seed=args.seed if args.seed is not None else 0)
-    out = Path(args.out)
-    if out.suffix == "":
-        out = out / f"{spec.family}_n{spec.n}_seed{spec.seed}.edges"
-    return run_generate(spec, out)
+    return run_generate(spec, _single_out(
+        args, f"{spec.family}_n{spec.n}_seed{spec.seed}.edges"))
 
 
 def _single_out(args, default_name: str) -> Path:
@@ -116,8 +125,8 @@ def _single_out(args, default_name: str) -> Path:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "generate":
             result = _cmd_generate(args)
         elif args.command == "centrality":
@@ -145,7 +154,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - single reporting point for scripting
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, argparse.ArgumentError) else 1
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -15,13 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, get_type_hints
+from typing import Iterable, Optional, Sequence, get_type_hints
 
 import numpy as np
 import yaml
 
 from . import seeding
-from .centrality import Metric, compute, compute_many, write_scores_csv
+from .centrality import Metric, compute, compute_many, ranking
 from .generators import (GenSpec, as_integer, as_number, degree_preserving_shuffle,
                          generate)
 from .graph import Graph, write_edge_list
@@ -244,7 +244,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -476,10 +476,15 @@ def run_ingest(cfg: ExperimentConfig, paths: Sequence, out_dir) -> dict:
 # -- single-shot helpers used by the CLI ---------------------------------------------------
 
 
+def _out_file(path) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def run_generate(spec: GenSpec, out_path) -> dict:
     g = generate(spec)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_file(out_path)
     write_edge_list(g, out_path)
     meta = {"spec": spec.to_dict(), "n": g.n, "m": g.m, "fingerprint": g.fingerprint}
     write_json(str(out_path) + ".meta.json", meta)
@@ -487,14 +492,20 @@ def run_generate(spec: GenSpec, out_path) -> dict:
 
 
 def run_centrality(g: Graph, metric: Metric, out_path) -> dict:
+    """Write `node_id,label,score,rank` rows (label column only when `g` has labels)."""
     scores = compute(g, metric)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(scores, out_path, labels=g.labels)
+    rank = np.empty(g.n, np.int64)
+    rank[ranking(scores)] = np.arange(1, g.n + 1)
+    labels = () if g.labels is None else (g.labels,)
+    write_csv(_out_file(out_path), ["node_id", *(["label"] if labels else []), "score", "rank"],
+              zip(range(g.n), *labels, scores.values.tolist(), rank.tolist()))
     return {"metric": metric.value, "nodes": g.n, "out": str(out_path)}
 
 
 def run_spectral(g: Graph, out_path, beta: Optional[float] = None,
                  delta: Optional[float] = None) -> dict:
+    if (beta is None) != (delta is None):
+        raise ValueError("the threshold report needs both beta and delta")
     res = lambda_max(g)
     payload: dict = {
         "n": g.n, "m": g.m,
@@ -511,6 +522,5 @@ def run_spectral(g: Graph, out_path, beta: Optional[float] = None,
         rep = threshold_check(SirRates(beta, delta), res.lambda_max)
         payload["threshold"] = {"ratio": rep.ratio, "inv_lambda": rep.inv_lambda,
                                 "contained": rep.contained, "margin": rep.margin}
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    write_json(out_path, payload)
+    write_json(_out_file(out_path), payload)
     return payload

@@ -261,16 +261,17 @@ def read_edge_list(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "nodes":
-                    n = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {line_no}: expected two node ids")
-            us.append(int(parts[0]))
-            vs.append(int(parts[1]))
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if len(parts) == 2 and parts[0] == "nodes":
+                        n = int(parts[1])
+                elif line:
+                    parts = line.split()
+                    if len(parts) != 2:
+                        raise ValueError("expected two node ids")
+                    us.append(int(parts[0]))
+                    vs.append(int(parts[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return from_arrays(np.asarray(us, np.int64), np.asarray(vs, np.int64), n=n)

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .generators import as_integer
 from .graph import Graph, from_arrays, sorted_distinct
 
 SECONDS_PER_DAY = 86_400
@@ -114,21 +115,22 @@ def build_daily_graphs(records, day_length: Optional[int] = SECONDS_PER_DAY) -> 
     """Bucket contacts into days and build one simple graph per day.
 
     `records` are int64 `(timestamp, id_a, id_b)` rows, as an array or a
-    list of 3-tuples. Days are `(timestamp - min timestamp) // day_length`;
-    `day_length=None` puts every record in one bucket (useful when each
-    input file already holds exactly one day).
+    list of 3-tuples. Days are `(timestamp - min timestamp) // day_length`,
+    Python ints for any integral `day_length` (86400 or 86400.0, not a
+    bool or 1.5, which raise ValueError); `day_length=None` puts every
+    record in one bucket (useful when each input file already holds
+    exactly one day).
     """
-    if day_length is not None and day_length <= 0:
-        raise ValueError("day_length must be positive")
+    if day_length is not None:
+        day_length = as_integer(day_length, "day_length", ValueError)
+        if day_length <= 0:
+            raise ValueError("day_length must be positive")
     rows = np.asarray(records, np.int64)
     if not rows.size:
         raise ZeroRecordsError("no contact records to bucket")
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"records must be (timestamp, id_a, id_b) rows, got shape {rows.shape}")
     ts, a, b = rows.T
-    # a numpy integer length becomes a Python int, since uint64 // int64 is float64
-    if isinstance(day_length, np.integer):
-        day_length = int(day_length)
     if day_length is None or day_length >= 2**64:
         # every uint64 offset is below 2**64, so all records fall on day 0
         day = np.zeros_like(ts)

@@ -16,8 +16,9 @@ from vaxnet import (Metric, NonConvergenceError, betweenness_centrality,
                     gen_duplication_divergence, gen_erdos_renyi, lambda_max, ranking,
                     top_k)
 from vaxnet import centrality
-from vaxnet.centrality import compute, write_scores_csv
-from vaxnet.graph import EmptyGraphError
+from vaxnet.centrality import compute
+from vaxnet.experiments import run_centrality
+from vaxnet.graph import EmptyGraphError, Graph
 
 import oracles
 
@@ -628,7 +629,7 @@ def test_permutation_equivariance():
 
 def test_scores_csv_export(tmp_path, star5):
     out = tmp_path / "scores.csv"
-    write_scores_csv(degree_centrality(star5), out)
+    run_centrality(star5, Metric.DEGREE, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "node_id,score,rank"
     assert lines[1] == "0,4.0,1"
@@ -637,7 +638,8 @@ def test_scores_csv_export(tmp_path, star5):
 
 def test_scores_csv_export_with_labels(tmp_path, star5):
     out = tmp_path / "scores.csv"
-    write_scores_csv(degree_centrality(star5), out, labels=(1200, 1300, 1500, 7, -3))
+    labelled = Graph(star5.n, star5.indptr, star5.indices, labels=(1200, 1300, 1500, 7, -3))
+    run_centrality(labelled, Metric.DEGREE, out)
     assert out.read_text() == ("node_id,label,score,rank\n"
                                "0,1200,4.0,1\n"
                                "1,1300,1.0,2\n"

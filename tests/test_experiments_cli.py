@@ -1,5 +1,6 @@
 """Configured runners and the command-line interface."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 from vaxnet import centrality, experiments, gen_barabasi_albert, spectral, vaccination
-from vaxnet.cli import main
+from vaxnet.cli import build_parser, main
 from vaxnet.experiments import (ConfigError, ExperimentConfig, config_from_dict, load_config,
                                 run_eigendrop_table, run_herd, run_ingest, run_simulate,
                                 run_spectral)
@@ -620,6 +621,58 @@ def test_cli_bad_flag_combination(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "generate needs" in json.loads(captured.err)["message"]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    batch = {"--config", "--seed", "--out", "--workers"}
+    want = {
+        "generate": {"--config", "--seed", "--out", "--family", "--n", "--p", "--m",
+                     "--radius", "--dim"},
+        "centrality": {"--input", "--metric", "--out"},
+        "spectral": {"--input", "--beta", "--delta", "--out"},
+        "table1": batch, "herd": batch, "simulate": batch,
+        "ingest": batch | {"--columns", "--k"},
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {flag for action in parser._actions for flag in action.option_strings}
+           - {"-h", "--help"} for name, parser in sub.choices.items()}
+    assert got == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table1", "--out", "x"], "the following arguments are required: --config"),
+    (["ingest", "f.txt", "--columns", "4"], "argument --columns: invalid choice: 4"),
+    (["centrality", "--input", "g.edges", "--metric", "degree", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
+    (["spectral", "--input", "g.edges", "--config", "nowhere.yaml", "--seed", "4",
+      "--workers", "0"], "unrecognized arguments: --config nowhere.yaml --seed 4 --workers 0"),
+    (["generate", "--family", "gnp", "--n", "9", "--workers", "2"],
+     "unrecognized arguments: --workers 2"),
+], ids=["missing-config", "bad-choice", "centrality-seed", "spectral-batch-flags",
+        "generate-workers"])
+def test_cli_usage_error_is_json_on_stderr(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ArgumentError" and message in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rate", [["--beta", "0.4"], ["--delta", "0.07"]],
+                         ids=["beta-only", "delta-only"])
+def test_cli_spectral_refuses_half_a_threshold(tmp_path, capsys, rate):
+    edges = tmp_path / "g.edges"
+    assert main(["generate", "--family", "gnp", "--n", "30", "--p", "0.2",
+                 "--out", str(edges)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "spec.json"
+    assert main(["spectral", "--input", str(edges), "--out", str(out), *rate]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "the threshold report needs both beta and delta"}
+    assert not out.exists()
 
 
 def test_cli_entry_point_runs():

@@ -221,6 +221,16 @@ def test_read_edge_list_rejects_bad_line(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("text, line", [("0 1\n1 x\n", 2), ("# nodes abc\n0 1\n", 1),
+                                        ("0 1\n\n2 1.5\n", 3)],
+                         ids=["edge", "nodes-header", "after-blank-line"])
+def test_read_edge_list_names_the_line_of_a_non_integer(tmp_path, text, line):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.edges: line {line}: invalid literal for int"):
+        read_edge_list(path)
+
+
 def test_matvec_empty_graph():
     g = from_edge_list([], n=4)
     assert np.array_equal(g.matvec(np.ones(4)), np.zeros(4))

@@ -161,10 +161,12 @@ def test_log_spanning_the_int64_range_does_not_wrap(tmp_path, day_length):
     assert all(type(day) is int for day in ds.days)
 
 
-@pytest.mark.parametrize("day_length", [86_400, np.int64(86_400), np.uint64(86_400)])
+@pytest.mark.parametrize("day_length",
+                         [86_400, np.int64(86_400), np.uint64(86_400), 86_400.0])
 def test_ordinary_log_days_are_offsets_from_the_first_record(day_length):
     # negative and positive stamps, unsorted; the same days as plain
-    # integer arithmetic gives, as ints for a numpy integer length too
+    # integer arithmetic gives, as ints for a numpy integer or an integral
+    # float length too
     stamps = [-3 * 86_400 + 7, 5, -3 * 86_400, 86_399 - 3 * 86_400, 4 * 86_400 - 1]
     recs = [(t, k, k + 1) for k, t in enumerate(stamps)]
     ds = build_daily_graphs(recs, day_length=day_length)
@@ -172,6 +174,21 @@ def test_ordinary_log_days_are_offsets_from_the_first_record(day_length):
     assert ds.days == want == [0, 3, 6]
     assert all(type(day) is int for day in ds.days)
     assert [g.m for g in ds.graphs] == [3, 1, 1]
+
+
+def test_integral_float_day_length_buckets_like_the_int():
+    recs = [(5, 1, 2), (86_400 + 3, 2, 3), (86_400 + 9, 1, 2), (3 * 86_400, 1, 3)]
+    assert (build_daily_graphs(recs, day_length=86_400.0)
+            == build_daily_graphs(recs, day_length=86_400))
+    # floor division in float64 would put the last two stamps on one day
+    recs = [(0, 1, 2), (2**62, 1, 2), (2**62 + 1, 1, 2)]
+    assert build_daily_graphs(recs, day_length=1.0).days == [0, 2**62, 2**62 + 1]
+
+
+@pytest.mark.parametrize("day_length", [True, 1.5, 0, -86_400])
+def test_day_length_must_be_a_positive_integer(day_length):
+    with pytest.raises(ValueError, match="day_length must be"):
+        build_daily_graphs([(0, 1, 2), (9, 2, 3)], day_length=day_length)
 
 
 def test_labels_map_back_to_external_ids():
