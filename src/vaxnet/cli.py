@@ -43,7 +43,8 @@ def _add_common(p: argparse.ArgumentParser, needs_config: bool = False,
                    help="output directory (or file for single-shot commands)")
     if workers:
         p.add_argument("--workers", type=int, default=None,
-                       help="parallel worker processes for replicate fan-out")
+                       help="worker processes; table1 splits its work by replicate, "
+                            "herd and simulate by network family, ingest by day")
 
 
 def _load_cfg(args) -> ExperimentConfig:
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None, help="geometric graph dimension (default 2)")
 
     p = sub.add_parser("centrality", help="score nodes of an edge-list graph")
     _add_common(p, config=False, workers=False)
@@ -103,6 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> dict:
     if args.config is not None:
+        given = [f"--{name}" for name in ("family", "n", "p", "m", "radius", "dim")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError("generate takes --config or graph flags, not both; got "
+                              + " ".join(given))
         cfg = _load_cfg(args)
         if not cfg.networks:
             raise ConfigError("config has no networks to generate")
@@ -113,7 +119,7 @@ def _cmd_generate(args) -> dict:
         if args.family is None or args.n is None:
             raise ConfigError("generate needs --family and --n (or --config)")
         spec = GenSpec(family=args.family, n=args.n, p=args.p, m=args.m,
-                       radius=args.radius, dim=args.dim,
+                       radius=args.radius, dim=2 if args.dim is None else args.dim,
                        seed=args.seed if args.seed is not None else 0)
     return run_generate(spec, _single_out(
         args, f"{spec.family}_n{spec.n}_seed{spec.seed}.edges"))

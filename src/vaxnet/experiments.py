@@ -268,6 +268,17 @@ def _spec_label(spec: GenSpec) -> str:
     return "-".join(parts)
 
 
+def _fan_out(fn, tasks: Sequence, workers: int) -> list:
+    """`[fn(t) for t in tasks]`, in task order. When `workers` and the task
+    count both exceed one, the tasks run in a pool of `min(workers,
+    len(tasks))` processes, so `fn` and each task must pickle."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
+
+
 # -- eigen-drop comparison across families and strategies ----------------------------
 
 
@@ -337,12 +348,7 @@ def run_eigendrop_table(cfg: ExperimentConfig, out_dir) -> dict:
     long_rows = []
     summary_rows = []
     tasks = [(fi, rep) for fi in range(len(cfg.networks)) for rep in range(cfg.replicates)]
-    task = partial(_eigendrop_task, cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(task, tasks, chunksize=1))
-    else:
-        results = [task(t) for t in tasks]
+    results = _fan_out(partial(_eigendrop_task, cfg), tasks, cfg.workers)
 
     for fi, spec in enumerate(cfg.networks):
         rows = results[fi * cfg.replicates:(fi + 1) * cfg.replicates]
@@ -375,30 +381,42 @@ def run_eigendrop_table(cfg: ExperimentConfig, out_dir) -> dict:
 # -- herd-equivalence search ----------------------------------------------------------
 
 
+def _herd_task(cfg: ExperimentConfig, fi: int) -> list[list]:
+    """The `herd.csv` rows of network family `fi`, one per metric."""
+    spec = cfg.networks[fi]
+    graphs = [generate(spec.with_seed(seeding.child_seed(cfg.seed, "herd", fi, rep)))
+              for rep in range(cfg.herd.replicates)]
+    reports = herd_equivalent(graphs, cfg.metrics, cfg.herd.fraction,
+                              seed=seeding.child_seed(cfg.seed, "herdbase", fi))
+    return [[_spec_label(spec), report.metric.value, report.n, report.replicates,
+             report.n_h_fraction, report.n_h, report.lambda_target,
+             report.n_hs, report.n_hs_fraction, report.solves, report.nonconverged]
+            for report in reports]
+
+
 def run_herd(cfg: ExperimentConfig, out_dir) -> dict:
     if not cfg.networks:
         raise ConfigError("herd search needs at least one network spec")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for fi, spec in enumerate(cfg.networks):
-        graphs = [generate(spec.with_seed(seeding.child_seed(cfg.seed, "herd", fi, rep)))
-                  for rep in range(cfg.herd.replicates)]
-        reports = herd_equivalent(graphs, cfg.metrics, cfg.herd.fraction,
-                                  seed=seeding.child_seed(cfg.seed, "herdbase", fi))
-        for report in reports:
-            rows.append([_spec_label(spec), report.metric.value, report.n, report.replicates,
-                         report.n_h_fraction, report.n_h, report.lambda_target,
-                         report.n_hs, report.n_hs_fraction, report.solves,
-                         report.nonconverged])
+    families = _fan_out(partial(_herd_task, cfg), range(len(cfg.networks)), cfg.workers)
     write_csv(out_dir / "herd.csv",
               ["family", "metric", "n", "replicates", "n_h_fraction", "n_h",
                "lambda_target", "n_hs", "n_hs_fraction", "solves", "nonconverged"],
-              rows)
+              [row for rows in families for row in rows])
     return {"herd": str(out_dir / "herd.csv")}
 
 
 # -- SIR intervention comparison -------------------------------------------------------
+
+
+def _simulate_task(cfg: ExperimentConfig, fi: int) -> list:
+    """The mean SirTrajectory of each arm on network family `fi`. Each run's
+    graph is drawn once and shared by every arm."""
+    sim_seed = seeding.child_seed(cfg.seed, "sim", fi)
+    graphs = replicate_graphs(cfg.networks[fi], cfg.sir.runs, sim_seed)
+    return [ensemble(graphs, cfg.sir.params, ivs, seed=sim_seed).mean
+            for _, ivs in cfg.sir.arms()]
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
@@ -408,13 +426,11 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {}
     paths = {}
-    for fi, spec in enumerate(cfg.networks):
+    families = _fan_out(partial(_simulate_task, cfg), range(len(cfg.networks)), cfg.workers)
+    for spec, trajectories in zip(cfg.networks, families):
         label = _spec_label(spec)
         summary[label] = {}
-        sim_seed = seeding.child_seed(cfg.seed, "sim", fi)
-        graphs = replicate_graphs(spec, cfg.sir.runs, sim_seed)
-        for arm_name, ivs in cfg.sir.arms():
-            tr = ensemble(graphs, cfg.sir.params, ivs, seed=sim_seed).mean
+        for (arm_name, _), tr in zip(cfg.sir.arms(), trajectories):
             fname = out_dir / f"trajectory_{label}_{arm_name}.csv"
             write_csv(fname, ["time", "s", "i", "r", "v"],
                       [[tr.times[j], tr.s[j], tr.i[j], tr.r[j], tr.v[j]]
@@ -433,6 +449,19 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
 # -- real contact data ------------------------------------------------------------------
 
 
+def _ingest_task(cfg: ExperimentConfig, task: tuple[int, Graph]) -> list[list]:
+    """The `contact_daily.csv` rows of one day's graph, one per metric."""
+    day, g = task
+    k = cfg.ingest.k if cfg.ingest.k is not None else max(1, round(cfg.ingest.k_fraction * g.n))
+    k = min(k, g.n)
+    seeds = [seeding.child_seed(cfg.seed, "ingest", day, "rand", rep)
+             for rep in range(cfg.ingest.replicates)]
+    lam_orig, rand_vals, lam_topk = _graph_arms(g, k, seeds, cfg.metrics)
+    lam_rand = float(np.mean(rand_vals))
+    return [[day, g.n, g.m, k, metric.value, lam_orig, lam, lam_rand]
+            for metric, lam in zip(cfg.metrics, lam_topk)]
+
+
 def run_ingest(cfg: ExperimentConfig, paths: Sequence, out_dir) -> dict:
     if not paths:
         raise ConfigError("ingest needs at least one contact file")
@@ -440,16 +469,9 @@ def run_ingest(cfg: ExperimentConfig, paths: Sequence, out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_daily_graphs(paths, columns=cfg.ingest.columns,
                                 day_length=cfg.ingest.day_length)
-    daily_rows = []
-    for day, g in zip(dataset.days, dataset.graphs):
-        k = cfg.ingest.k if cfg.ingest.k is not None else max(1, round(cfg.ingest.k_fraction * g.n))
-        k = min(k, g.n)
-        seeds = [seeding.child_seed(cfg.seed, "ingest", day, "rand", rep)
-                 for rep in range(cfg.ingest.replicates)]
-        lam_orig, rand_vals, lam_topk = _graph_arms(g, k, seeds, cfg.metrics)
-        lam_rand = float(np.mean(rand_vals))
-        for metric, lam in zip(cfg.metrics, lam_topk):
-            daily_rows.append([day, g.n, g.m, k, metric.value, lam_orig, lam, lam_rand])
+    days = _fan_out(partial(_ingest_task, cfg), list(zip(dataset.days, dataset.graphs)),
+                    cfg.workers)
+    daily_rows = [row for rows in days for row in rows]
     write_csv(out_dir / "contact_daily.csv",
               ["day", "n", "m", "k", "metric", "lambda_orig", "lambda_topk",
                "lambda_random"],

@@ -163,6 +163,8 @@ def from_arrays(u: np.ndarray, v: np.ndarray, n: Optional[int] = None,
     implied = int(max(u.max(), v.max())) + 1 if u.size else 0
     if n is None:
         n = implied
+    elif n < 0:
+        raise ValueError("node count must be non-negative")
     elif n < implied:
         raise ValueError(f"n={n} too small for node id {implied - 1}")
     n = int(n)
@@ -256,7 +258,7 @@ def read_edge_list(path) -> Graph:
     Lines starting with `#` are comments; a `# nodes N` header fixes the
     node count so trailing isolated nodes survive a round trip.
     """
-    n = None
+    n = n_line = None
     us, vs = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -265,13 +267,20 @@ def read_edge_list(path) -> Graph:
                 if line.startswith("#"):
                     parts = line[1:].split()
                     if len(parts) == 2 and parts[0] == "nodes":
-                        n = int(parts[1])
+                        n, n_line = int(parts[1]), line_no
                 elif line:
                     parts = line.split()
                     if len(parts) != 2:
                         raise ValueError("expected two node ids")
-                    us.append(int(parts[0]))
-                    vs.append(int(parts[1]))
+                    u, v = int(parts[0]), int(parts[1])
+                    if u < 0 or v < 0:
+                        raise ValueError("node ids must be non-negative")
+                    us.append(u)
+                    vs.append(v)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    return from_arrays(np.asarray(us, np.int64), np.asarray(vs, np.int64), n=n)
+    try:
+        return from_arrays(np.asarray(us, np.int64), np.asarray(vs, np.int64), n=n)
+    except ValueError as exc:
+        # with every id checked above, only the `# nodes` count can be refused
+        raise ValueError(f"{path}: line {n_line}: {exc}") from None

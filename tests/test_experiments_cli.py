@@ -546,17 +546,71 @@ def test_cli_table1_byte_identical_reruns(tmp_path, capsys):
     assert read_bytes_map(out1) == read_bytes_map(out2)
 
 
-def test_cli_workers_do_not_change_results(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "replicates": 4, "k": 8,
-        "networks": [{"family": "erdos_renyi", "n": 60, "p": 0.25}],
-        "metrics": ["degree"]})
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["table1", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["table1", "--config", str(cfg), "--out", str(out2),
-                 "--workers", "2"]) == 0
-    capsys.readouterr()
-    assert read_bytes_map(out1) == read_bytes_map(out2)
+WORKERS_CONFIG = {
+    "replicates": 3, "k": 8, "metrics": ["degree", "eigenvector"],
+    "networks": [{"family": "erdos_renyi", "n": 60, "p": 0.25},
+                 {"family": "barabasi_albert", "n": 60, "m": 3},
+                 {"family": "duplication_divergence", "n": 60, "p": 0.4}],
+    "herd": {"fraction": 0.7, "replicates": 2},
+    "ingest": {"columns": 3, "replicates": 2},
+}
+# Each runner's fan-out unit, and how many of it WORKERS_CONFIG makes:
+# replicates per family, families, families, days of the contact files.
+RUNNER_TASKS = {"table1": 9, "herd": 3, "simulate": 3, "ingest": 3}
+
+
+def runner_argv(command, cfg, out, workers):
+    paths = CONTACT_FILES if command == "ingest" else []
+    return [command, *paths, "--config", str(cfg), "--out", str(out), "--workers", str(workers)]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """`max_workers` of each ProcessPoolExecutor the runners create; the
+    stand-in runs every task in this process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            assert chunksize == 1
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, tasks, pools", [
+    (1, 4, []), (2, 4, [2]), (64, 4, [4]), (3, 1, []), (3, 0, [])])
+def test_fan_out_starts_no_more_processes_than_tasks(pool_sizes, workers, tasks, pools):
+    assert experiments._fan_out(str, range(tasks), workers) == [str(t) for t in range(tasks)]
+    assert pool_sizes == pools
+
+
+@pytest.mark.parametrize("command", sorted(RUNNER_TASKS))
+def test_each_runner_fans_out_by_its_unit(tmp_path, capsys, pool_sizes, command):
+    cfg = write_config(tmp_path, WORKERS_CONFIG)
+    assert main(runner_argv(command, cfg, tmp_path / "out", 64)) == 0, capsys.readouterr().err
+    assert pool_sizes == [RUNNER_TASKS[command]]
+
+
+@pytest.mark.parametrize("command", sorted(RUNNER_TASKS))
+def test_cli_workers_do_not_change_results(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, WORKERS_CONFIG)
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(runner_argv(command, cfg, out, workers)) == 0, capsys.readouterr().err
+        outputs.append(read_bytes_map(out))
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_cli_herd_and_simulate(tmp_path, capsys):
@@ -621,6 +675,17 @@ def test_cli_bad_flag_combination(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "generate needs" in json.loads(captured.err)["message"]
+
+
+def test_cli_generate_refuses_graph_flags_beside_config(tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    rc = main(["generate", "--config", str(write_config(tmp_path)), "--family", "ba",
+               "--n", "999", "--m", "3", "--dim", "2", "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError",
+        "message": "generate takes --config or graph flags, not both; got --family --n --m --dim"}
+    assert not out.exists()
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

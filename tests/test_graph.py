@@ -231,9 +231,33 @@ def test_read_edge_list_names_the_line_of_a_non_integer(tmp_path, text, line):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("# nodes 2\n0 1\n0 5\n", 1, "n=2 too small for node id 5"),
+    ("0 1\n# nodes -3\n", 2, "node count must be non-negative"),
+], ids=["below-largest-id", "negative"])
+def test_read_edge_list_names_a_bad_node_count(tmp_path, text, line, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^.*bad\.edges: line {line}: {message}$"):
+        read_edge_list(path)
+
+
+def test_read_edge_list_names_the_line_of_a_negative_id(tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_text("# nodes 4\n0 1\n2 -1\n")
+    with pytest.raises(ValueError, match=r"bad\.edges: line 3: node ids must be non-negative$"):
+        read_edge_list(path)
+
+
 def test_matvec_empty_graph():
     g = from_edge_list([], n=4)
     assert np.array_equal(g.matvec(np.ones(4)), np.zeros(4))
+
+
+@pytest.mark.parametrize("u, v", [([], []), ([0], [1])], ids=["no-edges", "one-edge"])
+def test_from_arrays_refuses_a_negative_node_count(u, v):
+    with pytest.raises(ValueError, match="^node count must be non-negative$"):
+        from_arrays(np.array(u, np.int64), np.array(v, np.int64), n=-3)
 
 
 def test_from_arrays_mismatched_lengths():
