@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, get_type_hints
+from typing import Iterable, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -44,11 +44,18 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class InterventionSpec:
+    """One `sir.interventions` entry: vaccinate `k` nodes at `time`."""
+    time: float
+    k: int
+
+
+@dataclass(frozen=True)
 class SirConfig:
     params: SirParams = SirParams()
     runs: int = 10
     metrics: tuple[Metric, ...] = (Metric.DEGREE,)
-    interventions: tuple[dict, ...] = ()   # each {"time": float, "k": int}
+    interventions: tuple[InterventionSpec, ...] = ()
 
     def __post_init__(self):
         if self.runs < 1:
@@ -58,10 +65,10 @@ class SirConfig:
         """Strategy arms: no action, random picks, and top-k per metric."""
         out: list[tuple[str, tuple[Intervention, ...]]] = [("none", ())]
         out.append(("random", tuple(
-            Intervention(iv["time"], "random", iv["k"]) for iv in self.interventions)))
+            Intervention(iv.time, "random", iv.k) for iv in self.interventions)))
         for metric in self.metrics:
             out.append((f"topk_{metric.value}", tuple(
-                Intervention(iv["time"], "topk", iv["k"], metric)
+                Intervention(iv.time, "topk", iv.k, metric)
                 for iv in self.interventions)))
         return out
 
@@ -128,40 +135,40 @@ _integer = partial(as_integer, error=ConfigError)
 _number = partial(as_number, error=ConfigError)
 
 
+def _optional(read):
+    return lambda value, key: None if value is None else read(value, key)
+
+
 def _metrics(value, key: str) -> tuple[Metric, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list of metric names, got {value!r}")
-    return tuple(Metric.from_name(name) for name in value)
-
-
-def _interventions(value, key: str) -> tuple[dict, ...]:
-    """A list of {time: number, k: integer} mappings; a missing or other key
-    raises ConfigError."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(iv, dict) for iv in value):
-        raise ConfigError(f"{key} must be a list of mappings with time and k, got {value!r}")
-    out = []
-    for iv in value:
-        unknown = set(iv) - {"time", "k"}
-        if unknown:
-            raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
-        for name in ("time", "k"):
-            if name not in iv:
-                raise ConfigError(f"{key}.{name} must be given in every entry")
-        out.append({"time": _number(iv["time"], f"{key}.time"),
-                    "k": _integer(iv["k"], f"{key}.k")})
-    return tuple(out)
+    """Metric names, aliases resolved; a repeated metric raises ConfigError."""
+    if isinstance(value, (list, tuple)):
+        metrics = tuple(Metric.from_name(name) for name in value)
+        if len(set(metrics)) == len(metrics):
+            return metrics
+    raise ConfigError(f"{key} must be a list of distinct metric names, got {value!r}")
 
 
 # One reader per field annotation of the config dataclasses: reader(value, key).
 _READERS = {
     int: _integer,
-    Optional[int]: lambda value, key: None if value is None else _integer(value, key),
+    Optional[int]: _optional(_integer),
     float: _number,
-    str: lambda value, key: str(value),
+    Optional[float]: _optional(_number),
+    str: lambda value, key: value,
     tuple[Metric, ...]: _metrics,
-    tuple[GenSpec, ...]: lambda value, key: tuple(GenSpec.from_dict(d) for d in value),
-    tuple[dict, ...]: _interventions,
 }
+
+
+def _read(kind, value, key: str, source: str):
+    """Setting `key` by its field annotation `kind`. A dataclass is a section,
+    and `tuple[D, ...]` of a dataclass `D` a list of `D` sections."""
+    if is_dataclass(kind):
+        return _section(kind, value, key, source)
+    if get_origin(kind) is tuple and is_dataclass(entry := get_args(kind)[0]):
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, dict) for v in value):
+            raise ConfigError(f"{key} must be a list of mappings, got {value!r}")
+        return tuple(_section(entry, v, key, source) for v in value)
+    return _READERS[kind](value, key)
 
 
 def _settings(cls) -> dict:
@@ -183,7 +190,8 @@ def _build(cls, values: dict):
 
 def _section(cls, raw, name: str, source: str):
     """Config section `name` as dataclass `cls`. An empty section (YAML null)
-    keeps every default; a non-mapping or an unknown key raises ConfigError."""
+    keeps every default; a non-mapping, an unknown key or a missing field
+    without a default raises ConfigError."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -192,7 +200,10 @@ def _section(cls, raw, name: str, source: str):
     unknown = set(raw) - set(settings)
     if unknown:
         raise ConfigError(f"{source}: unknown {name} keys {sorted(unknown)}")
-    return _build(cls, {key: _READERS[settings[key]](value, f"{name}.{key}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{name}.{f.name} must be given in every entry, got {raw!r}")
+    return _build(cls, {key: _read(settings[key], value, f"{name}.{key}", source)
                         for key, value in raw.items()})
 
 
@@ -221,10 +232,8 @@ def config_from_dict(raw: dict, source: str = "<config>") -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
     try:
-        return ExperimentConfig(**{
-            key: _section(top[key], value, key, source) if is_dataclass(top[key])
-            else _READERS[top[key]](value, key)
-            for key, value in raw.items()})
+        return ExperimentConfig(**{key: _read(top[key], value, key, source)
+                                   for key, value in raw.items()})
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -440,7 +449,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
                                         "warnings": sorted(set(tr.meta["warnings"]))}
     write_json(out_dir / "sir_summary.json",
                {"seed": cfg.seed, "params": asdict(cfg.sir.params),
-                "interventions": list(cfg.sir.interventions),
+                "interventions": [asdict(iv) for iv in cfg.sir.interventions],
                 "results": summary})
     paths["summary"] = str(out_dir / "sir_summary.json")
     return paths

@@ -78,7 +78,11 @@ def canonical_family(name: str) -> str:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Declarative description of one random-graph draw."""
+    """Declarative description of one random-graph draw.
+
+    Building one checks the family's parameter rules; each `gen_*` checks
+    its arguments by building a spec, so the rules are stated only here.
+    """
     family: str
     n: int
     p: Optional[float] = None
@@ -89,9 +93,6 @@ class GenSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
-        self.validate()
-
-    def validate(self) -> None:
         if self.n < 0:
             raise ValueError("n must be non-negative")
         fam = self.family
@@ -128,18 +129,6 @@ class GenSpec:
             out["dim"] = self.dim
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenSpec":
-        allowed = {"family", "n", "p", "m", "radius", "dim", "seed"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown GenSpec fields: {sorted(unknown)}")
-        if "family" not in d or "n" not in d:
-            raise ValueError("GenSpec needs at least 'family' and 'n'")
-        ints = {key: as_integer(d[key], key, ValueError) for key in ("n", "m", "dim", "seed")
-                if d.get(key) is not None}
-        return cls(**{**d, **ints})
-
 
 def generate(spec: GenSpec) -> Graph:
     fam = spec.family
@@ -173,8 +162,7 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
     Runtime scales with the number of edges rather than the number of
     candidate pairs, so small p on large n stays cheap.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    GenSpec("gnp", n, p=p)
     total = n * (n - 1) // 2
     if total == 0 or p == 0.0:
         return from_arrays(np.empty(0, np.int64), np.empty(0, np.int64), n=n)
@@ -196,8 +184,7 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
 
 def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p) by one Bernoulli draw per node pair (quadratic reference)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    GenSpec("erdos_renyi", n, p=p)
     rng = seeding.rng_from(seed)
     u, v = _pair_from_linear(np.flatnonzero(rng.random(n * (n - 1) // 2) < p), n)
     return from_arrays(u, v, n=n)
@@ -215,10 +202,7 @@ def gen_duplication_divergence(n: int, p: float, seed: int = 0) -> Graph:
     node joins the connected component. With p == 0 retrying can never
     succeed, so new nodes stay isolated.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    GenSpec("duplication_divergence", n, p=p)
     rng = seeding.rng_from(seed)
     adj: list[list[int]] = [[1], [0]]
     us, vs = [0], [1]
@@ -246,10 +230,7 @@ def gen_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     endpoint sampling with rejection of duplicates). Every newcomer adds
     exactly m edges, so the result has m * (n - m) edges.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if n <= m:
-        raise ValueError("need n > m")
+    GenSpec("barabasi_albert", n, m=m)
     rng = seeding.rng_from(seed)
     us, vs = [], []
     repeated: list[int] = []
@@ -284,16 +265,9 @@ def default_geometric_radius(n: int) -> float:
 def gen_random_geometric(n: int, radius: Optional[float] = None, seed: int = 0,
                          dim: int = 2) -> Graph:
     """Uniform points in the unit cube; edges join pairs within `radius`."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    GenSpec("random_geometric", n, radius=radius, dim=dim)
     if radius is None:
-        if dim != 2:
-            raise ValueError("default radius is defined for dim=2 only")
         radius = default_geometric_radius(max(n, 1))
-    if not radius >= 0:
-        raise ValueError("radius must be non-negative")
     rng = seeding.rng_from(seed)
     pts = rng.random((n, dim))
     r2 = radius * radius

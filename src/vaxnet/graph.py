@@ -268,6 +268,8 @@ def read_edge_list(path) -> Graph:
                     parts = line[1:].split()
                     if len(parts) == 2 and parts[0] == "nodes":
                         n, n_line = int(parts[1]), line_no
+                        if n >= 2**63:
+                            raise ValueError("node count outside the int64 range")
                 elif line:
                     parts = line.split()
                     if len(parts) != 2:
@@ -275,6 +277,8 @@ def read_edge_list(path) -> Graph:
                     u, v = int(parts[0]), int(parts[1])
                     if u < 0 or v < 0:
                         raise ValueError("node ids must be non-negative")
+                    if max(u, v) >= 2**63:
+                        raise ValueError("node id outside the int64 range")
                     us.append(u)
                     vs.append(v)
             except ValueError as exc:

@@ -13,8 +13,8 @@ import yaml
 
 from vaxnet import centrality, experiments, gen_barabasi_albert, spectral, vaccination
 from vaxnet.cli import build_parser, main
-from vaxnet.experiments import (ConfigError, ExperimentConfig, config_from_dict, load_config,
-                                run_eigendrop_table, run_herd, run_ingest, run_simulate,
+from vaxnet.experiments import (ConfigError, ExperimentConfig, InterventionSpec,
+                                config_from_dict, load_config, run_eigendrop_table, run_herd, run_ingest, run_simulate,
                                 run_spectral)
 from vaxnet.stats import mean_std, paired_t_test
 
@@ -70,7 +70,7 @@ def test_load_config_round_trip(tmp_path):
     assert [m.value for m in cfg.metrics] == ["degree", "eigenvector"]
     assert cfg.networks[0].family == "erdos_renyi"
     assert cfg.sir.params.t_max == 12.0
-    assert cfg.sir.interventions == ({"time": 2.0, "k": 12},)
+    assert cfg.sir.interventions == (InterventionSpec(time=2.0, k=12),)
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -167,6 +167,19 @@ def test_ingest_replicates_below_one_rejected_at_load(tmp_path, capsys):
     ({"sir": {"interventions": [{"time": 2, "k": 5}, [2, 5]]}}, "sir.interventions",
      "a list of mappings"),
     ({"sir": {"interventions": 5}}, "sir.interventions", "a list of mappings"),
+    ({"networks": [{"family": "gnp", "n": 10, "p": True}]}, "networks.p", "a number"),
+    ({"networks": [{"family": "rgg", "n": 10, "radius": True}]}, "networks.radius",
+     "a number"),
+    ({"networks": [{"family": "gnp", "n": 10, "p": "0.4"}]}, "networks.p", "a number"),
+    ({"networks": [{"family": "rgg", "n": 10, "dim": None}]}, "networks.dim", "an integer"),
+    ({"networks": {"family": "gnp"}}, "networks", "a list of mappings"),
+    ({"networks": [5]}, "networks", "a list of mappings"),
+    ({"networks": None}, "networks", "a list of mappings"),
+    ({"networks": [{"family": "gnp", "p": 0.1}]}, "networks.n", "given"),
+    ({"networks": [{"n": 10, "p": 0.1}]}, "networks.family", "given"),
+    ({"metrics": ["degree", "dc"]}, "metrics", "a list of distinct metric names"),
+    ({"sir": {"metrics": ["degree", "degree"]}}, "sir.metrics",
+     "a list of distinct metric names"),
 ])
 def test_mistyped_config_value_rejected(raw, key, kind):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be {kind}"):

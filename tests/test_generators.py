@@ -1,6 +1,7 @@
 """Random graph families: exact edge cases, distributions, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vaxnet import (GenSpec, degree_preserving_shuffle, from_edge_list,
                     gen_barabasi_albert, gen_duplication_divergence,
                     gen_erdos_renyi, gen_gnp, gen_random_geometric, generate,
                     lambda_max, seeding)
+from vaxnet.experiments import ConfigError, config_from_dict
 from vaxnet.generators import canonical_family, default_geometric_radius
 
 import oracles
@@ -357,25 +359,44 @@ def test_negative_or_nan_radius_rejected(radius):
 
 
 def test_genspec_round_trip():
-    for spec in ALL_SPECS:
-        assert GenSpec.from_dict(spec.to_dict()) == spec
-    with pytest.raises(ValueError):
-        GenSpec.from_dict({"family": "gnp", "n": 5, "p": 0.2, "bogus": 1})
+    networks = config_from_dict({"networks": [spec.to_dict() for spec in ALL_SPECS]}).networks
+    assert networks == tuple(ALL_SPECS)
+    with pytest.raises(ConfigError, match=re.escape("unknown networks keys ['bogus']")):
+        config_from_dict({"networks": [{"family": "gnp", "n": 5, "p": 0.2, "bogus": 1}]})
 
 
 @pytest.mark.parametrize("key", ["n", "m", "dim", "seed"])
 @pytest.mark.parametrize("bad", [100.5, 3.7, True])
-def test_genspec_from_dict_refuses_non_integral(key, bad):
+def test_network_entry_refuses_non_integral(key, bad):
     d = {"family": "rgg", "n": 200, "radius": 0.1, "dim": 2, "seed": 4}
     if key == "m":
         d = {"family": "ba", "n": 200, "m": 3, "seed": 4}
-    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
-        GenSpec.from_dict({**d, key: bad})
+    with pytest.raises(ConfigError, match=f"^networks\\.{key} must be an integer"):
+        config_from_dict({"networks": [{**d, key: bad}]})
 
 
-def test_genspec_from_dict_takes_integral_floats():
-    spec = GenSpec.from_dict({"family": "ba", "n": 200.0, "m": 3.0, "seed": 4.0})
+def test_network_entry_takes_integral_floats():
+    spec, rgg = config_from_dict({"networks": [
+        {"family": "ba", "n": 200.0, "m": 3.0, "seed": 4.0},
+        {"family": "rgg", "n": 50, "radius": 0.2, "dim": 3.0}]}).networks
     assert spec == GenSpec("ba", 200, m=3, seed=4)
     assert all(type(v) is int for v in (spec.n, spec.m, spec.seed))
-    rgg = GenSpec.from_dict({"family": "rgg", "n": 50, "radius": 0.2, "dim": 3.0})
     assert type(rgg.dim) is int and rgg.dim == 3
+
+
+def test_integral_p_and_radius_read_as_floats():
+    # the family label and the meta JSON show `p1.0`, not `p1`
+    as_int, as_float = config_from_dict({"networks": [
+        {"family": "gnp", "n": 10, "p": 1}, {"family": "gnp", "n": 10, "p": 1.0}]}).networks
+    assert as_int == as_float and type(as_int.p) is float
+    rgg = config_from_dict({"networks": [{"family": "rgg", "n": 10, "radius": 1}]}).networks[0]
+    assert type(rgg.radius) is float and rgg.radius == 1.0
+
+
+@pytest.mark.parametrize("gen, arg", [
+    (gen_gnp, 0.5), (gen_erdos_renyi, 0.5), (gen_duplication_divergence, 0.5),
+    (gen_barabasi_albert, 2), (gen_random_geometric, 0.2),
+], ids=["gnp", "erdos_renyi", "duplication_divergence", "barabasi_albert", "random_geometric"])
+def test_every_generator_refuses_a_negative_n(gen, arg):
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        gen(-3, arg)

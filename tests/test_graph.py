@@ -234,7 +234,8 @@ def test_read_edge_list_names_the_line_of_a_non_integer(tmp_path, text, line):
 @pytest.mark.parametrize("text, line, message", [
     ("# nodes 2\n0 1\n0 5\n", 1, "n=2 too small for node id 5"),
     ("0 1\n# nodes -3\n", 2, "node count must be non-negative"),
-], ids=["below-largest-id", "negative"])
+    ("# nodes 99999999999999999999\n0 1\n", 1, "node count outside the int64 range"),
+], ids=["below-largest-id", "negative", "beyond-int64"])
 def test_read_edge_list_names_a_bad_node_count(tmp_path, text, line, message):
     path = tmp_path / "bad.edges"
     path.write_text(text)
@@ -242,10 +243,14 @@ def test_read_edge_list_names_a_bad_node_count(tmp_path, text, line, message):
         read_edge_list(path)
 
 
-def test_read_edge_list_names_the_line_of_a_negative_id(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("# nodes 4\n0 1\n2 -1\n", "node ids must be non-negative"),
+    ("0 1\n1 2\n0 99999999999999999999\n", "node id outside the int64 range"),
+], ids=["negative", "beyond-int64"])
+def test_read_edge_list_names_the_line_of_a_bad_id(tmp_path, text, message):
     path = tmp_path / "bad.edges"
-    path.write_text("# nodes 4\n0 1\n2 -1\n")
-    with pytest.raises(ValueError, match=r"bad\.edges: line 3: node ids must be non-negative$"):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.edges: line 3: {message}$"):
         read_edge_list(path)
 
 

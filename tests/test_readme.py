@@ -9,7 +9,7 @@ from pathlib import Path
 
 import yaml
 
-from vaxnet.experiments import config_from_dict
+from vaxnet.experiments import InterventionSpec, config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,5 +39,5 @@ def test_example_config_loads():
     assert cfg.seed == 42 and cfg.replicates == 30 and cfg.k == 100
     assert [spec.family for spec in cfg.networks] == ["erdos_renyi", "barabasi_albert"]
     assert cfg.sir.params.tau == 0.4
-    assert cfg.sir.interventions == ({"time": 2.0, "k": 100},)
+    assert cfg.sir.interventions == (InterventionSpec(time=2.0, k=100),)
     assert cfg.herd.fraction == 0.7 and cfg.herd.replicates == 5
