@@ -18,12 +18,20 @@ product on dense graphs, and on sparse ones (2m below 1% of n^2), or
 when a dense A would not fit in the budget, a gather and sum of X's rows
 at each node's neighbors, which skips the product's work on zeros. Path
 counts are integers, so both kernels give the same forward bits while
-the counts stay below 2^53. The peak holds four float64 n x b arrays,
-one int32 and a one-byte mask (distances, path counts, dependencies, and
-a level's coefficients and their product), plus the dense A when there
-is one, which only a single block of n = b <= 2048 uses: about 5.6
-`_BLOCK_ENTRIES` float64s, 180 MiB, at most. Eigenvector scores are the
-dominant eigenvector from `spectral.lambda_max`.
+the counts stay below 2^53; the forward frontier runs in float32 while
+each step's sums stay below 2^24, where float32 integers are exact in
+any order, and in float64 after that. Both passes apply a level's mask
+by multiplying by it: every entry is finite and >= +0.0, so this gives
+the same bits as writing zeros outside the mask. The backward pass holds
+the peak: four float64 n x b arrays (path counts, dependencies, and a
+level's coefficients and their product), one int32 (distances) and one
+reused one-byte mask, plus the dense A when there is one, which only a
+single block of n = b <= 2048 uses: about 5.6 `_BLOCK_ENTRIES` float64s,
+180 MiB, at most. The forward pass holds the distances, the float64
+path counts, a float32 frontier pair and a one-byte mask, with A built
+in float32; A is rebuilt in the other dtype, never held in both.
+Eigenvector scores are the dominant eigenvector from
+`spectral.lambda_max`.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ _BLOCK_ENTRIES = 2048 * 2048
 # The path sweep steps by row gathers on graphs with 2m below this share
 # of n^2, and by dense matrix products above it.
 _GATHER_DENSITY = 0.01
+# Path counts below this are exact integers in float32, in any summation
+# order, so the forward frontier runs in float32 while a step stays below it.
+_EXACT_F32 = 2**24
 # Ranked scores this close, relative to the largest |score|, count as tied.
 _TIE = 1e-12
 
@@ -149,15 +160,17 @@ def _components(g: Graph):
 
 def _step(g: Graph):
     """The product `out = A @ X` for node-major X of n rows, as a function
-    of (X, out).
+    of (X, out), in X's dtype.
 
     Sparse graphs (2m below `_GATHER_DENSITY` n^2), and graphs whose dense
     A would not fit in `_BLOCK_ENTRIES`, build no adjacency matrix: row v
     of the product is the sum of X's rows at v's neighbors. Other graphs
-    use a dense matrix product. Integer path counts sum exactly in any
-    order, so the forward pass gets the same bits from either kernel
-    while they stay below 2^53; the backward pass sums floats in an order
-    set by the kernel, and for the product by BLAS blocking.
+    use a dense matrix product, with A built in X's dtype and rebuilt when
+    that changes, so only one copy of A is alive at a time. Integer path
+    counts sum exactly in any order, so the forward pass gets the same
+    bits from either kernel while they stay exact (see `_forward`); the
+    backward pass sums floats in an order set by the kernel, and for the
+    product by BLAS blocking.
     """
     n = g.n
     if 2 * g.m < _GATHER_DENSITY * n * n or n * n > _BLOCK_ENTRIES:
@@ -167,8 +180,15 @@ def _step(g: Graph):
             for nbrs, row in zip(neighbors, out):
                 X.take(nbrs, axis=0).sum(axis=0, out=row)
         return gather
-    A = g.to_dense()
-    return lambda X, out: np.matmul(A, X, out=out)
+    A = None
+
+    def product(X, out):
+        nonlocal A
+        if A is None or A.dtype != X.dtype:
+            A = None            # free the old copy before building the new
+            A = g.to_dense(X.dtype)
+        np.matmul(A, X, out=out)
+    return product
 
 
 def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -179,37 +199,48 @@ def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, 
     sigma[v, j] from source s0 + j, and the deepest level reached. Column
     j of the frontier holds the path counts of the nodes at the current
     level from s0 + j, so one step both finds the next level and counts
-    the paths into it. Level 1 is read off the sources' CSR rows. Every
-    pair is reachable, so the loop ends when none is left unreached.
+    the paths into it. Level 1 is read off the sources' CSR rows. A pair
+    is unreached while its sigma is 0; every step keeps the frontier only
+    there and adds 1 to dist there, so a pair reached at level L ends at
+    dist L. Every pair is reachable, so the loop ends when none is left
+    unreached.
 
-    n x b arrays held during a step: dist (int32), sigma, the frontier and
-    the next one. A level's masks take one byte per entry.
+    The frontier runs in float32 while a step's sums stay below
+    `_EXACT_F32` = 2^24: each is a sum of at most max-degree frontier
+    counts, and every integer partial sum below 2^24 is exact in float32
+    in any order. Before the first step that could pass that bound, the
+    frontier moves to float64 for the rest of the block. Exact counts add
+    into the float64 sigma with the same bits either way. The frontier
+    is masked by multiplying it by the unreached mask: the counts are
+    finite and non-negative, so x * 1 = x and x * 0 = +0.0, the same bits
+    as writing 0.0 outside the mask.
+
+    n x b arrays held during a step: dist (int32), sigma (float64), the
+    frontier and the next one (float32 in one allocation until the
+    bound, float64 after), and the one-byte mask.
     """
     n, b = g.n, s1 - s0
     lo, hi = g.indptr[s0], g.indptr[s1]
-    F = np.zeros((n, b))
+    F, nxt = np.zeros((2, n, b), np.float32)
     F[g.indices[lo:hi], g.entry_rows[lo:hi] - s0] = 1.0
-    dist = np.full((n, b), -1, np.int32)
-    np.copyto(dist, 1, where=F > 0)
     diag = (np.arange(s0, s1), np.arange(b))
+    dist = np.ones((n, b), np.int32)
     dist[diag] = 0
-    sigma = F.copy()
+    sigma = F.astype(np.float64)
     sigma[diag] = 1.0
-    nxt = np.empty_like(F)
-    unreached = n * b - b - (hi - lo)
+    max_degree = int(g.degrees.max())
+    unreached = sigma == 0
     depth = 1
-    while unreached:
+    while unreached.any():
+        if F.dtype == np.float32 and float(F.max()) * max_degree >= _EXACT_F32:
+            F, nxt = F.astype(np.float64), np.empty((n, b))
         step(F, nxt)
         F, nxt = nxt, F
-        # Counts into pairs already reached are not a frontier; the rest
-        # are non-negative, so every kept entry is > 0 or exactly +0.0.
-        np.copyto(F, 0.0, where=dist >= 0)
-        new = F > 0
-        depth += 1
-        np.copyto(dist, depth, where=new)
-        unreached -= np.count_nonzero(new)
-        del new
+        F *= unreached
+        dist += unreached
         sigma += F
+        np.equal(sigma, 0, out=unreached)
+        depth += 1
     return dist, sigma, depth
 
 
@@ -217,22 +248,31 @@ def _backward(step, dist: np.ndarray, sigma: np.ndarray, depth: int) -> np.ndarr
     """Each node's dependency summed over the sources of a `_forward`
     block, by back-propagating over its levels (Brandes accumulation).
 
-    Each level applies its masks with full-array arithmetic in place,
-    `np.copyto(..., where=)` and a masked add. n x b arrays held during a
-    step: dist (int32), sigma, delta, the coefficients and their product;
-    a level's masks take one byte per entry.
+    Each level applies its masks by multiplication in place: the
+    coefficients (1 + delta) / sigma are kept at the level's nodes by
+    `coef *= on`, and the back-propagated T at the level below by
+    `T *= on` before `delta += T`. Every entry is finite and >= +0.0
+    (sigma >= 1), so x * 1 = x, x * 0 = +0.0 and d + 0.0 = d: the same
+    bits as copying 0.0 outside the mask and adding only inside it. `on`
+    is one reused mask; the level below's is the next level's
+    coefficient mask. n x b arrays held during a step: dist (int32),
+    sigma, delta, the coefficients and their product, and the one-byte
+    mask.
     """
     delta = np.zeros_like(sigma)
     coef = np.empty_like(sigma)
     T = np.empty_like(sigma)
+    on = np.equal(dist, depth)
     # Level 1 would only feed each source's own delta, which does not count.
     for lvl in range(depth, 1, -1):
         np.add(delta, 1.0, out=coef)
         coef /= sigma
-        np.copyto(coef, 0.0, where=dist != lvl)
+        coef *= on
         step(coef, T)
         T *= sigma
-        np.add(delta, T, out=delta, where=dist == lvl - 1)
+        np.equal(dist, lvl - 1, out=on)
+        T *= on
+        delta += T
     return delta.sum(axis=1)
 
 

@@ -49,6 +49,12 @@ class InterventionSpec:
     time: float
     k: int
 
+    def __post_init__(self):
+        if not self.time >= 0:
+            raise ConfigError(f"sir.interventions.time must be non-negative, got {self.time!r}")
+        if self.k < 0:
+            raise ConfigError(f"sir.interventions.k must be non-negative, got {self.k!r}")
+
 
 @dataclass(frozen=True)
 class SirConfig:

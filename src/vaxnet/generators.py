@@ -30,6 +30,10 @@ FAMILIES = (
     "random_geometric",
 )
 
+# The one optional GenSpec parameter each family reads.
+_PARAMETER = {"gnp": "p", "erdos_renyi": "p", "duplication_divergence": "p",
+              "barabasi_albert": "m", "random_geometric": "radius"}
+
 _ALIASES = {
     **{name: name for name in FAMILIES},
     "g(n,p)": "gnp",
@@ -96,6 +100,10 @@ class GenSpec:
         if self.n < 0:
             raise ValueError("n must be non-negative")
         fam = self.family
+        ignored = [name for name in ("p", "m", "radius")
+                   if getattr(self, name) is not None and name != _PARAMETER[fam]]
+        if ignored:
+            raise ValueError(f"{fam} takes no {', '.join(ignored)}")
         if fam in ("gnp", "erdos_renyi", "duplication_divergence"):
             if self.p is None or not (0.0 <= self.p <= 1.0):
                 raise ValueError(f"{fam} needs p in [0, 1]")

@@ -111,8 +111,8 @@ class Graph:
         out[rows] = np.add.reduceat(x[self.indices], self.indptr[rows])
         return out
 
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
+    def to_dense(self, dtype=np.float64) -> np.ndarray:
+        A = np.zeros((self.n, self.n), dtype)
         A[self.entry_rows, self.indices] = 1.0
         return A
 
@@ -168,6 +168,8 @@ def from_arrays(u: np.ndarray, v: np.ndarray, n: Optional[int] = None,
     elif n < implied:
         raise ValueError(f"n={n} too small for node id {implied - 1}")
     n = int(n)
+    if n * n > 2**63:
+        raise ValueError(f"n={n} too large: entry codes u * n + v overflow int64")
 
     keep = u != v
     u, v = u[keep], v[keep]
@@ -286,5 +288,7 @@ def read_edge_list(path) -> Graph:
     try:
         return from_arrays(np.asarray(us, np.int64), np.asarray(vs, np.int64), n=n)
     except ValueError as exc:
-        # with every id checked above, only the `# nodes` count can be refused
-        raise ValueError(f"{path}: line {n_line}: {exc}") from None
+        # With every id checked above, only the node count can be refused:
+        # the `# nodes` line's, or without one the count the largest id implies.
+        where = f"{path}: line {n_line}" if n_line is not None else str(path)
+        raise ValueError(f"{where}: {exc}") from None

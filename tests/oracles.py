@@ -4,7 +4,8 @@ Everything here recomputes results by a different route than the library:
 eigenvalues via cyclic Jacobi rotations on the dense matrix, betweenness by
 explicitly enumerating every geodesic, closeness from a hand-rolled BFS
 table, the dense all-sources sweep with boolean-mask gathers and scatters,
-the t distribution by numerical quadrature of its density, SIR runs
+the sweep's backward pass with `where=`-masked copies and adds, the t
+distribution by numerical quadrature of its density, SIR runs
 by an event loop that queues every transmission, SIR final sizes by
 enumerating bond-percolation outcomes, the herd search by plain
 bisection, and geometric graphs by testing every pair of points. Slow and
@@ -206,6 +207,25 @@ def mask_sweep_dense(A: np.ndarray):
     reach = (dist > 0).sum(axis=1).astype(np.float64)
     totals = np.where(dist > 0, dist, 0).sum(axis=1).astype(np.float64)
     return dist, sigma, depth, delta.sum(axis=0) / 2.0, reach, totals
+
+
+def masked_backward(step, dist: np.ndarray, sigma: np.ndarray, depth: int) -> np.ndarray:
+    """`centrality._backward` with its masks applied by `where=`: zero the
+    coefficients off the level by a masked copy, and add the back-propagated
+    dependencies only at the level below. Takes the same arguments, runs
+    the same products in the same order, and returns each node's
+    dependency summed over the block's sources."""
+    delta = np.zeros_like(sigma)
+    coef = np.empty_like(sigma)
+    T = np.empty_like(sigma)
+    for lvl in range(depth, 1, -1):
+        np.add(delta, 1.0, out=coef)
+        coef /= sigma
+        np.copyto(coef, 0.0, where=dist != lvl)
+        step(coef, T)
+        T *= sigma
+        np.add(delta, T, out=delta, where=dist == lvl - 1)
+    return delta.sum(axis=1)
 
 
 # -- Student's t by quadrature --------------------------------------------------------

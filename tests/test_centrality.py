@@ -361,6 +361,64 @@ def test_sweep_matches_the_mask_reference(monkeypatch, regime):
         assert np.abs(got_bc - bc).max() <= 1e-12 * np.abs(bc).max(), name
 
 
+@pytest.mark.parametrize("kernel_name", ["product", "gather"])
+def test_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, kernel_name):
+    # Masking by multiplication: every entry is finite and >= +0.0, so
+    # x * 1 = x, x * 0 = +0.0 and d + 0.0 = d, the bits of the masked
+    # copy and add.
+    force_kernel(monkeypatch, kernel_name == "gather")
+    for name, g in mask_oracle_graphs().items():
+        for _, sub in centrality._components(g):
+            assert kernel(sub) == kernel_name, name
+            step = centrality._step(sub)
+            dist, sigma, depth = centrality._forward(sub, step, 0, sub.n)
+            got = centrality._backward(step, dist, sigma, depth)
+            want = oracles.masked_backward(step, dist, sigma, depth)
+            assert got.tobytes() == want.tobytes(), name
+
+
+def layered_chain(layers: int = 8, width: int = 16):
+    """`layers` layers of `width` nodes, each pair of adjacent layers joined
+    as a complete bipartite graph: a first-layer source reaches each node
+    of layer l by width^(l - 1) shortest paths."""
+    edges = [(l * width + i, (l + 1) * width + j) for l in range(layers - 1)
+             for i in range(width) for j in range(width)]
+    return from_edge_list(edges, n=layers * width)
+
+
+@pytest.mark.parametrize("regime", ["product", "gather", "blocks"])
+def test_forward_moves_to_float64_before_counts_pass_float32(monkeypatch, regime):
+    if regime == "blocks":
+        # Blocks of 32 sources: two layers each.
+        monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", 128 * 32)
+    else:
+        force_kernel(monkeypatch, regime == "gather")
+    g = layered_chain()
+    dist, sigma, depth, *_ = oracles.mask_sweep_dense(g.to_dense())
+    assert sigma.max() == 2.0**24 and depth == 7
+    inner, width = centrality._step(g), block_width(g.n)
+    assert kernel(g) == ("product" if regime == "product" else "gather")
+    assert (width < g.n) == (regime == "blocks")
+    for s0 in range(0, g.n, width):
+        s1 = s0 + width
+        dtypes = []
+
+        def recording(X, out):
+            dtypes.append(X.dtype)
+            inner(X, out)
+        got_dist, got_sigma, got_depth = centrality._forward(g, recording, s0, s1)
+        assert got_dist.T.tobytes() == dist[s0:s1].tobytes(), s0
+        assert got_sigma.T.tobytes() == sigma[s0:s1].tobytes(), s0
+        assert got_depth == dist[s0:s1].max(), s0
+        # From a first- or last-layer source the level-6 frontier holds
+        # 16^5 = 2^20 paths a node and a node has up to 32 neighbors, so the
+        # last step could pass 2^24 and runs in float64. Other sources
+        # never come near it.
+        ends = s0 < 16 or s1 > g.n - 16
+        assert dtypes == ([np.float32] * 5 + [np.float64] if ends
+                          else [np.float32] * (got_depth - 1)), s0
+
+
 def test_one_block_and_multi_block_sweeps_agree(monkeypatch):
     rng = np.random.default_rng(23)
     graphs = [gen_barabasi_albert(200, 3, seed=12), gen_duplication_divergence(150, 0.4, seed=13)]
@@ -422,10 +480,15 @@ def sweep_peak(g) -> int:
     (gen_barabasi_albert(600, 3, seed=8), "gather"),
     (gen_erdos_renyi(600, 0.05, seed=8), "product")], ids=["gather", "product"])
 def test_sweep_peak_memory(g, regime):
-    # One block of all n sources: four float64 n x n arrays, one int32 and
-    # a one-byte mask at the backward peak (dist, sigma, delta, the
-    # coefficients and their product), plus the dense adjacency for the
-    # product: 5.625 n^2 float64s. The gather kernel builds no adjacency.
+    # One block of all n sources. The backward pass holds the peak: four
+    # float64 n x n arrays (sigma, delta, the coefficients and their
+    # product), the int32 dist and one reused one-byte level mask, plus the
+    # float64 dense adjacency for the product: 5.625 n^2 float64s (5.71
+    # measured). The gather kernel builds no adjacency (4.84 measured; its
+    # row gathers add up to max-degree x n floats). The forward pass holds
+    # less: dist, sigma, a float32 frontier pair and a one-byte mask, plus
+    # the adjacency in float32. Holding a float32 and a float64 adjacency
+    # at once reads 6.21.
     assert kernel(g) == regime
     assert sweep_peak(g) / (g.n * g.n * 8) < 6.0
 
@@ -434,10 +497,9 @@ def test_sweep_peak_memory_scales_with_the_block(monkeypatch):
     g = gen_barabasi_albert(600, 3, seed=8)
     monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", g.n * 64)
     assert kernel(g) == "gather"
-    # 4.625 n x b float64s at the backward peak, and no n x n array; the
-    # neighbor lists and CSR copies add about 0.5 n x b at this size.
-    # Keeping one block's dist and sigma alive through the next block's
-    # forward pass reads 5.65.
+    # 4.625 n x b float64s at the backward peak, the level mask included,
+    # and no n x n array; the neighbor lists, CSR copies and a step's row
+    # gathers add about 0.7 n x b at this size (5.32 measured).
     assert sweep_peak(g) / (g.n * 64 * 8) < 5.4
 
 

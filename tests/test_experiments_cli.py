@@ -252,6 +252,32 @@ def test_non_mapping_config_section_rejected_at_load(tmp_path, capsys, section, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("iv, key", [
+    ({"time": -1, "k": 5}, "sir.interventions.time"),
+    ({"time": float("nan"), "k": 5}, "sir.interventions.time"),
+    ({"time": 2.0, "k": -3}, "sir.interventions.k"),
+])
+def test_negative_intervention_rejected_at_load(tmp_path, capsys, iv, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be non-negative"):
+        config_from_dict({"sir": {"interventions": [iv]}})
+    cfg = write_config(tmp_path, {"sir": {**TINY_CONFIG["sir"], "interventions": [iv]}})
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_network_with_a_parameter_its_family_ignores_rejected_at_load(tmp_path, capsys):
+    network = {"family": "er", "n": 30, "p": 0.1, "m": 3}
+    with pytest.raises(ConfigError, match="erdos_renyi takes no m"):
+        config_from_dict({"networks": [network]})
+    cfg = write_config(tmp_path, {"networks": [network]})
+    out = tmp_path / "t"
+    assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_unknown_intervention_key_rejected():
     iv = {"time": 2, "k": 5, "metric": "betweenness"}
     with pytest.raises(ConfigError, match=re.escape("unknown sir.interventions keys ['metric']")):

@@ -349,6 +349,19 @@ def test_genspec_validation():
         GenSpec("random_geometric", 10, dim=3)  # default radius undefined
 
 
+@pytest.mark.parametrize("family, params, ignored", [
+    ("er", {"p": 0.1, "m": 3}, "m"),
+    ("gnp", {"p": 0.1, "radius": 0.2}, "radius"),
+    ("dd", {"p": 0.4, "m": 2, "radius": 0.2}, "m, radius"),
+    ("ba", {"m": 3, "p": 0.1}, "p"),
+    ("rgg", {"radius": 0.2, "p": 0.1, "m": 3}, "p, m"),
+])
+def test_genspec_refuses_a_parameter_its_family_ignores(family, params, ignored):
+    # The parameter would be dropped by the draw but kept in the label.
+    with pytest.raises(ValueError, match=f"^{canonical_family(family)} takes no {ignored}$"):
+        GenSpec(family, 30, **params)
+
+
 @pytest.mark.parametrize("radius", [-0.1, float("nan")])
 def test_negative_or_nan_radius_rejected(radius):
     # NaN fails every comparison, so a `radius < 0` test would let it through

@@ -254,6 +254,28 @@ def test_read_edge_list_names_the_line_of_a_bad_id(tmp_path, text, message):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("text, n", [
+    ("0 1\n0 4611686018427387904\n", 2**62 + 1),
+    ("0 9223372036854775807\n", 2**63),
+], ids=["array-too-big", "int64-max"])
+def test_read_edge_list_without_a_header_names_only_the_path(tmp_path, text, n):
+    # The node count is implied by the largest id, which no line holds alone.
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^.*bad\.edges: n={n} too large: "
+                                         r"entry codes u \* n \+ v overflow int64$"):
+        read_edge_list(path)
+
+
+@pytest.mark.parametrize("u, v", [([], []), ([0], [1])], ids=["no-edges", "one-edge"])
+def test_from_arrays_refuses_a_node_count_whose_entry_codes_overflow(u, v):
+    # 3037000500 is the least n with n * n - 1, the largest code, above 2**63 - 1.
+    with pytest.raises(ValueError, match=r"^n=3037000500 too large: entry codes"):
+        from_arrays(np.array(u, np.int64), np.array(v, np.int64), n=3037000500)
+    with pytest.raises(ValueError, match="too large"):
+        from_arrays(np.array([0], np.int64), np.array([2**63 - 1], np.int64))
+
+
 def test_matvec_empty_graph():
     g = from_edge_list([], n=4)
     assert np.array_equal(g.matvec(np.ones(4)), np.zeros(4))
