@@ -29,7 +29,8 @@ class DegreeStats:
 
 
 class Graph:
-    __slots__ = ("n", "indptr", "indices", "labels", "_rows", "_degrees", "_fingerprint")
+    __slots__ = ("n", "indptr", "indices", "labels", "_rows", "_degrees", "_segments",
+                 "_fingerprint")
 
     def __init__(self, n: int, indptr, indices, labels: Optional[Sequence] = None):
         n = int(n)
@@ -55,6 +56,7 @@ class Graph:
         self.labels = None if labels is None else tuple(labels)
         self._rows = None
         self._degrees = None
+        self._segments = None
         self._fingerprint = None
 
     # -- basic accessors ---------------------------------------------------
@@ -99,7 +101,8 @@ class Graph:
         """Adjacency-matrix product A @ x without materializing A.
 
         Sums each non-empty row's neighbor values in place (pairwise, by
-        `np.add.reduceat`); `x` must have shape (n,).
+        `np.add.reduceat`); `x` must have shape (n,). The non-empty rows and
+        their starts are found on the first call and kept.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
@@ -107,8 +110,14 @@ class Graph:
         out = np.zeros(self.n)
         if self.indices.size == 0:
             return out
-        rows = np.flatnonzero(self.degrees)   # reduceat needs non-empty segments
-        out[rows] = np.add.reduceat(x[self.indices], self.indptr[rows])
+        if self._segments is None:
+            rows = np.flatnonzero(self.degrees)   # reduceat needs non-empty segments
+            starts = self.indptr[rows]
+            rows.setflags(write=False)
+            starts.setflags(write=False)
+            self._segments = rows, starts
+        rows, starts = self._segments
+        out[rows] = np.add.reduceat(x[self.indices], starts)
         return out
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:

@@ -53,9 +53,73 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
     out-of-int64 field, or equal endpoint ids. Raises ZeroRecordsError when
     nothing valid remains (the first few per-line complaints are included,
     so a wrong `columns` setting is visible with line numbers).
+
+    A file that `_clean_records` can vouch for is converted in one call;
+    any other goes through the per-line loop, which alone writes warnings.
     """
     if columns not in (2, 3):
         raise ValueError("columns must be 2 or 3")
+    with open(path, "rb") as fh:
+        records = _clean_records(fh.read(), columns)
+    if records is None:
+        return _parse_lines(path, columns)
+    return ParseResult(records, [], str(path))
+
+
+# Byte classes of a clean file: 0 anything else, 1 a blank, 2 a line end,
+# 3 a digit, 4 a sign. The blanks are the ASCII whitespace that both
+# str.split() and np.fromstring skip (not \x1c-\x1f, which only split() does).
+_BYTE_CLASS = np.zeros(256, np.int8)
+_BYTE_CLASS[list(b" \t\x0b\x0c")] = 1
+_BYTE_CLASS[list(b"\n\r")] = 2
+_BYTE_CLASS[list(b"0123456789")] = 3
+_BYTE_CLASS[list(b"+-")] = 4
+
+
+def _clean_records(data: bytes, columns: int) -> Optional[np.ndarray]:
+    """The records the per-line loop would return for a file of bytes
+    `data` that gives it nothing to warn about, or None for any other file.
+
+    Such a file holds only digits, signs, ASCII blanks and line ends;
+    every token is an optional sign and 1 to 18 digits, so `int` and one
+    `np.fromstring` call read it alike and in the int64 range; each
+    non-blank line holds exactly `columns` tokens; and no record is a self
+    contact. Lines end at `\n` or `\r`, as in text-mode iteration, which
+    reads `\r\n` as one end where this sees two around an empty line;
+    that changes no line's tokens. A file of no tokens is left to the
+    loop, which refuses it.
+    """
+    kind = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
+    if not kind.all():
+        return None
+    # +1 where a token starts, -1 one past where it ends
+    edge = np.diff((kind >= 3).view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    if not starts.size or starts.size % columns:
+        return None
+    signed = kind[starts] == 4
+    digits = ends - starts - signed
+    if np.count_nonzero(signed) != np.count_nonzero(kind == 4) or not (
+            1 <= digits.min() and digits.max() <= 18):
+        return None
+    line = np.searchsorted(np.flatnonzero(kind == 2), starts).reshape(-1, columns)
+    if not (np.array_equal(line[:, 0], line[:, -1]) and np.all(line[1:, 0] > line[:-1, 0])):
+        return None
+    values = np.fromstring(data, np.int64, sep=" ")
+    if values.size != starts.size:
+        return None
+    values = values.reshape(-1, columns)
+    if np.any(values[:, -2] == values[:, -1]):
+        return None
+    if columns == 3:
+        return values
+    records = np.zeros((values.shape[0], 3), np.int64)
+    records[:, 1:] = values
+    return records
+
+
+def _parse_lines(path, columns: int) -> ParseResult:
+    """`parse_contacts` one text line at a time, warning per malformed line."""
     flat: list[int] = []
     warnings: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -80,14 +80,18 @@ def lambda_max(g: Graph, tol: float = 1e-9, max_iter: int = 50_000) -> SpectralR
     v = _start_vector(g.n)
     lam = 0.0
     resid = math.inf
+    gap = np.empty(g.n)   # |y - lam v|, reused by every iteration
     for it in range(1, max_iter + 1):
         y = g.matvec(v)
         lam = float(v @ y)
-        resid = float(np.max(np.abs(y - lam * v))) / max(1.0, lam)
+        np.multiply(lam, v, out=gap)
+        np.subtract(y, gap, out=gap)
+        resid = float(np.max(np.abs(gap, out=gap))) / max(1.0, lam)
         if resid < tol:
             return SpectralResult(lam, it, resid, True, v)
-        w = y + v
-        v = w / np.linalg.norm(w)
+        y += v   # matvec's fresh output becomes the next iterate
+        y /= np.linalg.norm(y)
+        v = y
     return SpectralResult(lam, max_iter, resid, False, v)
 
 

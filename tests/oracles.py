@@ -8,8 +8,9 @@ the sweep's backward pass with `where=`-masked copies and adds, the t
 distribution by numerical quadrature of its density, SIR runs
 by an event loop that queues every transmission, SIR final sizes by
 enumerating bond-percolation outcomes, the herd search by plain
-bisection, and geometric graphs by testing every pair of points. Slow and
-simple on purpose.
+bisection, geometric graphs by testing every pair of points, and the
+power iteration with a fresh array for every operation. Slow and simple
+on purpose.
 """
 
 from __future__ import annotations
@@ -394,6 +395,41 @@ def all_pairs_geometric(n: int, radius: float, seed: int = 0, dim: int = 2):
         us.append(a[a < b])
         vs.append(b[a < b])
     return from_arrays(np.concatenate(us), np.concatenate(vs), n=n)
+
+
+# -- power iteration, one new array per operation ---------------------------------
+
+
+def reduceat_matvec(g, x: np.ndarray) -> np.ndarray:
+    """A @ x by `np.add.reduceat` over the CSR rows, finding the non-empty
+    rows and their starts anew on every call."""
+    out = np.zeros(g.n)
+    if g.indices.size == 0:
+        return out
+    rows = np.flatnonzero(np.diff(g.indptr))
+    out[rows] = np.add.reduceat(x[g.indices], g.indptr[rows])
+    return out
+
+
+def power_iteration(g, tol: float = 1e-9, max_iter: int = 50_000):
+    """(lambda, iterations, residual, converged, vector) of the shifted power
+    iteration on A + I, from the same start vector as `spectral.lambda_max`,
+    with every product, residual and update in a new array."""
+    if g.n == 0 or g.m == 0:
+        return 0.0, 0, 0.0, True, np.zeros(g.n)
+    v = 1.0 + 1e-9 * (np.arange(g.n) % 13)
+    v = v / np.linalg.norm(v)
+    lam = 0.0
+    resid = math.inf
+    for it in range(1, max_iter + 1):
+        y = reduceat_matvec(g, v)
+        lam = float(v @ y)
+        resid = float(np.max(np.abs(y - lam * v))) / max(1.0, lam)
+        if resid < tol:
+            return lam, it, resid, True, v
+        w = y + v
+        v = w / np.linalg.norm(w)
+    return lam, max_iter, resid, False, v
 
 
 # -- herd search by plain bisection ------------------------------------------------

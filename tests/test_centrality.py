@@ -467,10 +467,10 @@ def test_gather_and_product_kernels_agree_around_the_density_switch(monkeypatch)
             assert depth == picked[m][2], (m, forced)
 
 
-def sweep_peak(g) -> int:
+def sweep_peak(g, betweenness: bool = True) -> int:
     tracemalloc.start()
     try:
-        centrality._path_values(g, True, True)
+        centrality._path_values(g, True, betweenness)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,6 +501,17 @@ def test_sweep_peak_memory_scales_with_the_block(monkeypatch):
     # and no n x n array; the neighbor lists, CSR copies and a step's row
     # gathers add about 0.7 n x b at this size (5.32 measured).
     assert sweep_peak(g) / (g.n * 64 * 8) < 5.4
+
+
+def test_forward_peak_memory_across_blocks(monkeypatch):
+    # Closeness alone runs only forward passes, ten blocks of 64 sources.
+    # One block holds its int32 dist, float64 sigma, float32 frontier pair
+    # and one-byte mask, 2.625 n x b float64s, plus about 0.7 as above
+    # (3.33 measured). Keeping the last block's dist and sigma alive into
+    # the next forward pass adds 1.5 (4.83 measured).
+    g = gen_barabasi_albert(600, 3, seed=8)
+    monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", g.n * 64)
+    assert sweep_peak(g, betweenness=False) / (g.n * 64 * 8) < 3.8
 
 
 # -- eigenvector ---------------------------------------------------------------

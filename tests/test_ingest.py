@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from vaxnet import ingest
 from vaxnet import (ZeroRecordsError, build_daily_graphs, load_daily_graphs,
                     parse_contacts, write_edge_list, read_edge_list)
 
@@ -108,6 +109,94 @@ def test_huge_timestamp_line_skipped_in_both_modes(tmp_path, day_length):
     assert ds.days == [0]
     assert ds.graphs[0].labels == (1100, 1200)
     assert ds.warnings == [f"{path}: line 2: field outside the int64 range"]
+
+
+# -- the whole-file conversion against the per-line loop ---------------------------
+
+# Field separators; \x0b and \x0c are blanks to both split() and numpy,
+# \x1c, \x85 and \xa0 to split() alone.
+SEPARATORS = [" ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0"]
+NEWLINES = ["\n", "\r\n", "\r"]
+ODD_FIELDS = ["+5", "-0", "007", "1_000", "\u0661\u0662", "\uff17", "+", "5-3", "--5", "x",
+              str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1), str(10**18)]
+
+
+def contact_text(rng, columns, dirt):
+    """A seeded contact file. Each line is a clean record, or with
+    probability `dirt` a blank, comment, oddly separated, odd-field,
+    wrong-count or self-contact line; lines end in one newline style or a
+    mix of all three."""
+    newline = rng.choice(NEWLINES + ["mixed"])
+    lines = []
+    for _ in range(rng.randrange(0, 40)):
+        ts, a, b = rng.randrange(-10**6, 10**12), rng.randrange(-50, 50), rng.randrange(50, 99)
+        fields = [str(ts), str(a), str(b)][3 - columns:]
+        sep, lead, trail = " ", "", ""
+        if rng.random() < dirt:
+            kind = rng.randrange(7)
+            if kind == 0:
+                fields = rng.choice([[], ["#", "note"], ["#40", "1", "2"]])
+            elif kind == 1:
+                sep = rng.choice(SEPARATORS)
+                lead, trail = rng.choice(["", " ", "\t", "\x0c"]), rng.choice(["", " ", "\x0b"])
+            elif kind in (2, 3):
+                fields[rng.randrange(columns)] = rng.choice(ODD_FIELDS)
+            elif kind == 4:
+                fields = fields + ["7"] if rng.random() < 0.5 else fields[1:]
+            elif kind == 5:
+                fields[-1] = fields[-2]
+            else:
+                fields = [] if rng.random() < 0.5 else ["   "]
+        end = rng.choice(NEWLINES) if newline == "mixed" else newline
+        lines.append(lead + sep.join(fields) + trail + end)
+    if lines and rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def loop_outcome(parse, path, columns):
+    try:
+        res = parse(path, columns)
+    except ZeroRecordsError as exc:
+        return "error", str(exc)
+    assert res.records.dtype == np.int64 and res.records.flags.c_contiguous
+    return res.records.shape, res.records.tobytes(), res.warnings, res.path
+
+
+@pytest.mark.parametrize("columns", [2, 3])
+def test_whole_file_conversion_matches_the_per_line_loop(tmp_path, columns):
+    rng = random.Random(f"whole-file-{columns}")
+    path = tmp_path / "c.txt"
+    clean = refused = 0
+    for trial in range(400):
+        path.write_bytes(contact_text(rng, columns, rng.choice([0.0, 0.0, 0.05, 0.3])).encode())
+        clean += ingest._clean_records(path.read_bytes(), columns) is not None
+        want = loop_outcome(ingest._parse_lines, path, columns)
+        assert loop_outcome(parse_contacts, path, columns) == want, trial
+        refused += want[0] == "error"
+    # both routes are taken many times, and some files are refused whole
+    assert 100 < clean < 300 and refused
+
+
+@pytest.mark.parametrize("text, columns, reason", [
+    ("40 1 2\n41 3 4\n", 3, None),
+    ("1 2\r\n3 4\r5 6", 2, None),
+    ("\n  \t\n+40\x0b-1\x0c007\n", 3, None),
+    ("40 1 2\n# note\n", 3, "comment"),
+    ("40 1\x1c2\n", 3, "split() blank"),
+    ("40 1 \u0662\n", 3, "non-ASCII"),
+    ("40 1 1_000\n", 3, "underscore"),
+    ("40 1 - 2\n", 3, "lone sign"),
+    ("40 1 2-3\n", 3, "inner sign"),
+    (f"{10**18} 1 2\n", 3, "19 digits"),
+    ("40 1 2 3\n", 3, "field count"),
+    ("40 1 2\n41 3\n42 5 6 7\n", 3, "field count"),
+    ("40 7 7\n", 3, "self contact"),
+    ("\n \n", 3, "no fields"),
+], ids=lambda v: repr(v) if isinstance(v, str) else None)
+def test_clean_records_refuses_what_the_loop_must_judge(text, columns, reason):
+    got = ingest._clean_records(text.encode(), columns)
+    assert (got is None) == (reason is not None)
 
 
 def test_columns_argument_validated(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from vaxnet import (SirRates, SpectralResult, delete_nodes, from_edge_list,
                     lambda_max, spectral_bounds_check, threshold_check)
-from vaxnet.graph import EmptyGraphError
+from vaxnet.graph import EmptyGraphError, Graph
 
 import oracles
 
@@ -192,3 +192,57 @@ def test_rates_validation():
         SirRates(-0.1, 1.0)
     with pytest.raises(ValueError):
         threshold_check(SirRates(0.4, 1.0), -1.0)
+
+
+# -- the power loop against its one-array-per-operation reference -------------
+
+
+def solver_graphs():
+    """Random graphs with isolated nodes, edgeless graphs, and what
+    `delete_nodes` leaves of them."""
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        edges = oracles.random_edges(rng, n, float(rng.uniform(0.0, 0.3)))
+        # nodes beyond the last edge's ends stay isolated
+        g = from_edge_list(edges, n=n + int(rng.integers(0, 4)))
+        yield g
+        k = int(rng.integers(0, g.n + 1))
+        yield delete_nodes(g, rng.choice(g.n, size=k, replace=False))
+    yield from_edge_list([], n=0)
+    yield from_edge_list([], n=7)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-9, 50_000), (1e-12, 50_000), (1e-15, 7)],
+                         ids=["default", "tight", "non_converged"])
+def test_lambda_max_is_bit_equal_to_the_reference_power_loop(tol, max_iter):
+    kinds, outcomes = set(), set()
+    for g in solver_graphs():
+        got = lambda_max(g, tol=tol, max_iter=max_iter)
+        lam, iterations, residual, converged, vector = oracles.power_iteration(
+            g, tol=tol, max_iter=max_iter)
+        assert got.lambda_max.hex() == lam.hex()
+        assert got.residual.hex() == residual.hex()
+        assert (got.iterations, got.converged) == (iterations, converged)
+        assert got.vector.dtype == vector.dtype
+        assert got.vector.tobytes() == vector.tobytes()
+        kinds.add((g.m > 0, bool(np.any(g.degrees == 0))))
+        if g.m:
+            outcomes.add(converged)
+    # edgeless graphs, and graphs with edges with and without isolated nodes
+    assert {(False, True), (True, True), (True, False)} <= kinds
+    assert (False in outcomes) if max_iter == 7 else (outcomes == {True})
+
+
+def test_matvec_with_kept_row_starts_equals_a_fresh_graph():
+    rng = np.random.default_rng(22)
+    for g in solver_graphs():
+        for _ in range(2):
+            g.matvec(rng.standard_normal(g.n))
+        assert (g._segments is not None) == (g.m > 0)
+        fresh = Graph(g.n, g.indptr.copy(), g.indices.copy())
+        for _ in range(3):
+            x = rng.standard_normal(g.n)
+            want = fresh.matvec(x)
+            assert g.matvec(x).tobytes() == want.tobytes()
+            assert oracles.reduceat_matvec(g, x).tobytes() == want.tobytes()
