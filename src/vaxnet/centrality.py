@@ -14,22 +14,26 @@ relabelled graph; isolated nodes score 0. A component of n nodes runs
 the BFS from a block of b = min(n, `_BLOCK_ENTRIES` // n) sources at
 once, one level per step, on node-major n x b arrays, block after block.
 Every step, forward and backward, is the product A @ X: a dense matrix
-product on dense graphs, and on sparse ones (2m below 1% of n^2), or
-when a dense A would not fit in the budget, a gather and sum of X's rows
-at each node's neighbors, which skips the product's work on zeros. Path
-counts are integers, so both kernels give the same forward bits while
-the counts stay below 2^53; the forward frontier runs in float32 while
-each step's sums stay below 2^24, where float32 integers are exact in
-any order, and in float64 after that. Both passes apply a level's mask
-by multiplying by it: every entry is finite and >= +0.0, so this gives
-the same bits as writing zeros outside the mask. The backward pass holds
-the peak: four float64 n x b arrays (path counts, dependencies, and a
-level's coefficients and their product), one int32 (distances) and one
-reused one-byte mask, plus the dense A when there is one, which only a
-single block of n = b <= 2048 uses: about 5.6 `_BLOCK_ENTRIES` float64s,
-180 MiB, at most. The forward pass holds the distances, the float64
-path counts, a float32 frontier pair and a one-byte mask, with A built
-in float32; A is rebuilt in the other dtype, never held in both.
+product on dense components of 512 to 2048 nodes, and otherwise a gather
+and sum of X's rows at each node's neighbors, which skips the product's
+work on zeros. Gathers step sparse components (2m below 1% of n^2),
+components whose dense A would not fit in the budget, and components of
+fewer than 512 nodes whatever their density: on those small squares
+OpenBLAS's default two threads can stall each product (about 16 ms for
+300 x 300, against under 1 ms on one thread). Path counts are integers,
+so both kernels give the same forward bits while the counts stay below
+2^53; the forward frontier runs in float32 while each step's sums stay
+below 2^24, where float32 integers are exact in any order, and in
+float64 after that. Both passes apply a level's mask by multiplying by
+it: every entry is finite and >= +0.0, so this gives the same bits as
+writing zeros outside the mask. The backward pass holds the peak: four
+float64 n x b arrays (path counts, dependencies, and a level's
+coefficients and their product), one int32 (distances) and one reused
+one-byte mask, plus the dense A when there is one, which only a single
+block of 512 <= n = b <= 2048 uses: about 5.6 `_BLOCK_ENTRIES`
+float64s, 180 MiB, at most. The forward pass holds the distances, the
+float64 path counts, a float32 frontier pair and a one-byte mask, with A
+built in float32; A is rebuilt in the other dtype, never held in both.
 Eigenvector scores are the dominant eigenvector from
 `spectral.lambda_max`.
 """
@@ -51,6 +55,9 @@ _BLOCK_ENTRIES = 2048 * 2048
 # The path sweep steps by row gathers on graphs with 2m below this share
 # of n^2, and by dense matrix products above it.
 _GATHER_DENSITY = 0.01
+# It steps by row gathers on graphs of fewer nodes than this whatever their
+# density, since multithreaded BLAS can stall on small squares (see `_step`).
+_PRODUCT_MIN_NODES = 512
 # Path counts below this are exact integers in float32, in any summation
 # order, so the forward frontier runs in float32 while a step stays below it.
 _EXACT_F32 = 2**24
@@ -162,18 +169,24 @@ def _step(g: Graph):
     """The product `out = A @ X` for node-major X of n rows, as a function
     of (X, out), in X's dtype.
 
-    Sparse graphs (2m below `_GATHER_DENSITY` n^2), and graphs whose dense
-    A would not fit in `_BLOCK_ENTRIES`, build no adjacency matrix: row v
-    of the product is the sum of X's rows at v's neighbors. Other graphs
-    use a dense matrix product, with A built in X's dtype and rebuilt when
-    that changes, so only one copy of A is alive at a time. Integer path
-    counts sum exactly in any order, so the forward pass gets the same
-    bits from either kernel while they stay exact (see `_forward`); the
-    backward pass sums floats in an order set by the kernel, and for the
-    product by BLAS blocking.
+    Graphs of fewer than `_PRODUCT_MIN_NODES` = 512 nodes, sparse graphs
+    (2m below `_GATHER_DENSITY` n^2), and graphs whose dense A would not
+    fit in `_BLOCK_ENTRIES` build no adjacency matrix: row v of the
+    product is the sum of X's rows at v's neighbors. The node floor keeps
+    small squares off multithreaded BLAS, where OpenBLAS's default two
+    threads can stall each product (about 16 ms for 300 x 300, against
+    under 1 ms on one thread); from 512 nodes on, two threads beat one.
+    Other graphs, so only those of 512 to 2048 nodes, use a dense matrix
+    product, with A built in X's dtype and rebuilt when that changes, so
+    only one copy of A is alive at a time. Integer path counts sum exactly
+    in any order, so the forward pass gets the same bits from either
+    kernel while they stay exact (see `_forward`); the backward pass sums
+    floats in an order set by the kernel, and for the product by BLAS
+    blocking.
     """
     n = g.n
-    if 2 * g.m < _GATHER_DENSITY * n * n or n * n > _BLOCK_ENTRIES:
+    if (n < _PRODUCT_MIN_NODES or 2 * g.m < _GATHER_DENSITY * n * n
+            or n * n > _BLOCK_ENTRIES):
         neighbors = np.split(g.indices, g.indptr[1:-1])
 
         def gather(X, out):

@@ -102,14 +102,15 @@ class Graph:
 
         Sums each non-empty row's neighbor values in place (pairwise, by
         `np.add.reduceat`); `x` must have shape (n,). The non-empty rows and
-        their starts are found on the first call and kept.
+        their starts are found on the first call and kept. When every row
+        is non-empty the row sums are the product; otherwise they are
+        scattered into zeros. Either way the result is a new array.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
-        out = np.zeros(self.n)
         if self.indices.size == 0:
-            return out
+            return np.zeros(self.n)
         if self._segments is None:
             rows = np.flatnonzero(self.degrees)   # reduceat needs non-empty segments
             starts = self.indptr[rows]
@@ -117,7 +118,11 @@ class Graph:
             starts.setflags(write=False)
             self._segments = rows, starts
         rows, starts = self._segments
-        out[rows] = np.add.reduceat(x[self.indices], starts)
+        sums = np.add.reduceat(x[self.indices], starts)
+        if rows.size == self.n:
+            return sums
+        out = np.zeros(self.n)
+        out[rows] = sums
         return out
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:

@@ -18,7 +18,8 @@ from vaxnet import (Metric, NonConvergenceError, betweenness_centrality,
 from vaxnet import centrality
 from vaxnet.centrality import compute
 from vaxnet.experiments import run_centrality
-from vaxnet.graph import EmptyGraphError, Graph
+from vaxnet.graph import EmptyGraphError, Graph, from_arrays
+from vaxnet.ingest import load_daily_graphs
 
 import oracles
 
@@ -146,8 +147,8 @@ def sweep_graphs():
 def size_regime(request, monkeypatch):
     """The sweep stepping by products ("dense") or by row gathers
     ("gather") over one block of sources, or with a budget of 64 entries
-    per n x b array ("blocks"): blocks of 64 // n sources, and products
-    only on components of up to 8 nodes."""
+    per n x b array ("blocks"): blocks of 64 // n sources, and row gathers
+    on every component, all of them below `_PRODUCT_MIN_NODES`."""
     if request.param == "blocks":
         monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", 64)
     else:
@@ -156,8 +157,11 @@ def size_regime(request, monkeypatch):
 
 
 def force_kernel(monkeypatch, gather: bool):
-    # 2m < n^2 holds on every graph, and 2m < 0 on none.
+    # 2m < n^2 holds on every graph, and 2m < 0 on none; products also need
+    # the node floor lifted, since the test graphs have fewer than 512 nodes.
     monkeypatch.setattr(centrality, "_GATHER_DENSITY", 1.0 if gather else 0.0)
+    if not gather:
+        monkeypatch.setattr(centrality, "_PRODUCT_MIN_NODES", 0)
 
 
 def block_width(n: int) -> int:
@@ -449,9 +453,10 @@ def connected_with_m_edges(n: int, ms, seed: int) -> dict:
 
 
 def test_gather_and_product_kernels_agree_around_the_density_switch(monkeypatch):
-    # 2m < n^2 / 100 gathers: at n = 400 that is m <= 799.
-    n = 400
-    sides = {780: "gather", 799: "gather", 800: "product", 820: "product"}
+    # 2m < n^2 / 100 gathers: at n = 600, above the node floor, that is
+    # m <= 1799.
+    n = 600
+    sides = {1780: "gather", 1799: "gather", 1800: "product", 1820: "product"}
     graphs = connected_with_m_edges(n, sides, seed=27)
     picked = {}
     for m, g in graphs.items():
@@ -465,6 +470,71 @@ def test_gather_and_product_kernels_agree_around_the_density_switch(monkeypatch)
             assert dist.tobytes() == picked[m][0].tobytes(), (m, forced)
             assert sigma.tobytes() == picked[m][1].tobytes(), (m, forced)
             assert depth == picked[m][2], (m, forced)
+
+
+def test_step_gathers_below_the_node_floor():
+    # Both are well above the gather density (2m/n^2 about 30% and 5%);
+    # only the node count keeps the first off the dense product.
+    assert centrality._PRODUCT_MIN_NODES == 512
+    assert kernel(gen_erdos_renyi(300, 0.3, seed=9)) == "gather"
+    assert kernel(gen_erdos_renyi(600, 0.05, seed=8)) == "product"
+
+
+def test_no_dense_adjacency_below_the_node_floor(monkeypatch, contact_files):
+    built = []
+    to_dense = Graph.to_dense
+
+    def recording(g, dtype=np.float64):
+        built.append(g.n)
+        return to_dense(g, dtype)
+    monkeypatch.setattr(Graph, "to_dense", recording)
+    # The bundled contact days are 150-node components at 2m/n^2 = 5%.
+    for g in load_daily_graphs(contact_files).graphs:
+        compute_many(g, PATH_METRICS)
+    assert built == []
+    # A 300-node and a 600-node component, both dense, in one graph.
+    small, large = gen_erdos_renyi(300, 0.3, seed=9), gen_erdos_renyi(600, 0.05, seed=8)
+    (u, v), (x, y) = small.edges(), large.edges()
+    compute_many(from_arrays(np.concatenate([u, x + 300]), np.concatenate([v, y + 300]),
+                             n=900), PATH_METRICS)
+    assert set(built) == {600}
+
+
+def contact_mixing_graph(n: int = 300, links: int = 4, seed: int = 31):
+    """The mixing part of a contact day: each of n people starts `links`
+    pairs with others drawn at random (2m/n^2 about 2.7% at n = 300)."""
+    rng = np.random.default_rng(seed)
+    pairs = set()
+    for a in range(n):
+        started = 0
+        while started < links:
+            b = int(rng.integers(n))
+            pair = (min(a, b), max(a, b))
+            if a != b and pair not in pairs:
+                pairs.add(pair)
+                started += 1
+    return from_edge_list(sorted(pairs), n=n)
+
+
+@pytest.mark.parametrize("name", ["er", "mixing"])
+def test_small_dense_components_gather_within_the_product_tolerance(monkeypatch, name):
+    # Components under the node floor now gather where they used to take
+    # the product: closeness keeps its bits, betweenness sums in gather
+    # order, and no ranking moves under the tie rule.
+    g = gen_erdos_renyi(300, 0.1, seed=3) if name == "er" else contact_mixing_graph()
+    assert len(list(centrality._components(g))) == 1
+    assert 2 * g.m >= centrality._GATHER_DENSITY * g.n * g.n
+    assert kernel(g) == "gather"
+    gathered = compute_many(g, PATH_METRICS)
+    force_kernel(monkeypatch, False)
+    assert kernel(g) == "product"
+    multiplied = compute_many(g, PATH_METRICS)
+    cc, bc = (gathered[m].values for m in PATH_METRICS)
+    want_cc, want_bc = (multiplied[m].values for m in PATH_METRICS)
+    assert cc.tobytes() == want_cc.tobytes()
+    assert np.abs(bc - want_bc).max() <= 1e-12 * np.abs(want_bc).max()
+    for m in PATH_METRICS:
+        assert ranking(gathered[m]).tolist() == ranking(multiplied[m]).tolist(), m
 
 
 def sweep_peak(g, betweenness: bool = True) -> int:

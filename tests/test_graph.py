@@ -349,6 +349,26 @@ def test_matvec_matches_dense_product_after_top_degree_deletions(family):
         assert_matvec_matches_dense(delete_nodes(g, order[:k]), rng)
 
 
+@pytest.mark.parametrize("isolated", [0, 3], ids=["every-row", "isolated-nodes"])
+def test_matvec_returns_a_fresh_array_with_the_scatter_bits(isolated):
+    # Without isolated nodes matvec returns the row sums themselves; with
+    # them it scatters into zeros. Both give the bits of the zero-fill and
+    # scatter, and an array the caller may write into (lambda_max adds into
+    # it in place).
+    u, v = gen_barabasi_albert(200, 3, seed=4).edges()
+    g = from_arrays(u, v, n=200 + isolated)
+    assert bool(g.degrees.all()) == (isolated == 0)
+    x = np.random.default_rng(6).standard_normal(g.n)
+    want = oracles.reduceat_matvec(g, x).tobytes()
+    first = g.matvec(x)
+    assert first.tobytes() == want
+    assert first.flags.writeable and first.flags.owndata
+    first += 1.0
+    second = g.matvec(x)
+    assert second.tobytes() == want
+    assert not np.shares_memory(first, second) and not np.shares_memory(second, x)
+
+
 def test_matvec_builds_no_entry_rows():
     g = delete_nodes(gen_barabasi_albert(200, 4, seed=3), np.arange(20))
     g.matvec(np.ones(g.n))
