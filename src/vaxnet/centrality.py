@@ -10,20 +10,31 @@ distances and path counts together; closeness reads the distances and
 betweenness back-propagates dependencies over them (Brandes
 accumulation). `compute_many` runs that sweep once when both are asked
 for. It sweeps each connected component with an edge as its own
-relabelled graph; isolated nodes score 0. A component of n nodes runs
-the BFS from a block of b = min(n, `_BLOCK_ENTRIES` // n) sources at
-once, one level per step, on node-major n x b arrays, block after block.
-Every step, forward and backward, is the product A @ X: a dense matrix
-product on dense components of 512 to 2048 nodes, and otherwise a gather
-and sum of X's rows at each node's neighbors, which skips the product's
-work on zeros. Gathers step sparse components (2m below 1% of n^2),
-components whose dense A would not fit in the budget, and components of
-fewer than 512 nodes whatever their density: on those small squares
-OpenBLAS's default two threads can stall each product (about 16 ms for
-300 x 300, against under 1 ms on one thread). Path counts are integers,
-so both kernels give the same forward bits while the counts stay below
-2^53; the forward frontier runs in float32 while each step's sums stay
-below 2^24, where float32 integers are exact in any order, and in
+relabelled graph; isolated nodes score 0, and a complete component takes
+total distance n - 1 and betweenness 0 at every node without a sweep. A
+component of n nodes runs the BFS from a block of b = min(n,
+`_BLOCK_ENTRIES` // n) sources at once, one level per step, on
+node-major n x b arrays, block after block. Every step, forward and
+backward, is the product A @ X: a dense matrix product on dense
+components of 512 to 2048 nodes, and otherwise a gather and sum of X's
+rows at each node's neighbors, which skips the product's work on zeros.
+Gathers step sparse components (2m below 1% of n^2), components whose
+dense A would not fit in the budget, and components of fewer than 512
+nodes whatever their density: on those small squares OpenBLAS's default
+two threads can stall each product (about 16 ms for 300 x 300, against
+under 1 ms on one thread). On a gather component each level picks a
+sparse step on flat (node, source) pairs when the set it works on, times
+the mean degree times `_SPARSE_COST`, is below n x b: it pushes from a
+small frontier or from small level coefficients, or pulls into a small
+set of targets, the unreached pairs forward and the level below backward
+(direction-optimizing BFS). Path counts are integers, so every kernel
+gives the same forward bits while the counts stay below 2^53. Backward,
+a gather adds each node's neighbors in ascending order for blocks of b
+>= 2 sources, and a sparse level adds the same terms in that order, so
+it gives the same bits; numpy sums a one-source block's gathered column
+pairwise instead, so those blocks, and product components, step densely
+throughout. The forward frontier runs in float32 while each step's sums
+stay below 2^24, where float32 integers are exact in any order, and in
 float64 after that. Both passes apply a level's mask by multiplying by
 it: every entry is finite and >= +0.0, so this gives the same bits as
 writing zeros outside the mask. The backward pass holds the peak: four
@@ -58,6 +69,10 @@ _GATHER_DENSITY = 0.01
 # It steps by row gathers on graphs of fewer nodes than this whatever their
 # density, since multithreaded BLAS can stall on small squares (see `_step`).
 _PRODUCT_MIN_NODES = 512
+# A level of a gathered sweep steps only on the flat (node, source) pairs of
+# its smaller side when their count times the mean degree times this is
+# below the n x b pairs of a dense step (see `_side`).
+_SPARSE_COST = 16
 # Path counts below this are exact integers in float32, in any summation
 # order, so the forward frontier runs in float32 while a step stays below it.
 _EXACT_F32 = 2**24
@@ -165,6 +180,14 @@ def _components(g: Graph):
             yield order[a:b], Graph(b - a, indptr[a:b + 1] - lo, indices[lo:hi] - a)
 
 
+def _gathers(g: Graph) -> bool:
+    """Whether the sweep steps `g` by row gathers rather than by dense
+    matrix products (see `_step`)."""
+    n = g.n
+    return (n < _PRODUCT_MIN_NODES or 2 * g.m < _GATHER_DENSITY * n * n
+            or n * n > _BLOCK_ENTRIES)
+
+
 def _step(g: Graph):
     """The product `out = A @ X` for node-major X of n rows, as a function
     of (X, out), in X's dtype.
@@ -184,9 +207,7 @@ def _step(g: Graph):
     floats in an order set by the kernel, and for the product by BLAS
     blocking.
     """
-    n = g.n
-    if (n < _PRODUCT_MIN_NODES or 2 * g.m < _GATHER_DENSITY * n * n
-            or n * n > _BLOCK_ENTRIES):
+    if _gathers(g):
         neighbors = np.split(g.indices, g.indptr[1:-1])
 
         def gather(X, out):
@@ -204,33 +225,105 @@ def _step(g: Graph):
     return product
 
 
-def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _side(g: Graph, push: int, pull: int, b: int) -> Optional[str]:
+    """The sparse step for a level that could push from `push` flat
+    positions or pull into `pull` of them: "push" or "pull", whichever set
+    is smaller, or None for a dense step over the n x b pairs when the
+    smaller set times the mean degree 2m / n times `_SPARSE_COST` is not
+    below n b."""
+    size = int(min(push, pull))
+    if size * 2 * g.m * _SPARSE_COST >= g.n * g.n * b:
+        return None
+    return "push" if push <= pull else "pull"
+
+
+def _neighbor_pairs(g: Graph, pos: np.ndarray, b: int):
+    """The neighbor expansion of the flat positions pos = v * b + j of a
+    node-major n x b array, in chunks (sl, k, q): for each pos[i] with i
+    in the slice sl, k holds i - sl.start once per neighbor u of v, in
+    ascending order of u, and q holds u * b + j. A chunk ends at a
+    position's last neighbor and holds at most max-degree x max(1, b // 8)
+    entries beyond its first position's, far below a gather step's own
+    (max-degree, b) temporaries."""
+    nodes, cols = np.divmod(pos, b)
+    deg = g.degrees[nodes]
+    ends = np.cumsum(deg)
+    limit = int(g.degrees.max()) * max(1, b // 8)
+    a = 0
+    while a < pos.size:
+        z = int(np.searchsorted(ends, ends[a] + limit, "right"))
+        d = deg[a:z]
+        k = np.repeat(np.arange(z - a), d)
+        edge = np.arange(k.size) + np.repeat(g.indptr[nodes[a:z]] - (np.cumsum(d) - d), d)
+        yield slice(a, z), k, g.indices[edge] * b + cols[a:z][k]
+        a = z
+
+
+def _push(g: Graph, pos: np.ndarray, vals: np.ndarray, b: int, mask: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """Add vals[i] into the flat array `out` at each neighbor pair of
+    pos[i] where the flat `mask` holds, in the order of `pos`, and return
+    the distinct pairs reached, sorted."""
+    hit = []
+    for sl, k, q in _neighbor_pairs(g, pos, b):
+        keep = mask[q]
+        hit.append(q[keep])
+        np.add.at(out, hit[-1], vals[sl][k[keep]])
+    hit = np.sort(np.concatenate(hit))
+    first = np.ones(hit.size, bool)
+    np.not_equal(hit[1:], hit[:-1], out=first[1:])
+    return hit[first]
+
+
+def _pull(g: Graph, pos: np.ndarray, b: int, terms) -> np.ndarray:
+    """For each flat position pos[i], the sum of `terms` at its neighbor
+    pairs, added one after the other in ascending neighbor order."""
+    sums = np.empty(pos.size)
+    for sl, k, q in _neighbor_pairs(g, pos, b):
+        sums[sl] = np.bincount(k, weights=terms(q), minlength=sl.stop - sl.start)
+    return sums
+
+
+def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BFS from the sources s0..s1-1 of the connected graph `g` at once,
     one level per step.
 
     Returns distances dist[v, j] (int32) and shortest-path counts
-    sigma[v, j] from source s0 + j, and the deepest level reached. Column
-    j of the frontier holds the path counts of the nodes at the current
-    level from s0 + j, so one step both finds the next level and counts
-    the paths into it. Level 1 is read off the sources' CSR rows. A pair
-    is unreached while its sigma is 0; every step keeps the frontier only
-    there and adds 1 to dist there, so a pair reached at level L ends at
-    dist L. Every pair is reachable, so the loop ends when none is left
-    unreached.
+    sigma[v, j] from source s0 + j, and the number of pairs at each level
+    0..depth. Column j of the frontier holds the path counts of the nodes
+    at the current level from s0 + j, so one step both finds the next
+    level and counts the paths into it. Level 1 is read off the sources'
+    CSR rows. A pair is unreached while its sigma is 0; every step adds 1
+    to dist at the pairs unreached before it, so a pair reached at level L
+    ends at dist L. Every pair is reachable, so the loop ends when none is
+    left unreached.
 
-    The frontier runs in float32 while a step's sums stay below
+    A dense step runs `step` on the n x b frontier, keeps the result only
+    at unreached pairs and updates sigma and the unreached mask
+    everywhere. On a gather graph (see `_gathers`) a step is sparse when
+    `_side` finds it cheaper, and works on flat (node, source) positions.
+    It pushes each frontier pair's count to its unreached neighbor pairs
+    while the frontier is the smaller set, and otherwise pulls into each
+    unreached pair the sum of its neighbor pairs' sigma: those are at the
+    frontier or unreached, where sigma is 0. It sets sigma and the mask
+    only at the pairs it reaches. A pull adds 1 to dist only at its
+    targets; a push adds the unreached mask to dist, one pass over the
+    int32 array as in a dense step. Sparse steps hold the frontier only at
+    its positions, and a dense step after them rebuilds the array.
+
+    The frontier array runs in float32 while a step's sums stay below
     `_EXACT_F32` = 2^24: each is a sum of at most max-degree frontier
     counts, and every integer partial sum below 2^24 is exact in float32
-    in any order. Before the first step that could pass that bound, the
-    frontier moves to float64 for the rest of the block. Exact counts add
-    into the float64 sigma with the same bits either way. The frontier
-    is masked by multiplying it by the unreached mask: the counts are
-    finite and non-negative, so x * 1 = x and x * 0 = +0.0, the same bits
-    as writing 0.0 outside the mask.
+    in any order. Before a step that could pass that bound, it runs in
+    float64. Exact counts add into the float64 sigma with the same bits
+    in either dtype and in any order, so every step gives the same bits.
+    The frontier is masked by multiplying it by the unreached mask: the
+    counts are finite and non-negative, so x * 1 = x and x * 0 = +0.0,
+    the same bits as writing 0.0 outside the mask.
 
-    n x b arrays held during a step: dist (int32), sigma (float64), the
-    frontier and the next one (float32 in one allocation until the
-    bound, float64 after), and the one-byte mask.
+    n x b arrays held during a dense step: dist (int32), sigma (float64),
+    the frontier and the next one (float32 in one allocation below the
+    bound, float64 above it), and the one-byte mask.
     """
     n, b = g.n, s1 - s0
     lo, hi = g.indptr[s0], g.indptr[s1]
@@ -243,49 +336,112 @@ def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, 
     sigma[diag] = 1.0
     max_degree = int(g.degrees.max())
     unreached = sigma == 0
-    depth = 1
-    while unreached.any():
-        if F.dtype == np.float32 and float(F.max()) * max_degree >= _EXACT_F32:
-            F, nxt = F.astype(np.float64), np.empty((n, b))
-        step(F, nxt)
-        F, nxt = nxt, F
-        F *= unreached
-        dist += unreached
-        sigma += F
-        np.equal(sigma, 0, out=unreached)
-        depth += 1
-    return dist, sigma, depth
+    sparse = _gathers(g)
+    # The level-1 pairs as flat positions, for a first sparse step; None
+    # whenever the frontier is held only as an array.
+    front = g.indices[lo:hi] * b + (g.entry_rows[lo:hi] - s0) if sparse else None
+    sizes = [b, int(hi - lo)]
+    left = n * b - b - sizes[1]
+    while left:
+        side = _side(g, sizes[-1], left, b) if sparse else None
+        if side is None:
+            if F is None:
+                wide = sigma.ravel()[front].max() * max_degree >= _EXACT_F32
+                F, nxt = np.zeros((2, n, b), np.float64 if wide else np.float32)
+                F.ravel()[front] = sigma.ravel()[front]
+            elif F.dtype == np.float32 and float(F.max()) * max_degree >= _EXACT_F32:
+                F, nxt = F.astype(np.float64), np.empty((n, b))
+            step(F, nxt)
+            F, nxt = nxt, F
+            F *= unreached
+            dist += unreached
+            sigma += F
+            np.equal(sigma, 0, out=unreached)
+            new, front = left - np.count_nonzero(unreached), None
+        else:
+            if front is None and side == "push":
+                front = np.flatnonzero(F)
+            F = nxt = None
+            if side == "push":
+                dist += unreached
+                front = _push(g, front, sigma.ravel()[front], b, unreached.ravel(),
+                              sigma.ravel())
+            else:
+                targets = np.flatnonzero(unreached)
+                counts = _pull(g, targets, b, sigma.ravel().take)
+                dist.ravel()[targets] += 1
+                front = targets[counts > 0]
+                sigma.ravel()[front] = counts[counts > 0]
+            unreached.ravel()[front] = False
+            new = front.size
+        sizes.append(new)
+        left -= new
+    return dist, sigma, np.array(sizes)
 
 
-def _backward(step, dist: np.ndarray, sigma: np.ndarray, depth: int) -> np.ndarray:
+def _backward(g: Graph, step, dist: np.ndarray, sigma: np.ndarray,
+              sizes: np.ndarray) -> np.ndarray:
     """Each node's dependency summed over the sources of a `_forward`
-    block, by back-propagating over its levels (Brandes accumulation).
+    block, by back-propagating over its levels (Brandes accumulation);
+    `sizes` counts the block's pairs at each level.
 
-    Each level applies its masks by multiplication in place: the
+    A dense level applies its masks by multiplication in place: the
     coefficients (1 + delta) / sigma are kept at the level's nodes by
     `coef *= on`, and the back-propagated T at the level below by
     `T *= on` before `delta += T`. Every entry is finite and >= +0.0
     (sigma >= 1), so x * 1 = x, x * 0 = +0.0 and d + 0.0 = d: the same
     bits as copying 0.0 outside the mask and adding only inside it. `on`
-    is one reused mask; the level below's is the next level's
-    coefficient mask. n x b arrays held during a step: dist (int32),
-    sigma, delta, the coefficients and their product, and the one-byte
-    mask.
+    is one reused mask; every level leaves it at the level below, the
+    next level's own.
+
+    On a gather graph with b >= 2 sources a level is sparse when `_side`
+    finds it cheaper. It pushes each level-lvl pair's coefficient to its
+    neighbor pairs at level lvl - 1, or pulls into each pair at level
+    lvl - 1 its neighbor pairs' masked coefficients, and writes delta only
+    there. A gather adds each row's terms in ascending neighbor order,
+    zeros included, and zeros add exactly, so a sparse level keeps every
+    bit when it adds the same terms in that order: `np.bincount` over
+    each target's neighbors in turn for a pull, `np.add.at` over the
+    level's positions in ascending order for a push. With b = 1 numpy
+    sums each gathered (degree, 1) column pairwise, not in order, so every
+    level is dense; so is every level of a product graph, whose sums
+    follow BLAS.
+
+    n x b arrays held during a step: dist (int32), sigma, delta, the
+    coefficients and their product, and the one-byte mask.
     """
+    b = dist.shape[1]
     delta = np.zeros_like(sigma)
     coef = np.empty_like(sigma)
     T = np.empty_like(sigma)
+    depth = sizes.size - 1
     on = np.equal(dist, depth)
+    sparse = b >= 2 and _gathers(g)
     # Level 1 would only feed each source's own delta, which does not count.
     for lvl in range(depth, 1, -1):
-        np.add(delta, 1.0, out=coef)
-        coef /= sigma
-        coef *= on
-        step(coef, T)
-        T *= sigma
-        np.equal(dist, lvl - 1, out=on)
-        T *= on
-        delta += T
+        side = _side(g, sizes[lvl], sizes[lvl - 1], b) if sparse else None
+        if side is None:
+            np.add(delta, 1.0, out=coef)
+            coef /= sigma
+            coef *= on
+            step(coef, T)
+            T *= sigma
+            np.equal(dist, lvl - 1, out=on)
+            T *= on
+            delta += T
+        elif side == "push":
+            level = np.flatnonzero(on)
+            coefs = (delta.ravel()[level] + 1.0) / sigma.ravel()[level]
+            np.equal(dist, lvl - 1, out=on)
+            below = _push(g, level, coefs, b, on.ravel(), delta.ravel())
+            delta.ravel()[below] *= sigma.ravel()[below]
+        else:
+            np.equal(dist, lvl - 1, out=on)
+            below = np.flatnonzero(on)
+            # Each neighbor pair's coefficient, +0.0 off level lvl as in `coef`.
+            sums = _pull(g, below, b, lambda q: ((delta.ravel()[q] + 1.0) / sigma.ravel()[q]
+                                                 * (dist.ravel()[q] == lvl)))
+            delta.ravel()[below] = sums * sigma.ravel()[below]
     return delta.sum(axis=1)
 
 
@@ -299,10 +455,10 @@ def _sweep(g: Graph, betweenness: bool) -> tuple[np.ndarray, np.ndarray]:
     totals, bc = np.empty(n), np.zeros(n)
     for s0 in range(0, n, b):
         s1 = min(s0 + b, n)
-        dist, sigma, depth = _forward(g, step, s0, s1)
+        dist, sigma, sizes = _forward(g, step, s0, s1)
         totals[s0:s1] = dist.sum(axis=0)
         if betweenness:
-            bc += _backward(step, dist, sigma, depth)
+            bc += _backward(g, step, dist, sigma, sizes)
         del dist, sigma
     return totals, bc / 2.0
 
@@ -310,14 +466,20 @@ def _sweep(g: Graph, betweenness: bool) -> tuple[np.ndarray, np.ndarray]:
 def _path_values(g: Graph, closeness: bool, betweenness: bool
                  ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Closeness and betweenness values of `g`, None where not asked for,
-    from one shortest-path sweep per component with an edge."""
+    from one shortest-path sweep per component with an edge. A complete
+    component (2m = n(n - 1)) needs none: each node is at distance 1 from
+    the n - 1 others and on no shortest path between two of them, the
+    sweep's own totals and zero betweenness."""
     n = g.n
     if closeness and n < 2:
         raise ValueError("closeness needs at least 2 nodes")
     reach, totals, bc = np.zeros(n), np.zeros(n), np.zeros(n)
     for nodes, sub in _components(g):
         reach[nodes] = nodes.size - 1
-        totals[nodes], bc[nodes] = _sweep(sub, betweenness)
+        if 2 * sub.m == sub.n * (sub.n - 1):
+            totals[nodes] = sub.n - 1
+        else:
+            totals[nodes], bc[nodes] = _sweep(sub, betweenness)
     cc = None
     if closeness:
         cc = np.zeros(n)

@@ -1,5 +1,7 @@
 """Centrality scores against closed forms and brute-force enumeration."""
 
+import collections
+import itertools
 import json
 import os
 import subprocess
@@ -236,10 +238,11 @@ def test_one_forward_sweep_per_graph(monkeypatch, size_regime):
         return inner(g, *args)
 
     monkeypatch.setattr(centrality, "_sweep", counting)
-    g = from_edge_list([(0, 1), (1, 2), (2, 3), (4, 5)], n=8)
+    g = from_edge_list([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9), (7, 9)], n=12)
     compute_many(g, [Metric.DEGREE, *PATH_METRICS, Metric.EIGENVECTOR])
-    # one sweep per component with an edge; the isolated nodes 6 and 7 get none
-    assert calls == [4, 2]
+    # one sweep per component with an edge that is not complete; the
+    # triangle 7-8-9 and the isolated nodes 10 and 11 get none
+    assert calls == [4, 3]
 
 
 def test_sweep_computes_only_the_metrics_asked_for():
@@ -345,13 +348,13 @@ def test_sweep_matches_the_mask_reference(monkeypatch, regime):
             assert (width < sub.n) == (regime == "blocks"), name
             for s0 in range(0, sub.n, width):
                 s1 = min(s0 + width, sub.n)
-                got_dist, got_sigma, got_depth = centrality._forward(sub, step, s0, s1)
+                got_dist, got_sigma, got_sizes = centrality._forward(sub, step, s0, s1)
                 # The reference is source-major over all of g's nodes.
                 block = np.ix_(nodes[s0:s1], nodes)
                 assert got_dist.dtype == dist.dtype, name
                 assert got_dist.T.tobytes() == dist[block].tobytes(), (name, s0)
                 assert got_sigma.T.tobytes() == sigma[block].tobytes(), (name, s0)
-                assert got_depth == dist[block].max(), (name, s0)
+                assert got_sizes.tolist() == np.bincount(dist[block].ravel()).tolist(), (name, s0)
             # The closeness sums: each node reaches its whole component.
             assert centrality._sweep(sub, False)[0].tobytes() == totals[nodes].tobytes(), name
             assert (reach[nodes] == sub.n - 1).all(), name
@@ -375,10 +378,164 @@ def test_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, kernel_
         for _, sub in centrality._components(g):
             assert kernel(sub) == kernel_name, name
             step = centrality._step(sub)
-            dist, sigma, depth = centrality._forward(sub, step, 0, sub.n)
-            got = centrality._backward(step, dist, sigma, depth)
-            want = oracles.masked_backward(step, dist, sigma, depth)
+            dist, sigma, sizes = centrality._forward(sub, step, 0, sub.n)
+            got = centrality._backward(sub, step, dist, sigma, sizes)
+            want = oracles.masked_backward(step, dist, sigma, sizes.size - 1)
             assert got.tobytes() == want.tobytes(), name
+
+
+# -- sparse levels ------------------------------------------------------------------
+
+
+@pytest.fixture(params=["all", "none", "alternate"])
+def sparse_levels(request, monkeypatch):
+    """Every level that may step sparsely does ("all": at cost 0 any set
+    is cheaper than a dense step), none does (at an infinite cost), or
+    every other level does, starting with the first ("alternate"), so
+    that dense levels follow sparse ones and the other way round."""
+    if request.param == "none":
+        monkeypatch.setattr(centrality, "_SPARSE_COST", float("inf"))
+        return request.param
+    monkeypatch.setattr(centrality, "_SPARSE_COST", 0)
+    if request.param == "alternate":
+        inner, calls = centrality._side, itertools.count()
+        monkeypatch.setattr(centrality, "_side",
+                            lambda *args: None if next(calls) % 2 else inner(*args))
+    return request.param
+
+
+def test_sparse_forward_matches_the_mask_reference(monkeypatch, sparse_levels):
+    force_kernel(monkeypatch, True)
+    graphs = {**mask_oracle_graphs(), "layered_chain": layered_chain()}
+    for name, g in graphs.items():
+        dist, sigma, *_ = oracles.mask_sweep_dense(g.to_dense())
+        for nodes, sub in centrality._components(g):
+            step = centrality._step(sub)
+            for s0, s1 in ((0, sub.n), (0, 1), (sub.n // 2, sub.n // 2 + 7)):
+                got_dist, got_sigma, got_sizes = centrality._forward(sub, step, s0, s1)
+                block = np.ix_(nodes[s0:s1], nodes)
+                assert got_dist.T.tobytes() == dist[block].tobytes(), (name, s0, s1)
+                assert got_sigma.T.tobytes() == sigma[block].tobytes(), (name, s0, s1)
+                assert got_sizes.tolist() == np.bincount(dist[block].ravel()).tolist(), name
+
+
+def test_sparse_forward_switches_to_float64_mid_block(monkeypatch, sparse_levels):
+    # One block of all 128 sources. Level 6 holds 2^20 paths a node from
+    # the end layers' sources and a node has up to 32 neighbors, so a dense
+    # step from it runs in float64, also when level 6 came from a sparse
+    # step and the frontier array is rebuilt ("alternate": levels 2, 4 and
+    # 6 sparse, 3, 5 and 7 dense).
+    force_kernel(monkeypatch, True)
+    g = layered_chain()
+    dist, sigma, *_ = oracles.mask_sweep_dense(g.to_dense())
+    inner, dtypes = centrality._step(g), []
+
+    def recording(X, out):
+        dtypes.append(X.dtype)
+        inner(X, out)
+    got_dist, got_sigma, got_sizes = centrality._forward(g, recording, 0, g.n)
+    assert got_dist.T.tobytes() == dist.tobytes()
+    assert got_sigma.T.tobytes() == sigma.tobytes()
+    assert got_sizes.size - 1 == 7
+    assert dtypes == {"all": [], "none": [np.float32] * 5 + [np.float64],
+                      "alternate": [np.float32] * 2 + [np.float64]}[sparse_levels]
+
+
+def test_sparse_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, sparse_levels):
+    # Blocks of b >= 2 sources may step sparsely; a block of one source
+    # never does, since its gather sums each column pairwise.
+    force_kernel(monkeypatch, True)
+    for name, g in mask_oracle_graphs().items():
+        for _, sub in centrality._components(g):
+            step = centrality._step(sub)
+            for s0, s1 in ((0, sub.n), (3, 4), (sub.n // 2, sub.n // 2 + 2)):
+                dist, sigma, sizes = centrality._forward(sub, step, s0, s1)
+                got = centrality._backward(sub, step, dist, sigma, sizes)
+                want = oracles.masked_backward(step, dist, sigma, sizes.size - 1)
+                assert got.tobytes() == want.tobytes(), (name, s0, s1)
+
+
+def sparse_calls(monkeypatch) -> collections.Counter:
+    """Counts of `_push` and `_pull` calls by the pass that made them."""
+    counts, passes = collections.Counter(), []
+    for name in ("_forward", "_backward"):
+        def in_pass(*args, _inner=getattr(centrality, name), _name=name):
+            passes.append(_name)
+            try:
+                return _inner(*args)
+            finally:
+                passes.pop()
+        monkeypatch.setattr(centrality, name, in_pass)
+    for name in ("_push", "_pull"):
+        def counted(*args, _inner=getattr(centrality, name), _name=name):
+            counts[passes[-1], _name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(centrality, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("cost", [0, float("inf")])
+def test_both_sparse_steps_run_in_both_passes_on_the_contact_days(
+        monkeypatch, contact_files, cost):
+    # Every sparse step possible at cost 0, none at an infinite cost.
+    monkeypatch.setattr(centrality, "_SPARSE_COST", cost)
+    counts = sparse_calls(monkeypatch)
+    for g in load_daily_graphs(contact_files).graphs:
+        compute_many(g, PATH_METRICS)
+    if cost:
+        assert not counts
+    else:
+        assert set(counts) == {(p, s) for p in ("_forward", "_backward")
+                               for s in ("_push", "_pull")}, counts
+
+
+def test_sparse_levels_run_at_the_default_cost(monkeypatch):
+    # A 300-node contact mix at 2m/n^2 = 2.7% reaches its last pairs by a
+    # pull and starts its backward pass by a push, with the same bytes as
+    # an all-dense sweep.
+    g = contact_mixing_graph()
+    counts = sparse_calls(monkeypatch)
+    cc, bc = centrality._path_values(g, True, True)
+    assert counts == {("_forward", "_pull"): 1, ("_backward", "_push"): 1}
+    monkeypatch.setattr(centrality, "_SPARSE_COST", float("inf"))
+    want_cc, want_bc = centrality._path_values(g, True, True)
+    assert cc.tobytes() == want_cc.tobytes() and bc.tobytes() == want_bc.tobytes()
+
+
+def swept_path_values(g) -> tuple[np.ndarray, np.ndarray]:
+    """`_path_values(g, True, True)` with every component swept."""
+    reach, totals, bc = np.zeros(g.n), np.zeros(g.n), np.zeros(g.n)
+    for nodes, sub in centrality._components(g):
+        reach[nodes] = nodes.size - 1
+        totals[nodes], bc[nodes] = centrality._sweep(sub, True)
+    cc = np.zeros(g.n)
+    pos = totals > 0
+    cc[pos] = (reach[pos] / totals[pos]) * (reach[pos] / (g.n - 1))
+    return cc, bc
+
+
+def test_complete_components_skip_the_sweep(monkeypatch, contact_files):
+    cliques = [from_edge_list([(i, j) for i in range(n) for j in range(i + 1, n)])
+               for n in range(2, 9)]
+    days = load_daily_graphs(contact_files).graphs
+    # The first day beside households of 3 and 5 people.
+    (u, v), (x, y), (w, z) = days[0].edges(), cliques[1].edges(), cliques[3].edges()
+    mixed = from_arrays(np.concatenate([u, x + 150, w + 153]),
+                        np.concatenate([v, y + 150, z + 153]), n=158)
+    graphs = cliques + days + [mixed]
+    want = [swept_path_values(g) for g in graphs]
+    calls = []
+    inner = centrality._sweep
+
+    def counting(g, *args):
+        calls.append(g.n)
+        return inner(g, *args)
+    monkeypatch.setattr(centrality, "_sweep", counting)
+    for g, (cc, bc) in zip(graphs, want):
+        got_cc, got_bc = centrality._path_values(g, True, True)
+        assert got_cc.tobytes() == cc.tobytes() and got_bc.tobytes() == bc.tobytes(), g.n
+    # Only the days' 150-node components, which are not complete, are swept.
+    assert calls == [150] * 4
 
 
 def layered_chain(layers: int = 8, width: int = 16):
@@ -410,9 +567,10 @@ def test_forward_moves_to_float64_before_counts_pass_float32(monkeypatch, regime
         def recording(X, out):
             dtypes.append(X.dtype)
             inner(X, out)
-        got_dist, got_sigma, got_depth = centrality._forward(g, recording, s0, s1)
+        got_dist, got_sigma, got_sizes = centrality._forward(g, recording, s0, s1)
         assert got_dist.T.tobytes() == dist[s0:s1].tobytes(), s0
         assert got_sigma.T.tobytes() == sigma[s0:s1].tobytes(), s0
+        got_depth = got_sizes.size - 1
         assert got_depth == dist[s0:s1].max(), s0
         # From a first- or last-layer source the level-6 frontier holds
         # 16^5 = 2^20 paths a node and a node has up to 32 neighbors, so the
@@ -466,10 +624,10 @@ def test_gather_and_product_kernels_agree_around_the_density_switch(monkeypatch)
     for forced in (False, True):
         force_kernel(monkeypatch, forced)
         for m, g in graphs.items():
-            dist, sigma, depth = centrality._forward(g, centrality._step(g), 0, n)
+            dist, sigma, sizes = centrality._forward(g, centrality._step(g), 0, n)
             assert dist.tobytes() == picked[m][0].tobytes(), (m, forced)
             assert sigma.tobytes() == picked[m][1].tobytes(), (m, forced)
-            assert depth == picked[m][2], (m, forced)
+            assert sizes.tolist() == picked[m][2].tolist(), (m, forced)
 
 
 def test_step_gathers_below_the_node_floor():
