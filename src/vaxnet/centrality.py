@@ -150,7 +150,8 @@ def degree_centrality(g: Graph, normalized: bool = False) -> CentralityScores:
 
 def _components(g: Graph):
     """Each connected component of `g` with an edge, as its node ids and
-    the subgraph on them, relabelled 0.. in id order."""
+    the CSR `indptr` and `indices` of the subgraph on them, relabelled 0..
+    in id order. A connected `g` yields its own arrays."""
     rows, cols = g.entry_rows, g.indices
     # Each node takes its neighbors' least label, then its label's label,
     # until every component carries its least node id.
@@ -163,7 +164,7 @@ def _components(g: Graph):
             break
         label = low
     if g.n > 1 and not label.any():
-        yield np.arange(g.n), g
+        yield np.arange(g.n), g.indptr, g.indices
         return
     # Renumber the nodes component by component, in id order within each,
     # so that every component's CSR is one contiguous slice.
@@ -177,7 +178,7 @@ def _components(g: Graph):
     for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
         if b - a > 1:
             lo, hi = indptr[a], indptr[b]
-            yield order[a:b], Graph(b - a, indptr[a:b + 1] - lo, indices[lo:hi] - a)
+            yield order[a:b], indptr[a:b + 1] - lo, indices[lo:hi] - a
 
 
 def _gathers(g: Graph) -> bool:
@@ -469,16 +470,18 @@ def _path_values(g: Graph, closeness: bool, betweenness: bool
     from one shortest-path sweep per component with an edge. A complete
     component (2m = n(n - 1)) needs none: each node is at distance 1 from
     the n - 1 others and on no shortest path between two of them, the
-    sweep's own totals and zero betweenness."""
+    sweep's own totals and zero betweenness, and no `Graph` is built for it."""
     n = g.n
     if closeness and n < 2:
         raise ValueError("closeness needs at least 2 nodes")
     reach, totals, bc = np.zeros(n), np.zeros(n), np.zeros(n)
-    for nodes, sub in _components(g):
-        reach[nodes] = nodes.size - 1
-        if 2 * sub.m == sub.n * (sub.n - 1):
-            totals[nodes] = sub.n - 1
+    for nodes, indptr, indices in _components(g):
+        size = nodes.size
+        reach[nodes] = size - 1
+        if indices.size == size * (size - 1):
+            totals[nodes] = size - 1
         else:
+            sub = g if size == n else Graph(size, indptr, indices)
             totals[nodes], bc[nodes] = _sweep(sub, betweenness)
     cc = None
     if closeness:

@@ -114,6 +114,10 @@ class GenSpec:
                 raise ValueError("barabasi_albert needs m >= 1")
             if self.n <= self.m:
                 raise ValueError("barabasi_albert needs n > m")
+            if 2 * self.m * (self.n - self.m) >= 2**32:
+                # Draws would span 2**32 endpoints or more, past the 32-bit
+                # rule `gen_barabasi_albert` applies (2**31 edges or more).
+                raise ValueError("barabasi_albert needs 2 m (n - m) < 2**32")
         elif fam == "random_geometric":
             if self.radius is not None and not self.radius >= 0:
                 raise ValueError("radius must be non-negative")
@@ -237,9 +241,19 @@ def gen_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     them, after which targets are drawn proportionally to degree (repeated
     endpoint sampling with rejection of duplicates). Every newcomer adds
     exactly m edges, so the result has m * (n - m) edges.
+
+    The draws are numpy's `integers(0, len(repeated))` stream, word for
+    word: below 2**32 that call maps each 32-bit word by Lemire's
+    multiply-and-reject rule (ACM TOMACS 2019), and PCG64 keeps the spare
+    half of a 64-bit output for the next call, so where the calls split a
+    newcomer's draws does not move the stream. The words are therefore
+    drawn in bulk and mapped here, one draw at a time until m distinct
+    targets are found, which consumes exactly what batches of
+    `m - len(chosen)` calls consumed. `GenSpec` keeps `len(repeated)`
+    below 2**32, where this rule holds.
     """
     GenSpec("barabasi_albert", n, m=m)
-    rng = seeding.rng_from(seed)
+    words = _words(seeding.rng_from(seed))
     us, vs = [], []
     repeated: list[int] = []
     targets = list(range(m))
@@ -250,14 +264,24 @@ def gen_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
         repeated.extend([t] * m)
         if t + 1 == n:
             break
+        span = len(repeated)
+        floor = (2**32 - span) % span       # words whose low half is below it are redrawn
         chosen: dict[int, None] = {}
-        while len(chosen) < m:
-            draw = rng.integers(0, len(repeated), size=m - len(chosen))
-            for idx in draw.tolist():
-                if len(chosen) < m:
-                    chosen.setdefault(repeated[idx], None)
+        for word in words:
+            x = word * span
+            if x & 0xFFFFFFFF >= floor:
+                chosen[repeated[x >> 32]] = None
+                if len(chosen) == m:
+                    break
         targets = list(chosen)
     return from_arrays(np.asarray(us, np.int64), np.asarray(vs, np.int64), n=n)
+
+
+def _words(rng: np.random.Generator):
+    """The generator's stream of 32-bit words as Python ints, drawn 4096 at
+    a time; a loop that breaks out of it resumes at the next word."""
+    while True:
+        yield from rng.integers(0, 2**32, size=4096, dtype=np.uint32).tolist()
 
 
 # -- geometric model -------------------------------------------------------------

@@ -83,6 +83,19 @@ class Graph:
             self._rows = r
         return self._rows
 
+    @property
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The non-empty rows and where each starts in `indices`, found on
+        first use and cached: the segments `np.add.reduceat` sums over,
+        which must not be empty."""
+        if self._segments is None:
+            rows = np.flatnonzero(self.degrees)
+            starts = self.indptr[rows]
+            rows.setflags(write=False)
+            starts.setflags(write=False)
+            self._segments = rows, starts
+        return self._segments
+
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
@@ -101,23 +114,16 @@ class Graph:
         """Adjacency-matrix product A @ x without materializing A.
 
         Sums each non-empty row's neighbor values in place (pairwise, by
-        `np.add.reduceat`); `x` must have shape (n,). The non-empty rows and
-        their starts are found on the first call and kept. When every row
-        is non-empty the row sums are the product; otherwise they are
-        scattered into zeros. Either way the result is a new array.
+        `np.add.reduceat` over `segments`); `x` must have shape (n,). When
+        every row is non-empty the row sums are the product; otherwise they
+        are scattered into zeros. Either way the result is a new array.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
         if self.indices.size == 0:
             return np.zeros(self.n)
-        if self._segments is None:
-            rows = np.flatnonzero(self.degrees)   # reduceat needs non-empty segments
-            starts = self.indptr[rows]
-            rows.setflags(write=False)
-            starts.setflags(write=False)
-            self._segments = rows, starts
-        rows, starts = self._segments
+        rows, starts = self.segments
         sums = np.add.reduceat(x[self.indices], starts)
         if rows.size == self.n:
             return sums
@@ -190,7 +196,9 @@ def from_arrays(u: np.ndarray, v: np.ndarray, n: Optional[int] = None,
     # Each edge in both directions as a row-major entry code.
     code = sorted_distinct(np.concatenate([u * n + v, v * n + u]))
     rows, cols = np.divmod(code, n)
-    return _csr(n, rows, cols, labels)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, cols, labels)
 
 
 def sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -205,14 +213,6 @@ def sorted_distinct(a: np.ndarray) -> np.ndarray:
     first[:1] = True
     np.not_equal(a[1:], a[:-1], out=first[1:])
     return a[first]
-
-
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray,
-         labels: Optional[Sequence]) -> Graph:
-    """Graph from entries ordered by row, and by column within each row."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, cols, labels)
 
 
 def from_edge_list(pairs: Iterable[tuple[int, int]], n: Optional[int] = None,
@@ -231,6 +231,10 @@ def delete_nodes(g: Graph, victims) -> Graph:
     The returned graph's labels record the mapping back: if `g` had labels
     they are carried over for survivors, otherwise the survivor's original
     id becomes its label.
+
+    An entry is kept when both its row and its column are: the row mask
+    repeats each node's flag over its degree, and each row's kept count
+    is summed over `g.segments`, so no per-entry row array is built.
     """
     victims = np.asarray(list(victims) if not isinstance(victims, np.ndarray) else victims,
                          dtype=np.int64).ravel()
@@ -239,14 +243,21 @@ def delete_nodes(g: Graph, victims) -> Graph:
     keep = np.ones(g.n, dtype=bool)
     keep[victims] = False
     new_id = np.cumsum(keep) - 1
-    old_ids = np.flatnonzero(keep).tolist()
+    survivors = np.flatnonzero(keep)
 
-    rows = g.entry_rows
-    mask = keep[rows] & keep[g.indices]
-    new_rows = new_id[rows[mask]]
-    new_cols = new_id[g.indices[mask]]
+    kept = np.repeat(keep, g.degrees)
+    kept &= keep.take(g.indices)
+    cols = new_id.take(np.compress(kept, g.indices))
+    counts = np.zeros(g.n, dtype=np.int64)
+    if g.indices.size:
+        rows, starts = g.segments
+        # int32 sums take a third of the time of int64 ones; no row holds 2**31 entries.
+        counts[rows] = np.add.reduceat(kept, starts, dtype=np.int32)
+    indptr = np.zeros(survivors.size + 1, dtype=np.int64)
+    np.cumsum(counts.take(survivors), out=indptr[1:])
+    old_ids = survivors.tolist()
     labels = old_ids if g.labels is None else [g.labels[i] for i in old_ids]
-    return _csr(len(old_ids), new_rows, new_cols, labels)
+    return Graph(len(old_ids), indptr, cols, labels)
 
 
 def degree_stats(g: Graph) -> DegreeStats:

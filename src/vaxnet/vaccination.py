@@ -117,8 +117,10 @@ def herd_equivalent(graphs: Sequence[Graph], metrics: Sequence[Metric],
     nodes (ranked once, on the intact graph) brings the ensemble mean
     eigenvalue to or below the target. Rankings are fixed per graph, so
     larger k removes a superset of nodes and the mean is monotone in k;
-    that makes the bracketing search exact. Each report counts its
-    search's solves and the solves, baseline included, that hit max_iter.
+    that makes the bracketing search exact, and lets each deletion start
+    from a smaller k's subgraph (see `_prefix_deleter`). Each report
+    counts its search's solves and the solves, baseline included, that
+    hit max_iter.
     """
     if isinstance(metrics, Metric):
         raise TypeError("metrics must be a sequence of Metric, not one Metric")
@@ -139,12 +141,11 @@ def herd_equivalent(graphs: Sequence[Graph], metrics: Sequence[Metric],
 
     reports = []
     for metric in metrics:
-        orders = [ranking(compute(g, metric)) for g in graphs]
+        deleters = [_prefix_deleter(g, ranking(compute(g, metric))) for g in graphs]
         solved: list[SpectralResult] = []
 
         def mean_after(k: int) -> float:
-            results = [lambda_max(delete_nodes(g, order[:k]))
-                       for g, order in zip(graphs, orders)]
+            results = [lambda_max(delete_prefix(k)) for delete_prefix in deleters]
             solved.extend(results)
             return float(np.mean([res.lambda_max for res in results]))
 
@@ -154,6 +155,33 @@ def herd_equivalent(graphs: Sequence[Graph], metrics: Sequence[Metric],
                                   n_hs, n_hs / n if n else 0.0, len(graphs),
                                   len(solved), nonconverged))
     return reports
+
+
+def _prefix_deleter(g: Graph, order: np.ndarray) -> Callable[[int], Graph]:
+    """`lambda k: delete_nodes(g, order[:k])` for a permutation `order` of
+    g's nodes, each deletion made from the subgraph of the largest k' <= k
+    asked for before, or from `g`.
+
+    The victims order[k':k] are mapped to that subgraph's ids by their
+    rank among its survivors. Both deletions relabel densely in id order,
+    so the two compose to the one, CSR and labels alike. Besides `g`,
+    only the subgraph used and the new one are kept: in the herd search
+    every later k lies above the last k found above the target, which is
+    the largest k' <= k, and below every k found at or below it.
+    """
+    intact = g, np.arange(g.n)
+    kept = {0: intact}          # k -> (graph after order[:k], its original ids)
+
+    def delete_prefix(k: int) -> Graph:
+        base = max(j for j in kept if j <= k)
+        sub, ids = kept[base]
+        pos = np.searchsorted(ids, order[base:k])
+        out = delete_nodes(sub, pos)
+        kept.clear()
+        kept.update({0: intact, base: (sub, ids), k: (out, np.delete(ids, pos))})
+        return out
+
+    return delete_prefix
 
 
 def _smallest_matching_k(mean_after: Callable[[int], float], n: int,

@@ -9,8 +9,9 @@ distribution by numerical quadrature of its density, SIR runs
 by an event loop that queues every transmission, SIR final sizes by
 enumerating bond-percolation outcomes, the herd search by plain
 bisection, geometric graphs by testing every pair of points, and the
-power iteration with a fresh array for every operation. Slow and simple
-on purpose.
+power iteration with a fresh array for every operation, preferential
+attachment by batched `rng.integers` calls, and node deletion by boolean
+masks over a per-entry row array. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -446,3 +447,51 @@ def bisect_smallest_k(mean_after, n: int, target: float) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+# -- preferential attachment by batched integer draws ----------------------------
+
+
+def batched_barabasi_albert(n: int, m: int, seed: int = 0):
+    """The edges of `gen_barabasi_albert(n, m, seed)` as (u, v) arrays, each
+    round of duplicate redraws made by one `rng.integers` call."""
+    rng = np.random.default_rng(int(seed))
+    us, vs = [], []
+    repeated: list[int] = []
+    targets = list(range(m))
+    for t in range(m, n):
+        us.extend(targets)
+        vs.extend([t] * m)
+        repeated.extend(targets)
+        repeated.extend([t] * m)
+        if t + 1 == n:
+            break
+        chosen: dict[int, None] = {}
+        while len(chosen) < m:
+            draw = rng.integers(0, len(repeated), size=m - len(chosen))
+            for idx in draw.tolist():
+                if len(chosen) < m:
+                    chosen.setdefault(repeated[idx], None)
+        targets = list(chosen)
+    return np.asarray(us, np.int64), np.asarray(vs, np.int64)
+
+
+# -- node deletion by boolean masks -------------------------------------------------
+
+
+def mask_delete_nodes(g, victims):
+    """`delete_nodes(g, victims)` as (n, indptr, indices, labels), from a
+    per-entry row array masked at both ends."""
+    victims = np.asarray(victims, dtype=np.int64).ravel()
+    keep = np.ones(g.n, dtype=bool)
+    keep[victims] = False
+    new_id = np.cumsum(keep) - 1
+    old_ids = np.flatnonzero(keep).tolist()
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    mask = keep[rows] & keep[g.indices]
+    new_rows = new_id[rows[mask]]
+    new_cols = new_id[g.indices[mask]]
+    indptr = np.zeros(len(old_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(new_rows, minlength=len(old_ids)), out=indptr[1:])
+    labels = old_ids if g.labels is None else [g.labels[i] for i in old_ids]
+    return len(old_ids), indptr, new_cols, tuple(labels)

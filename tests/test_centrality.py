@@ -263,12 +263,18 @@ def test_sweep_computes_only_the_metrics_asked_for():
 # -- components --------------------------------------------------------------------
 
 
+def components(g):
+    """`centrality._components(g)` with each component's CSR as a `Graph`."""
+    for nodes, indptr, indices in centrality._components(g):
+        yield nodes, Graph(nodes.size, indptr, indices)
+
+
 def component_union():
     """A BA draw, a DD draw's largest component, a path, a triangle and
     three isolated nodes on shuffled ids; returns the graph and each
     component's ids and edges in its own id order."""
     dd = gen_duplication_divergence(70, 0.4, seed=11)
-    dd_nodes, dd_sub = max(centrality._components(dd), key=lambda c: c[0].size)
+    dd_nodes, dd_sub = max(components(dd), key=lambda c: c[0].size)
     parts = [gen_barabasi_albert(60, 2, seed=10).edges(), dd_sub.edges(),
              (np.arange(9), np.arange(1, 10)), (np.array([0, 0, 1]), np.array([1, 2, 2]))]
     sizes = [60, dd_nodes.size, 10, 3]
@@ -287,7 +293,7 @@ def component_union():
 
 def test_components_are_labelled_and_relabelled_in_id_order():
     g, comps, isolated = component_union()
-    got = list(centrality._components(g))
+    got = list(components(g))
     assert sorted(c[0][0] for c in comps) == [nodes[0] for nodes, _ in got]
     for nodes, sub in got:
         want_nodes, want_edges = next(c for c in comps if c[0][0] == nodes[0])
@@ -342,7 +348,7 @@ def test_sweep_matches_the_mask_reference(monkeypatch, regime):
         force_kernel(monkeypatch, regime == "gather")
     for name, g in mask_oracle_graphs().items():
         dist, sigma, depth, bc, reach, totals = oracles.mask_sweep_dense(g.to_dense())
-        for nodes, sub in centrality._components(g):
+        for nodes, sub in components(g):
             assert kernel(sub) == ("product" if regime == "product" else "gather"), name
             step, width = centrality._step(sub), block_width(sub.n)
             assert (width < sub.n) == (regime == "blocks"), name
@@ -375,7 +381,7 @@ def test_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, kernel_
     # copy and add.
     force_kernel(monkeypatch, kernel_name == "gather")
     for name, g in mask_oracle_graphs().items():
-        for _, sub in centrality._components(g):
+        for _, sub in components(g):
             assert kernel(sub) == kernel_name, name
             step = centrality._step(sub)
             dist, sigma, sizes = centrality._forward(sub, step, 0, sub.n)
@@ -409,7 +415,7 @@ def test_sparse_forward_matches_the_mask_reference(monkeypatch, sparse_levels):
     graphs = {**mask_oracle_graphs(), "layered_chain": layered_chain()}
     for name, g in graphs.items():
         dist, sigma, *_ = oracles.mask_sweep_dense(g.to_dense())
-        for nodes, sub in centrality._components(g):
+        for nodes, sub in components(g):
             step = centrality._step(sub)
             for s0, s1 in ((0, sub.n), (0, 1), (sub.n // 2, sub.n // 2 + 7)):
                 got_dist, got_sigma, got_sizes = centrality._forward(sub, step, s0, s1)
@@ -446,7 +452,7 @@ def test_sparse_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, 
     # never does, since its gather sums each column pairwise.
     force_kernel(monkeypatch, True)
     for name, g in mask_oracle_graphs().items():
-        for _, sub in centrality._components(g):
+        for _, sub in components(g):
             step = centrality._step(sub)
             for s0, s1 in ((0, sub.n), (3, 4), (sub.n // 2, sub.n // 2 + 2)):
                 dist, sigma, sizes = centrality._forward(sub, step, s0, s1)
@@ -505,7 +511,7 @@ def test_sparse_levels_run_at_the_default_cost(monkeypatch):
 def swept_path_values(g) -> tuple[np.ndarray, np.ndarray]:
     """`_path_values(g, True, True)` with every component swept."""
     reach, totals, bc = np.zeros(g.n), np.zeros(g.n), np.zeros(g.n)
-    for nodes, sub in centrality._components(g):
+    for nodes, sub in components(g):
         reach[nodes] = nodes.size - 1
         totals[nodes], bc[nodes] = centrality._sweep(sub, True)
     cc = np.zeros(g.n)
@@ -530,12 +536,22 @@ def test_complete_components_skip_the_sweep(monkeypatch, contact_files):
     def counting(g, *args):
         calls.append(g.n)
         return inner(g, *args)
+    built = []
+
+    class CountedGraph(Graph):
+        def __init__(self, n, *args):
+            built.append(n)
+            super().__init__(n, *args)
     monkeypatch.setattr(centrality, "_sweep", counting)
+    monkeypatch.setattr(centrality, "Graph", CountedGraph)
     for g, (cc, bc) in zip(graphs, want):
         got_cc, got_bc = centrality._path_values(g, True, True)
         assert got_cc.tobytes() == cc.tobytes() and got_bc.tobytes() == bc.tobytes(), g.n
     # Only the days' 150-node components, which are not complete, are swept.
     assert calls == [150] * 4
+    # A clique is judged on its CSR slice and a connected day is swept as it
+    # is, so only the mixed graph's 150-node component becomes a new Graph.
+    assert built == [150]
 
 
 def layered_chain(layers: int = 8, width: int = 16):
@@ -884,12 +900,13 @@ BLAS_SCRIPT = """
 import hashlib, json
 from vaxnet import betweenness_centrality, gen_barabasi_albert, gen_duplication_divergence
 from vaxnet import centrality
+from vaxnet.graph import Graph
 out = {}
 for name, g in (("ba", gen_barabasi_albert(1000, 50, seed=1)),
                 ("dd", gen_duplication_divergence(1000, 0.4, seed=1))):
     scores = betweenness_centrality(g)
-    out[name] = {"kernels": [centrality._step(sub).__name__ == "gather"
-                             for _, sub in centrality._components(g)],
+    out[name] = {"kernels": [centrality._step(Graph(nodes.size, *csr)).__name__ == "gather"
+                             for nodes, *csr in centrality._components(g)],
                  "ranking": centrality.ranking(scores).tolist(),
                  "bytes": hashlib.sha256(scores.values.tobytes()).hexdigest()}
 print(json.dumps(out))

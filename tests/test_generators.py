@@ -11,6 +11,7 @@ from vaxnet import (GenSpec, degree_preserving_shuffle, from_edge_list,
                     gen_erdos_renyi, gen_gnp, gen_random_geometric, generate,
                     lambda_max, seeding)
 from vaxnet.experiments import ConfigError, config_from_dict
+from vaxnet import generators
 from vaxnet.generators import canonical_family, default_geometric_radius
 
 import oracles
@@ -194,6 +195,48 @@ def test_ba_parameter_validation():
         gen_barabasi_albert(5, 0)
     with pytest.raises(ValueError):
         gen_barabasi_albert(5, 5)
+
+
+def test_ba_refuses_draws_past_32_bits():
+    # Draws span 2 m (n - m) endpoints at most; from 2**32 on numpy would
+    # draw by 64-bit words. Checked on the spec alone: no graph is built.
+    GenSpec("barabasi_albert", 2**31, m=1)              # 2 (2**31 - 1) = 2**32 - 2
+    with pytest.raises(ValueError, match=re.escape("needs 2 m (n - m) < 2**32")):
+        GenSpec("barabasi_albert", 2**31 + 1, m=1)
+    GenSpec("barabasi_albert", 3 * 2**15 - 1, m=2**15)
+    with pytest.raises(ValueError, match=re.escape("needs 2 m (n - m) < 2**32")):
+        GenSpec("barabasi_albert", 3 * 2**15, m=2**15)   # 2**16 * 2**16
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (6, 5), (60, 3), (400, 3), (1000, 50), (2000, 20)])
+@pytest.mark.parametrize("seed", [0, 97, 2**41 + 13])
+def test_ba_matches_the_batched_draw_loop(n, m, seed):
+    u, v = oracles.batched_barabasi_albert(n, m, seed)
+    assert gen_barabasi_albert(n, m, seed) == from_edge_list(zip(u.tolist(), v.tolist()), n=n)
+
+
+@pytest.mark.parametrize("span", [1, 2, 3, 100, 99_900, 2**31 + 11, 2**32 - 1])
+def test_word_draws_follow_numpy_integers(span):
+    # The rule gen_barabasi_albert applies to each 32-bit word, after an odd
+    # number of earlier words (so a spare half-word is pending), gives
+    # numpy's draws and leaves the stream where numpy leaves it.
+    want_rng, got_rng = np.random.default_rng(41), np.random.default_rng(41)
+    for rng in (want_rng, got_rng):
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    size = 5000
+    want = want_rng.integers(0, span, size=size).tolist()
+    words = generators._words(got_rng)
+    floor = (2**32 - span) % span
+    got = []
+    while len(got) < size:
+        x = next(words) * span
+        if x & 0xFFFFFFFF >= floor:
+            got.append(x >> 32)
+    assert got == want
+    # numpy draws no word for a span of 1, which BA never has (span >= 2m).
+    if span > 1:
+        after = want_rng.integers(0, 2**32, size=4000, dtype=np.uint32).tolist()
+        assert [next(words) for _ in range(4000)] == after
 
 
 # -- random geometric ------------------------------------------------------------------

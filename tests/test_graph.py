@@ -165,6 +165,42 @@ def test_delete_composes():
     assert once.labels == twice.labels
 
 
+def deletion_cases():
+    """(graph, victims) pairs: isolated nodes, an edgeless graph, labels,
+    repeated victims, and k = 0 and k = n."""
+    star = from_edge_list([(0, 1), (0, 2), (0, 3), (5, 6)], n=9)
+    labelled = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)], n=5, labels="abcde")
+    er, ba = gen_erdos_renyi(300, 0.2, seed=8), gen_barabasi_albert(300, 6, seed=9)
+    order = np.random.default_rng(12).permutation(300)
+    return [
+        (star, []), (star, [0]), (star, [4, 7, 8]), (star, [1, 1, 5, 1]), (star, range(9)),
+        (Graph(4, [0] * 5, []), []), (Graph(4, [0] * 5, []), [3, 0]),
+        (Graph(4, [0] * 5, []), range(4)), (Graph(0, [0], []), []),
+        (labelled, []), (labelled, [1]), (labelled, [4, 4]), (labelled, [0, 1, 2, 3, 4]),
+        (er, order[:0]), (er, order[:1]), (er, order[:150]), (er, order[:299]), (er, order),
+        (ba, order[:7]), (ba, np.concatenate([order[:40], order[:40]])), (ba, order[:290]),
+    ]
+
+
+def test_delete_matches_the_mask_kernel():
+    for g, victims in deletion_cases():
+        sub = delete_nodes(g, victims)
+        n, indptr, indices, labels = oracles.mask_delete_nodes(g, list(victims))
+        assert sub.n == n
+        assert sub.indptr.tobytes() == indptr.tobytes()
+        assert sub.indices.tobytes() == indices.tobytes()
+        assert sub.labels == labels
+        check_csr_invariants(sub)
+
+
+def test_delete_builds_no_entry_rows():
+    g = gen_erdos_renyi(300, 0.2, seed=4)
+    sub = delete_nodes(g, np.arange(0, 300, 3))
+    lambda_max(sub)
+    delete_nodes(sub, [0, 5, 7])
+    assert g._rows is None and sub._rows is None
+
+
 def test_labels_carried_through_delete():
     g = from_edge_list([(0, 1), (1, 2)], labels=["a", "b", "c"])
     sub = delete_nodes(g, [0])

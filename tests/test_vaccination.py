@@ -371,6 +371,70 @@ def test_herd_search_matches_bisection_on_random_ensembles():
         assert report.solves <= 2 * math.ceil(math.log2(n + 1)) * len(graphs)
 
 
+def herd_ensembles():
+    return {"er": [gen_erdos_renyi(300, 0.2, seed=s) for s in range(3)],
+            "ba": [gen_barabasi_albert(300, 5, seed=s) for s in range(3)]}
+
+
+def solved_fingerprints(monkeypatch) -> list:
+    """The (CSR fingerprint, lambda bits) of every solve made from now on."""
+    seen = []
+    inner = vaccination.lambda_max
+
+    def recording(g, *args, **kwargs):
+        res = inner(g, *args, **kwargs)
+        seen.append((g.fingerprint, np.float64(res.lambda_max).tobytes()))
+        return res
+
+    monkeypatch.setattr(vaccination, "lambda_max", recording)
+    return seen
+
+
+@pytest.mark.parametrize("family", ["er", "ba"])
+@pytest.mark.parametrize("fraction", [0.3, 0.7])
+def test_herd_nested_deletions_match_deleting_from_the_intact_graph(monkeypatch, family,
+                                                                     fraction):
+    graphs, metrics = herd_ensembles()[family], [Metric.DEGREE, Metric.EIGENVECTOR]
+    solves = solved_fingerprints(monkeypatch)
+    nested = herd_equivalent(graphs, metrics, n_h_fraction=fraction, seed=2)
+    nested_solves = solves[:]
+    del solves[:]
+    monkeypatch.setattr(vaccination, "_prefix_deleter",
+                        lambda g, order: lambda k: delete_nodes(g, order[:k]))
+    intact = herd_equivalent(graphs, metrics, n_h_fraction=fraction, seed=2)
+    assert nested == intact
+    assert nested_solves == solves
+
+
+@pytest.mark.parametrize("family", ["er", "ba"])
+def test_herd_deletes_from_the_largest_smaller_prefix(monkeypatch, family):
+    graphs = herd_ensembles()[family]
+    n = graphs[0].n
+    acted, made = [], []
+    inner = vaccination.delete_nodes
+
+    def recording(g, victims):
+        out = inner(g, victims)
+        acted.append((n - g.n, n - out.n))    # (k' of the graph acted on, k)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(vaccination, "delete_nodes", recording)
+    (report,) = herd_equivalent(graphs, [Metric.DEGREE], n_h_fraction=0.7, seed=2)
+    baseline, search = acted[:len(graphs)], acted[len(graphs):]
+    assert [base for base, _ in baseline] == [0] * len(graphs)
+    assert len(search) == report.solves
+    for i in range(len(graphs)):
+        steps = search[i::len(graphs)]
+        for j, (base, k) in enumerate(steps):
+            assert base == max([0] + [prev for _, prev in steps[:j] if prev <= k])
+        # Past the first midpoint the answer lies above n / 2 on ER, so every
+        # later deletion starts from a subgraph.
+        if family == "er":
+            assert report.n_hs > n // 2 and all(base > 0 for base, _ in steps[1:])
+    assert all(g._rows is None for g in graphs + made)
+
+
 def test_herd_search_solve_count(monkeypatch):
     # three ER(400, 0.4) graphs, two metrics: 3 baseline solves plus the two
     # searches; plain bisection took 54 solves here
