@@ -45,6 +45,8 @@ block of 512 <= n = b <= 2048 uses: about 5.6 `_BLOCK_ENTRIES`
 float64s, 180 MiB, at most. The forward pass holds the distances, the
 float64 path counts, a float32 frontier pair and a one-byte mask, with A
 built in float32; A is rebuilt in the other dtype, never held in both.
+It starts from the level-1 pairs as flat positions (at most 2m int64s),
+held only until the first dense step builds the frontier pair.
 Eigenvector scores are the dominant eigenvector from
 `spectral.lambda_max`.
 """
@@ -57,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import EmptyGraphError, Graph
+from .graph import EmptyGraphError, Graph, sorted_distinct
 from .spectral import lambda_max
 
 # The path sweep holds its n x b arrays to this many entries, and builds a
@@ -152,13 +154,13 @@ def _components(g: Graph):
     """Each connected component of `g` with an edge, as its node ids and
     the CSR `indptr` and `indices` of the subgraph on them, relabelled 0..
     in id order. A connected `g` yields its own arrays."""
-    rows, cols = g.entry_rows, g.indices
+    rows, starts = g.segments
     # Each node takes its neighbors' least label, then its label's label,
     # until every component carries its least node id.
     label = np.arange(g.n)
     while True:
         low = label.copy()
-        np.minimum.at(low, rows, label[cols])
+        low[rows] = np.minimum(low[rows], np.minimum.reduceat(label[g.indices], starts))
         low = low[low]
         if np.array_equal(low, label):
             break
@@ -167,13 +169,16 @@ def _components(g: Graph):
         yield np.arange(g.n), g.indptr, g.indices
         return
     # Renumber the nodes component by component, in id order within each,
-    # so that every component's CSR is one contiguous slice.
+    # so that every component's CSR is one contiguous slice: new row i is
+    # old row order[i], and its neighbors' new ids rise with their old ones.
     order = np.argsort(label, kind="stable")
     pos = np.empty(g.n, np.int64)
     pos[order] = np.arange(g.n)
+    degrees = g.degrees[order]
     indptr = np.zeros(g.n + 1, np.int64)
-    np.cumsum(g.degrees[order], out=indptr[1:])
-    indices = pos[cols[np.argsort(pos[rows], kind="stable")]]
+    np.cumsum(degrees, out=indptr[1:])
+    entry = np.arange(g.indices.size) + np.repeat(g.indptr[order] - indptr[:-1], degrees)
+    indices = pos[g.indices[entry]]
     starts = np.flatnonzero(np.diff(label[order], prepend=-1, append=-1))
     for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
         if b - a > 1:
@@ -270,10 +275,7 @@ def _push(g: Graph, pos: np.ndarray, vals: np.ndarray, b: int, mask: np.ndarray,
         keep = mask[q]
         hit.append(q[keep])
         np.add.at(out, hit[-1], vals[sl][k[keep]])
-    hit = np.sort(np.concatenate(hit))
-    first = np.ones(hit.size, bool)
-    np.not_equal(hit[1:], hit[:-1], out=first[1:])
-    return hit[first]
+    return sorted_distinct(np.concatenate(hit))
 
 
 def _pull(g: Graph, pos: np.ndarray, b: int, terms) -> np.ndarray:
@@ -294,7 +296,9 @@ def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, 
     0..depth. Column j of the frontier holds the path counts of the nodes
     at the current level from s0 + j, so one step both finds the next
     level and counts the paths into it. Level 1 is read off the sources'
-    CSR rows. A pair is unreached while its sigma is 0; every step adds 1
+    CSR rows as flat positions v * b + j, and the frontier array is first
+    built at the first dense step, which then frees the positions (at most
+    2m int64). A pair is unreached while its sigma is 0; every step adds 1
     to dist at the pairs unreached before it, so a pair reached at level L
     ends at dist L. Every pair is reachable, so the loop ends when none is
     left unreached.
@@ -328,19 +332,19 @@ def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, 
     """
     n, b = g.n, s1 - s0
     lo, hi = g.indptr[s0], g.indptr[s1]
-    F, nxt = np.zeros((2, n, b), np.float32)
-    F[g.indices[lo:hi], g.entry_rows[lo:hi] - s0] = 1.0
+    # The frontier as flat positions, starting with the level-1 pairs; None
+    # whenever it is held only as the array F.
+    front = g.indices[lo:hi] * b + np.repeat(np.arange(b), g.degrees[s0:s1])
+    F = nxt = None
     diag = (np.arange(s0, s1), np.arange(b))
     dist = np.ones((n, b), np.int32)
     dist[diag] = 0
-    sigma = F.astype(np.float64)
+    sigma = np.zeros((n, b))
+    sigma.ravel()[front] = 1.0
     sigma[diag] = 1.0
     max_degree = int(g.degrees.max())
     unreached = sigma == 0
     sparse = _gathers(g)
-    # The level-1 pairs as flat positions, for a first sparse step; None
-    # whenever the frontier is held only as an array.
-    front = g.indices[lo:hi] * b + (g.entry_rows[lo:hi] - s0) if sparse else None
     sizes = [b, int(hi - lo)]
     left = n * b - b - sizes[1]
     while left:

@@ -29,8 +29,7 @@ class DegreeStats:
 
 
 class Graph:
-    __slots__ = ("n", "indptr", "indices", "labels", "_rows", "_degrees", "_segments",
-                 "_fingerprint")
+    __slots__ = ("n", "indptr", "indices", "labels", "_degrees", "_segments", "_fingerprint")
 
     def __init__(self, n: int, indptr, indices, labels: Optional[Sequence] = None):
         n = int(n)
@@ -54,7 +53,6 @@ class Graph:
         self.indptr = indptr
         self.indices = indices
         self.labels = None if labels is None else tuple(labels)
-        self._rows = None
         self._degrees = None
         self._segments = None
         self._fingerprint = None
@@ -73,15 +71,6 @@ class Graph:
             d.setflags(write=False)
             self._degrees = d
         return self._degrees
-
-    @property
-    def entry_rows(self) -> np.ndarray:
-        """Row id of every CSR entry, built on first use and cached."""
-        if self._rows is None:
-            r = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-            r.setflags(write=False)
-            self._rows = r
-        return self._rows
 
     @property
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +95,7 @@ class Graph:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge list as (u, v) arrays with u < v, lexicographically sorted."""
-        rows = self.entry_rows
+        rows = np.repeat(np.arange(self.n), self.degrees)
         keep = rows < self.indices
         return rows[keep], self.indices[keep]
 
@@ -133,7 +122,7 @@ class Graph:
 
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype)
-        A[self.entry_rows, self.indices] = 1.0
+        A[np.repeat(np.arange(self.n), self.degrees), self.indices] = 1.0
         return A
 
     @property

@@ -53,25 +53,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_CF_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even and the odd step of term m.
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
@@ -148,12 +141,14 @@ def paired_t_test(a, b, alternative: str = "two-sided",
                 p = 0.0 if mean < 0 else 1.0
         return TestResult(t_stat, df, p, p <= alpha, alternative, alpha)
     t_stat = mean / (sd / math.sqrt(n))
-    cdf = t_cdf(t_stat, df)
+    # Each alternative from the lower tail at -|t|: 1 - t_cdf(t) for a
+    # large t would round a tiny tail to 0.
+    tail = t_cdf(-abs(t_stat), df)
     if alternative == "two-sided":
-        p = 2.0 * min(cdf, 1.0 - cdf)
-    elif alternative == "greater":
-        p = 1.0 - cdf
+        p = 2.0 * tail
+    elif (alternative == "greater") == (t_stat > 0):
+        p = tail
     else:
-        p = cdf
+        p = 1.0 - tail
     p = min(max(p, 0.0), 1.0)
     return TestResult(float(t_stat), df, float(p), p <= alpha, alternative, alpha)

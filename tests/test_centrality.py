@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vaxnet import (Metric, NonConvergenceError, betweenness_centrality,
-                    closeness_centrality, compute_many, degree_centrality,
+                    closeness_centrality, compute_many, degree_centrality, delete_nodes,
                     eigenvector_centrality, from_edge_list, gen_barabasi_albert,
                     gen_duplication_divergence, gen_erdos_renyi, lambda_max, ranking,
                     top_k)
@@ -300,6 +300,29 @@ def test_components_are_labelled_and_relabelled_in_id_order():
         assert np.array_equal(nodes, want_nodes)
         assert sub == from_edge_list(want_edges, n=nodes.size)
     assert not np.isin(isolated, np.concatenate([nodes for nodes, _ in got])).any()
+
+
+@pytest.mark.parametrize("name", ["shuffled_path", "sparse_er", "edgeless", "one_node"])
+def test_components_match_scipy_and_delete_nodes(name):
+    # A path on shuffled ids takes many label rounds; ER(400, 1/400) has
+    # isolated nodes between non-empty rows.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    ids = np.random.default_rng(29).permutation(300)
+    g = {"shuffled_path": lambda: from_arrays(ids[:-1], ids[1:], n=300),
+         "sparse_er": lambda: gen_erdos_renyi(400, 1 / 400, seed=30),
+         "edgeless": lambda: from_arrays([], [], n=6),
+         "one_node": lambda: from_arrays([], [], n=1)}[name]()
+    adjacency = csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    count, label = connected_components(adjacency, directed=False)
+    want = [np.flatnonzero(label == c).tolist() for c in range(count)]
+    got = list(components(g))
+    assert [nodes.tolist() for nodes, _ in got] == sorted(w for w in want if len(w) > 1)
+    for nodes, sub in got:
+        alone = delete_nodes(g, np.setdiff1d(np.arange(g.n), nodes))
+        assert alone.labels == tuple(nodes.tolist())
+        assert sub.indptr.tobytes() == alone.indptr.tobytes()
+        assert sub.indices.tobytes() == alone.indices.tobytes()
 
 
 def test_scores_equal_each_component_swept_alone(size_regime):

@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from vaxnet import (DegreeStats, EmptyGraphError, degree_stats, delete_nodes,
-                    from_arrays, from_edge_list, gen_barabasi_albert, gen_erdos_renyi,
-                    lambda_max, read_edge_list, write_edge_list)
+from vaxnet import (DegreeStats, EmptyGraphError, Metric, compute_many, degree_stats,
+                    delete_nodes, from_arrays, from_edge_list, gen_barabasi_albert,
+                    gen_erdos_renyi, lambda_max, read_edge_list, write_edge_list)
 from vaxnet.graph import Graph
 
 import oracles
@@ -193,12 +193,25 @@ def test_delete_matches_the_mask_kernel():
         check_csr_invariants(sub)
 
 
-def test_delete_builds_no_entry_rows():
+def test_graphs_cache_no_per_entry_arrays():
+    # Besides `indices`, a graph keeps only per-node arrays (indptr, degrees,
+    # the non-empty-row segments), whatever has been computed on it.
     g = gen_erdos_renyi(300, 0.2, seed=4)
     sub = delete_nodes(g, np.arange(0, 300, 3))
     lambda_max(sub)
-    delete_nodes(sub, [0, 5, 7])
-    assert g._rows is None and sub._rows is None
+    small = delete_nodes(sub, [0, 5, 7])
+    ba = delete_nodes(gen_barabasi_albert(200, 4, seed=3), np.arange(20))
+    ba.matvec(np.ones(ba.n))
+    lambda_max(ba)
+    for h in (sub, ba):
+        compute_many(h, [Metric.CLOSENESS, Metric.BETWEENNESS])
+    for h in (g, sub, small, ba):
+        assert 2 * h.m > h.n + 1
+        for name in Graph.__slots__:
+            value = getattr(h, name)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray) and name != "indices":
+                    assert a.size <= h.n + 1, name
 
 
 def test_labels_carried_through_delete():
@@ -403,10 +416,3 @@ def test_matvec_returns_a_fresh_array_with_the_scatter_bits(isolated):
     second = g.matvec(x)
     assert second.tobytes() == want
     assert not np.shares_memory(first, second) and not np.shares_memory(second, x)
-
-
-def test_matvec_builds_no_entry_rows():
-    g = delete_nodes(gen_barabasi_albert(200, 4, seed=3), np.arange(20))
-    g.matvec(np.ones(g.n))
-    lambda_max(g)
-    assert g._rows is None

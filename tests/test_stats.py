@@ -162,6 +162,21 @@ def test_paired_one_sided():
     assert less.p_value == pytest.approx(1.0 - two.p_value / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("a", [[10.0, 10.001, 10.002, 10.0015, 10.0005, 10.0012],
+                               [1.0, 1.1, 1.2, 1.15, 1.05, 1.12]])
+@pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+def test_paired_tails_match_scipy_at_large_t(a, alternative):
+    # t = +-34416 and +-38: a tail near 1e-22 or 1e-7 must not be taken as
+    # 1 - (1 - tail), which rounds it to 0 or loses its last digits.
+    from scipy.stats import ttest_rel
+    zeros = [0.0] * len(a)
+    for x, y in ((a, zeros), (zeros, a)):
+        res = paired_t_test(x, y, alternative=alternative)
+        want = ttest_rel(x, y, alternative=alternative)
+        assert res.t_stat == pytest.approx(want.statistic, rel=1e-12)
+        assert res.p_value == pytest.approx(want.pvalue, rel=1e-12, abs=0.0)
+
+
 def test_paired_no_signal_large_p():
     rng = np.random.default_rng(42)
     sig = 0

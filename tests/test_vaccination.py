@@ -410,13 +410,12 @@ def test_herd_nested_deletions_match_deleting_from_the_intact_graph(monkeypatch,
 def test_herd_deletes_from_the_largest_smaller_prefix(monkeypatch, family):
     graphs = herd_ensembles()[family]
     n = graphs[0].n
-    acted, made = [], []
+    acted = []
     inner = vaccination.delete_nodes
 
     def recording(g, victims):
         out = inner(g, victims)
         acted.append((n - g.n, n - out.n))    # (k' of the graph acted on, k)
-        made.append(out)
         return out
 
     monkeypatch.setattr(vaccination, "delete_nodes", recording)
@@ -432,7 +431,6 @@ def test_herd_deletes_from_the_largest_smaller_prefix(monkeypatch, family):
         # later deletion starts from a subgraph.
         if family == "er":
             assert report.n_hs > n // 2 and all(base > 0 for base, _ in steps[1:])
-    assert all(g._rows is None for g in graphs + made)
 
 
 def test_herd_search_solve_count(monkeypatch):
