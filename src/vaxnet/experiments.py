@@ -388,7 +388,9 @@ def run_eigendrop_table(cfg: ExperimentConfig, out_dir) -> dict:
     write_json(out_dir / "eigendrop_meta.json",
                {"seed": cfg.seed, "replicates": cfg.replicates, "k": cfg.k,
                 "mode": cfg.replicate_mode, "metrics": metric_names,
-                "networks": [s.to_dict() for s in cfg.networks]})
+                # every graph's seed comes from the master seed, not the spec's
+                "networks": [{k: v for k, v in s.to_dict().items() if k != "seed"}
+                             for s in cfg.networks]})
     return {"summary": str(out_dir / "eigendrop_summary.csv"),
             "replicates": str(out_dir / "eigendrop_replicates.csv")}
 
@@ -430,8 +432,8 @@ def _simulate_task(cfg: ExperimentConfig, fi: int) -> list:
     graph is drawn once and shared by every arm."""
     sim_seed = seeding.child_seed(cfg.seed, "sim", fi)
     graphs = replicate_graphs(cfg.networks[fi], cfg.sir.runs, sim_seed)
-    return [ensemble(graphs, cfg.sir.params, ivs, seed=sim_seed).mean
-            for _, ivs in cfg.sir.arms()]
+    arms = [ivs for _, ivs in cfg.sir.arms()]
+    return [res.mean for res in ensemble(graphs, cfg.sir.params, arms, seed=sim_seed)]
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:

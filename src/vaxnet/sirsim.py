@@ -24,11 +24,15 @@ rank nodes on the intact graph once; already infected, recovered, or
 vaccinated picks are skipped in favor of the next-ranked node.
 
 Ensembles draw the graph of each run once (`replicate_graphs`), so every
-strategy arm of an experiment runs on the same per-run graphs.
+strategy arm of an experiment runs on the same per-run graphs. With the
+same run seed, the arms also share each run's events before the first
+intervention of any arm; `ensemble` plays those once per run and continues
+a copy of that state per arm.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -97,6 +101,8 @@ class Intervention:
             object.__setattr__(self, "metric", Metric.from_name(self.metric))
         if self.strategy == "topk" and self.metric is None:
             raise ValueError("topk intervention needs a metric")
+        if self.strategy == "random" and self.metric is not None:
+            raise ValueError("random intervention takes no metric")
 
 
 @dataclass
@@ -138,36 +144,84 @@ def _grid(params: SirParams, interventions: Sequence[Intervention]) -> np.ndarra
     return pts
 
 
-def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] = (),
-             seed: int = 0) -> SirTrajectory:
-    """One realization; identical inputs produce identical trajectories."""
+class _Run:
+    """One realization between events: what `_play` advances.
+
+    `_branch` starts a run and plays it up to the first intervention of a
+    set of arms; `simulate` queues one arm's interventions and plays the
+    run to the horizon. `ensemble` continues one `fork` per arm.
+    """
+
+    __slots__ = ("g", "params", "seed", "until", "indptr", "rng", "state", "pending",
+                 "inf_time", "rec_time", "heap", "seq", "counts", "rows", "points",
+                 "delays", "delay_list", "used", "pushes", "stale_pops", "events",
+                 "interventions", "plans", "ranks", "warnings")
+
+    def fork(self) -> "_Run":
+        """A copy that plays on without changing this run. Both keep the
+        delay buffer, which a refill replaces and never writes into, and
+        the rankings."""
+        twin = copy.copy(self)
+        twin.rng = copy.deepcopy(self.rng)
+        twin.state = self.state[:]
+        twin.pending = self.pending[:]
+        twin.inf_time = self.inf_time[:]
+        twin.rec_time = self.rec_time[:]
+        twin.heap = self.heap[:]
+        twin.rows = self.rows[:]
+        return twin
+
+
+def _branch(g: Graph, params: SirParams, arms: Sequence[Sequence[Intervention]],
+            seed: int) -> _Run:
+    """The run of `g` with `seed`, played up to the first intervention of any
+    of `arms`. Up to then every arm draws the same delays from the same
+    stream and applies the same events, so each can continue this run."""
     n = g.n
     if params.initial_infected > n:
         raise ValueError("initial_infected exceeds node count")
-    rng = seeding.rng_from(seed, "run")
-    rd, t_max = params.recovery_days, params.t_max
-    # None: nothing spreads; 0.0 (tau = inf) still draws, all delays 0.0
-    scale = 1.0 / params.tau if params.tau > 0.0 else None
+    run = _Run()
+    run.g, run.params, run.seed = g, params, seed
+    # events at t <= t_max play; a later intervention is skipped
+    run.until = min([math.nextafter(params.t_max, math.inf)]
+                    + [iv.time for ivs in arms for iv in ivs])
+    run.rng = seeding.rng_from(seed, "run")
+    run.indptr = g.indptr.tolist()
     # Node state and earliest queued transmission per node, as plain buffers
-    # for the Python step and numpy views of the same bytes for the vector step.
-    state = bytearray(n)
-    state_np = np.frombuffer(state, np.uint8)
-    pending = array("d", [math.inf]) * n
-    pending_np = np.frombuffer(pending, np.float64)
-    inf_time = [math.nan] * n
-    rec_time = [math.nan] * n
-    indptr = g.indptr.tolist()
-    indices = g.indices
-    warnings: list[str] = []
+    # for the Python step (`_play` adds numpy views for the vector step).
+    run.state = bytearray(n)
+    run.pending = array("d", [math.inf]) * n
+    run.inf_time = [math.nan] * n
+    run.rec_time = [math.nan] * n
+    run.heap, run.rows = [], []
+    # grid points below `until` are the same in every arm's grid
+    run.points = _grid(params, ()).tolist() + [math.inf]
+    run.delays, run.delay_list = np.empty(0), []
+    run.seq = run.used = run.pushes = run.stale_pops = run.events = 0
+    run.interventions = run.plans = run.warnings = None
+    run.ranks = {}
+    seeds = run.rng.choice(n, size=params.initial_infected, replace=False).tolist()
+    run.counts = (n - len(seeds), len(seeds), 0, 0)
+    _play(run, run.until, seeds)
+    return run
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    pushes = stale_pops = events = 0
+
+def _play(run: _Run, stop: float, seeds: Sequence[int] = ()) -> None:
+    """Infect `seeds` at t = 0, then apply queued events in (time, push)
+    order, up to but not including the first at time `stop` or later."""
+    rd = run.params.recovery_days
+    # None: nothing spreads; 0.0 (tau = inf) still draws, all delays 0.0
+    scale = 1.0 / run.params.tau if run.params.tau > 0.0 else None
+    state, pending, heap, rows, points = run.state, run.pending, run.heap, run.rows, run.points
+    state_np = np.frombuffer(state, np.uint8)
+    pending_np = np.frombuffer(pending, np.float64)
+    inf_time, rec_time = run.inf_time, run.rec_time
+    indptr, indices, rng = run.indptr, run.g.indices, run.rng
+    seq, pushes, stale_pops, events = run.seq, run.pushes, run.stale_pops, run.events
+    n_s, n_i, n_r, n_v = run.counts
     # the delay buffer, its list copy, and the next unread delay: one is read
     # per susceptible neighbor, in neighbor order
-    delays = np.empty(0)
-    delay_list: list[float] = []
-    used = 0
+    delays, delay_list, used = run.delays, run.delay_list, run.used
 
     def refill(need: int):
         nonlocal delays, delay_list, used
@@ -215,40 +269,14 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
                 heappush(heap, (tw, seq, _TRANSMIT, w))
                 seq += 1
 
-    # Intervention plans are fixed before the outbreak: rankings come from
-    # the intact graph, random orders from dedicated child streams.
-    plans: list[np.ndarray] = []
-    rank_cache: dict[Metric, np.ndarray] = {}
-    for idx, iv in enumerate(interventions):
-        if iv.time > t_max:
-            warnings.append(f"intervention {idx} at t={iv.time} beyond horizon; skipped")
-            plans.append(np.empty(0, np.int64))
-            continue
-        if iv.strategy == "topk":
-            if iv.metric not in rank_cache:
-                rank_cache[iv.metric] = ranking(compute(g, iv.metric))
-            plans.append(rank_cache[iv.metric])
-        else:
-            order = seeding.rng_from(seed, "intervention", idx).permutation(n)
-            plans.append(order.astype(np.int64))
-        heappush(heap, (iv.time, seq, _INTERVENE, idx))
-        seq += 1
-
-    for u in rng.choice(n, size=params.initial_infected, replace=False).tolist():
+    for u in seeds:
         infect(u, 0.0)
-    n_s, n_i, n_r, n_v = n - params.initial_infected, params.initial_infected, 0, 0
 
     # Each grid point takes the counts after the last event at or before it:
     # before an event at t is applied, every point still unsampled below t
     # is sampled (the inf sentinel ends the scan).
-    times = _grid(params, interventions)
-    points = times.tolist() + [math.inf]
-    rows: list[tuple[int, int, int, int]] = []
-
-    while heap:
+    while heap and heap[0][0] < stop:
         t, _, kind, payload = heappop(heap)
-        if t > t_max:
-            break
         if kind == _TRANSMIT and state[payload] != S:
             stale_pops += 1
             continue
@@ -264,9 +292,9 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
             state[payload] = R
             rec_time[payload] = t
         else:
-            iv = interventions[payload]
+            iv = run.interventions[payload]
             hit = 0
-            for node in plans[payload].tolist():
+            for node in run.plans[payload].tolist():
                 if hit == iv.k:
                     break
                 if state[node] == S:
@@ -275,22 +303,71 @@ def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] 
             n_s -= hit
             n_v += hit
             if hit < iv.k:
-                warnings.append(
+                run.warnings.append(
                     f"intervention {payload} wanted {iv.k} but only {hit} susceptible")
         events += 1
 
-    rows += [(n_s, n_i, n_r, n_v)] * (times.size - len(rows))
-    counts = np.asarray(rows, dtype=np.float64)
+    run.seq, run.pushes, run.stale_pops, run.events = seq, pushes, stale_pops, events
+    run.counts = (n_s, n_i, n_r, n_v)
+    run.delays, run.delay_list, run.used = delays, delay_list, used
+
+
+def simulate(g: Graph, params: SirParams, interventions: Sequence[Intervention] = (),
+             seed: int = 0, *, branch: Optional[_Run] = None) -> SirTrajectory:
+    """One realization; identical inputs produce identical trajectories.
+
+    `ensemble` passes `branch`: this run of `g` with `params` and `seed`,
+    played up to a time no later than the first of `interventions`. The
+    run continues it in place and ends as it would from scratch.
+    """
+    if branch is None:
+        run = _branch(g, params, [interventions], seed)
+    else:
+        run = branch
+        if run.plans is not None:
+            raise ValueError("branch was already continued")
+        if run.g is not g and run.g.fingerprint != g.fingerprint:
+            raise ValueError("branch was made for another graph")
+        if run.seed != seed:
+            raise ValueError("branch was made for another seed")
+        if run.params != params:
+            raise ValueError("branch was made for other SirParams")
+        if any(iv.time < run.until for iv in interventions):
+            raise ValueError("intervention before the branch time")
+    n, t_max = g.n, params.t_max
+    # Intervention plans are fixed before the outbreak: rankings come from
+    # the intact graph, random orders from dedicated child streams. Their
+    # events take seqs below every other, so each pops first at its time.
+    run.interventions, run.plans, run.warnings = interventions, [], []
+    for idx, iv in enumerate(interventions):
+        if iv.time > t_max:
+            run.warnings.append(f"intervention {idx} at t={iv.time} beyond horizon; skipped")
+            run.plans.append(np.empty(0, np.int64))
+            continue
+        if iv.strategy == "topk":
+            if iv.metric not in run.ranks:
+                run.ranks[iv.metric] = ranking(compute(g, iv.metric))
+            run.plans.append(run.ranks[iv.metric])
+        else:
+            order = seeding.rng_from(seed, "intervention", idx).permutation(n)
+            run.plans.append(order.astype(np.int64))
+        heappush(run.heap, (iv.time, idx - len(interventions), _INTERVENE, idx))
+
+    times = _grid(params, interventions)
+    run.points = times.tolist() + [math.inf]
+    _play(run, math.nextafter(t_max, math.inf))
+    counts = np.asarray(run.rows + [run.counts] * (times.size - len(run.rows)),
+                        dtype=np.float64)
     meta = {
         "seed": int(seed),
-        "warnings": warnings,
-        "infection_time": np.array(inf_time),
-        "recovery_time": np.array(rec_time),
+        "warnings": run.warnings,
+        "infection_time": np.array(run.inf_time),
+        "recovery_time": np.array(run.rec_time),
         # work done: transmissions queued, queued ones found stale, and
         # events applied (recoveries, infections, interventions)
-        "pushes": pushes,
-        "stale_pops": stale_pops,
-        "events": events,
+        "pushes": run.pushes,
+        "stale_pops": run.stale_pops,
+        "events": run.events,
     }
     return SirTrajectory(times, counts[:, S], counts[:, I], counts[:, R], counts[:, V], n,
                          meta)
@@ -304,24 +381,39 @@ def replicate_graphs(spec: GenSpec, runs: int, seed: int = 0) -> list[Graph]:
 
 
 def ensemble(graphs: Sequence[Graph], params: SirParams,
-             interventions: Sequence[Intervention] = (), seed: int = 0) -> EnsembleResult:
-    """Average of one independent run per graph in `graphs`.
+             arms: Sequence[Sequence[Intervention]], seed: int = 0) -> list[EnsembleResult]:
+    """Per arm of `arms` (each a sequence of interventions), the average of
+    one run per graph in `graphs`.
 
     Pass `[g] * runs` to run on one graph, or `replicate_graphs(spec, runs,
-    seed)` for a fresh draw per run. Arms that pass the same list share each
-    run's graph instead of redrawing it.
+    seed)` for a fresh draw per run. Every arm runs each graph with the same
+    seed, so the arms share its events up to the first intervention of any
+    of them: they are played once per graph, and each arm continues a copy
+    through `simulate(..., branch=)`. The top-k arms of a graph share its
+    rankings.
     """
     if not graphs:
         raise ValueError("need at least one graph")
-    trajs = [simulate(g, params, interventions, seed=seeding.child_seed(seed, "sir", rep))
-             for rep, g in enumerate(graphs)]
-    times = trajs[0].times
+    if not arms:
+        raise ValueError("need at least one arm")
+    runs: list[list[SirTrajectory]] = [[] for _ in arms]
+    for rep, g in enumerate(graphs):
+        run_seed = seeding.child_seed(seed, "sir", rep)
+        shared = _branch(g, params, arms, run_seed)
+        for a, ivs in enumerate(arms):
+            # the last arm continues the shared run itself; a fork is
+            # dropped as soon as its arm ends
+            runs[a].append(simulate(g, params, ivs, seed=run_seed,
+                                    branch=shared if a == len(arms) - 1 else shared.fork()))
+    return [EnsembleResult(_mean(trajs, seed), trajs) for trajs in runs]
+
+
+def _mean(trajs: list[SirTrajectory], seed: int) -> SirTrajectory:
     stack = lambda attr: np.mean([getattr(tr, attr) for tr in trajs], axis=0)
     warnings = [w for tr in trajs for w in tr.meta["warnings"]]
-    mean = SirTrajectory(times, stack("s"), stack("i"), stack("r"), stack("v"),
+    return SirTrajectory(trajs[0].times, stack("s"), stack("i"), stack("r"), stack("v"),
                          trajs[0].n, {"seed": int(seed), "runs": len(trajs),
                                       "warnings": warnings})
-    return EnsembleResult(mean, trajs)
 
 
 def peak_and_final(traj: SirTrajectory) -> SirSummary:

@@ -141,8 +141,7 @@ def _peak_ordering(spec: GenSpec, label: str):
     seed = seeding.child_seed(MASTER, "c4", label)
     graphs = replicate_graphs(spec, 10, seed)
     peaks, late = {}, {}
-    for arm, ivs in arms.items():
-        res = ensemble(graphs, params, ivs, seed=seed)
+    for arm, res in zip(arms, ensemble(graphs, params, list(arms.values()), seed=seed)):
         summ = peak_and_final(res.mean)
         peaks[arm] = summ.peak_infected
         tr = res.mean

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vaxnet import centrality, experiments, gen_barabasi_albert, spectral, vaccination
+from vaxnet import centrality, experiments, gen_barabasi_albert, sirsim, spectral, vaccination
 from vaxnet.cli import build_parser, main
 from vaxnet.experiments import (ConfigError, ExperimentConfig, InterventionSpec,
                                 config_from_dict, load_config, run_eigendrop_table, run_herd, run_ingest, run_simulate,
@@ -386,6 +386,25 @@ def test_eigendrop_runner_outputs(tmp_path):
         assert lam_topk <= lam_rand <= lam_orig
 
 
+def test_eigendrop_meta_records_no_network_seed(tmp_path):
+    # every graph's seed comes from the master seed, so a network's own seed
+    # shapes nothing and is not recorded
+    metas = []
+    for net_seed in (3, 4):
+        folder = tmp_path / str(net_seed)
+        folder.mkdir()
+        networks = [{**TINY_CONFIG["networks"][0], "seed": net_seed}]
+        cfg = load_config(write_config(folder, {"networks": networks, "replicates": 2,
+                                                "metrics": ["degree"]}))
+        assert cfg.networks[0].seed == net_seed
+        run_eigendrop_table(cfg, folder / "out")
+        metas.append((folder / "out" / "eigendrop_meta.json").read_bytes())
+    assert metas[0] == metas[1]
+    meta = json.loads(metas[0])
+    assert meta["seed"] == TINY_CONFIG["seed"]
+    assert meta["networks"] == [{"family": "erdos_renyi", "n": 120, "p": 0.3}]
+
+
 def test_eigendrop_shuffle_mode(tmp_path):
     cfg = load_config(write_config(tmp_path, {
         "replicate_mode": "shuffle", "replicates": 3,
@@ -509,6 +528,27 @@ def test_simulate_runner_outputs(tmp_path):
     label = "duplication_divergence-n100-p0.4"
     assert set(summary["results"][label]) == set(arms)
     assert summary["results"][label]["none"]["peak_infected"] >= 1
+
+
+def test_simulate_runner_calls_the_sir_layers_by_their_module_names(tmp_path, monkeypatch):
+    # A benchmark tracer wraps these module attributes: a refactor that
+    # stops calling through them would hide the SIR layers from it.
+    calls = {}
+    for module, name in ((sirsim, "simulate"), (experiments, "ensemble"), (sirsim, "compute")):
+        def counting(*args, _inner=getattr(module, name),
+                     _key=f"{module.__name__}.{name}", **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    cfg = load_config(write_config(tmp_path, {"workers": 1, "sir": {
+        "t_max": 6.0, "runs": 2, "metrics": ["degree"],
+        "interventions": [{"time": 1.0, "k": 5}, {"time": 2.0, "k": 5}]}}))
+    assert len(cfg.networks) == 2 and len(cfg.sir.arms()) == 3
+    run_simulate(cfg, tmp_path / "out")
+    # per (family, run, arm); per family; per (graph, top-k metric)
+    assert calls == {"vaxnet.sirsim.simulate": 2 * 2 * 3, "vaxnet.experiments.ensemble": 2,
+                     "vaxnet.sirsim.compute": 2 * 2}
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -175,6 +175,13 @@ def test_intervention_validation():
     assert iv.metric is Metric.DEGREE
 
 
+@pytest.mark.parametrize("metric", [Metric.DEGREE, "closeness"])
+def test_random_intervention_refuses_a_metric(metric):
+    # a random plan never ranks, so a metric there would be silently ignored
+    with pytest.raises(ValueError, match="^random intervention takes no metric$"):
+        Intervention(2.0, "random", 10, metric)
+
+
 @pytest.mark.parametrize("k", [2.5, True, False, "3", None])
 def test_intervention_size_must_be_an_integer(k):
     # the vaccination loop stops when its count equals k, which a
@@ -220,9 +227,8 @@ def test_integral_counts_become_ints(value):
 def test_adding_intervention_never_increases_attack_rate():
     g = gen_duplication_divergence(150, 0.4, seed=14)
     params = SirParams(tau=0.4, t_max=30.0)
-    plain = ensemble([g] * 15, params, (), seed=15)
-    helped = ensemble([g] * 15, params, (Intervention(2.0, "topk", 15, Metric.DEGREE),),
-                      seed=15)
+    plain, helped = ensemble([g] * 15, params,
+                             [(), (Intervention(2.0, "topk", 15, Metric.DEGREE),)], seed=15)
     assert peak_and_final(helped.mean).attack_rate <= peak_and_final(plain.mean).attack_rate
 
 
@@ -258,7 +264,7 @@ def test_supercritical_on_dense_graph_spreads():
 def test_ensemble_mean_of_single_run_is_that_run():
     g = gen_erdos_renyi(50, 0.2, seed=18)
     params = SirParams(t_max=15.0)
-    res = ensemble([g], params, seed=19)
+    res, = ensemble([g], params, [()], seed=19)
     only = res.runs[0]
     assert np.array_equal(res.mean.i, only.i)
 
@@ -266,7 +272,7 @@ def test_ensemble_mean_of_single_run_is_that_run():
 def test_ensemble_average_and_store():
     g = gen_duplication_divergence(100, 0.4, seed=20)
     params = SirParams(t_max=20.0)
-    res = ensemble([g] * 8, params, seed=21)
+    res, = ensemble([g] * 8, params, [()], seed=21)
     assert len(res.runs) == 8
     stacked = np.mean([tr.i for tr in res.runs], axis=0)
     assert np.allclose(res.mean.i, stacked)
@@ -277,7 +283,7 @@ def test_ensemble_regenerates_graph_per_run():
     from vaxnet import GenSpec, replicate_graphs
     spec = GenSpec("erdos_renyi", 60, p=0.15, seed=0)
     params = SirParams(t_max=10.0)
-    res = ensemble(replicate_graphs(spec, 4, seed=22), params, seed=22)
+    res, = ensemble(replicate_graphs(spec, 4, seed=22), params, [()], seed=22)
     # runs on fresh draws differ (same spec would tie them if reused)
     assert len({tuple(tr.i.tolist()) for tr in res.runs}) > 1
 

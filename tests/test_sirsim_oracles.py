@@ -5,6 +5,7 @@ that `simulate` must match bit for bit, and the exact bond-percolation law
 of the final size that seeded runs must match within sampling error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from vaxnet import (GenSpec, Intervention, Metric, SirParams, ensemble, from_edg
                     gen_barabasi_albert, gen_duplication_divergence, gen_erdos_renyi,
                     generate, replicate_graphs, seeding, simulate)
 from vaxnet.experiments import config_from_dict
-from vaxnet.sirsim import _DELAY_CHUNK, _PY_DEGREE
+from vaxnet.graph import Graph
+from vaxnet.sirsim import _DELAY_CHUNK, _PY_DEGREE, _branch
 
 import oracles
 
@@ -275,27 +277,149 @@ def test_counters_balance_when_the_queue_drains():
         assert tr.meta["events"] == by_transmission + infected + len(ivs)
 
 
-# -- shared per-replicate draws --------------------------------------------------------------
+# -- shared per-replicate draws and the shared prefix ---------------------------------------
 
 
 def test_shared_draws_equal_per_arm_redraws():
     spec = GenSpec("erdos_renyi", 70, p=0.15)
     params = SirParams(t_max=10.0)
-    ivs = (Intervention(2.0, "topk", 6, Metric.DEGREE),)
+    arms = [(Intervention(2.0, "topk", 6, Metric.DEGREE),), ()]
     graphs = replicate_graphs(spec, 3, seed=5)
     for rep, g in enumerate(graphs):
         drawn = generate(spec.with_seed(seeding.child_seed(5, "net", rep)))
         assert g.fingerprint == drawn.fingerprint
-    shared = ensemble(graphs, params, ivs, seed=5)
-    redrawn = ensemble(replicate_graphs(spec, 3, seed=5), params, ivs, seed=5)
-    for a, b in zip(shared.runs + [shared.mean], redrawn.runs + [redrawn.mean]):
-        for attr in ("times", "s", "i", "r", "v"):
-            assert np.array_equal(getattr(a, attr), getattr(b, attr))
+    shared = ensemble(graphs, params, arms, seed=5)
+    redrawn = ensemble(replicate_graphs(spec, 3, seed=5), params, arms, seed=5)
+    assert len(shared) == len(redrawn) == len(arms)
+    for one, other in zip(shared, redrawn):
+        for a, b in zip(one.runs + [one.mean], other.runs + [other.mean]):
+            for attr in ("times", "s", "i", "r", "v"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
 
 def test_ensemble_needs_at_least_one_graph():
     with pytest.raises(ValueError, match="at least one graph"):
-        ensemble([], SirParams(initial_infected=1))
+        ensemble([], SirParams(initial_infected=1), [()])
+    with pytest.raises(ValueError, match="at least one arm"):
+        ensemble([complete_graph(4)], SirParams(initial_infected=1), [])
+
+
+def random_iv(time, k=6):
+    return Intervention(time, "random", k)
+
+
+def degree_iv(time, k=6):
+    return Intervention(time, "topk", k, Metric.DEGREE)
+
+
+SHORT = SirParams(tau=0.8, recovery_days=3.0, initial_infected=3, t_max=12.0)
+
+# name: (graph, params, arms). The arms of one case share each run's events
+# before the earliest intervention of any of them.
+BRANCH_CASES = {
+    "no_intervention": ("dd80", SHORT, [(), (random_iv(2.0),)]),
+    "first_times_differ": ("ba80", SHORT, [(random_iv(3.0),), (degree_iv(1.0),),
+                                           (random_iv(2.0), degree_iv(4.0))]),
+    "at_zero": ("er60", SHORT, [(random_iv(0.0),), (degree_iv(2.0),), ()]),
+    "two_at_one_time": ("dd80", SHORT, [(random_iv(2.0), degree_iv(2.0)), (degree_iv(2.0),)]),
+    "off_grid": ("ba80", SHORT, [(random_iv(1.3),), (degree_iv(2.7, 4),)]),
+    "beyond_horizon": ("dd80", SHORT, [(random_iv(99.0),), (degree_iv(12.0), random_iv(40.0))]),
+    "only_beyond_horizon": ("er60", SHORT, [(random_iv(99.0),), ()]),
+    # every outbreak is over by t = 2, long before the first intervention
+    "dies_before_branch": ("dd80", SirParams(tau=0.05, recovery_days=0.5, initial_infected=2,
+                                             t_max=12.0),
+                           [(random_iv(6.0),), (degree_iv(8.0),)]),
+    "tau_zero": ("star30", PARAMS["tau_zero"], [(random_iv(1.0, 4),), (degree_iv(2.0, 3),)]),
+    "tau_inf": ("dd80", SirParams(tau=math.inf, recovery_days=2.0, initial_infected=2,
+                                  t_max=5.0),
+                [(random_iv(1.0),), (degree_iv(0.5),), ()]),
+    # transmissions queued at t = 0 tie with the intervention, which pops first
+    "tau_inf_at_zero": ("dd80", SirParams(tau=math.inf, recovery_days=2.0, initial_infected=2,
+                                          t_max=5.0),
+                        [(random_iv(0.0, 30),), (degree_iv(0.0, 10),)]),
+    # about 4000 delays drawn, nearly all after the branch: several refills
+    "refills_after_branch": ("er400", SirParams(tau=0.15, recovery_days=4.0,
+                                                initial_infected=2, t_max=20.0),
+                             [(random_iv(1.0, 20),), (degree_iv(1.5, 20),), ()]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_ensemble_arms_equal_solo_runs(case):
+    graph, params, arms = BRANCH_CASES[case]
+    g = gen_erdos_renyi(400, 0.05, seed=34) if graph == "er400" else GRAPHS[graph]()
+    results = ensemble([g] * 3, params, arms, seed=7)
+    assert len(results) == len(arms)
+    for ivs, res in zip(arms, results):
+        solo = [simulate(g, params, ivs, seed=seeding.child_seed(7, "sir", rep))
+                for rep in range(3)]
+        for got, want in zip(res.runs, solo):
+            for attr in ("times", "s", "i", "r", "v"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+            for key in ("infection_time", "recovery_time"):
+                assert np.array_equal(got.meta[key], want.meta[key], equal_nan=True), key
+            for key in ("warnings", "pushes", "stale_pops", "events", "seed"):
+                assert got.meta[key] == want.meta[key], key
+            assert_same_run(got, oracles.reference_simulate(g, params, ivs,
+                                                            seed=got.meta["seed"]))
+        for attr in ("s", "i", "r", "v"):
+            assert np.array_equal(getattr(res.mean, attr),
+                                  np.mean([getattr(tr, attr) for tr in solo], axis=0))
+    if case == "dies_before_branch":
+        ended = [tr.meta["recovery_time"] for res in results for tr in res.runs]
+        assert max(np.nanmax(t) for t in ended) < 6.0
+
+
+def test_branch_stops_before_the_first_intervention():
+    g = GRAPHS["dd80"]()
+    run = _branch(g, SHORT, [(random_iv(3.0),), (degree_iv(1.5),)], seed=4)
+    assert run.until == 1.5
+    assert run.heap and all(t >= 1.5 for t, *_ in run.heap)
+    assert run.events > 0
+    assert len(run.rows) == 6          # grid points 0.0 .. 1.25
+    # no arm intervenes by the horizon: the whole run is shared
+    run = _branch(g, SHORT, [(), (random_iv(99.0),)], seed=4)
+    assert run.until > SHORT.t_max
+    assert all(t > SHORT.t_max for t, *_ in run.heap)
+
+
+IVS = (random_iv(2.0),)
+
+# name: (changes to simulate's keyword arguments, refusal). The branch is
+# made for dd80, SHORT, seed 5 and IVS.
+BRANCH_MISUSES = {
+    "graph": ({"g": "ba80"}, "another graph"),
+    "seed": ({"seed": 6}, "another seed"),
+    "params": ({"params": dataclasses.replace(SHORT, tau=0.9)}, "other SirParams"),
+    "early_intervention": ({"interventions": (degree_iv(1.0),)}, "before the branch time"),
+}
+
+
+@pytest.mark.parametrize("misuse", sorted(BRANCH_MISUSES))
+def test_simulate_refuses_a_branch_made_for_other_inputs(misuse):
+    g = GRAPHS["dd80"]()
+    change, message = BRANCH_MISUSES[misuse]
+    call = {"g": g, "params": SHORT, "interventions": IVS, "seed": 5, **change}
+    if isinstance(call["g"], str):
+        call["g"] = GRAPHS[call["g"]]()
+    assert call["g"].n == g.n
+    with pytest.raises(ValueError, match=message):
+        simulate(**call, branch=_branch(g, SHORT, [IVS], seed=5))
+
+
+def test_simulate_refuses_a_branch_continued_twice():
+    g = GRAPHS["dd80"]()
+    run = _branch(g, SHORT, [IVS], seed=5)
+    simulate(g, SHORT, IVS, seed=5, branch=run)
+    with pytest.raises(ValueError, match="already continued"):
+        simulate(g, SHORT, IVS, seed=5, branch=run)
+
+
+def test_branch_accepts_an_equal_graph_object():
+    g = GRAPHS["dd80"]()
+    twin = Graph(g.n, g.indptr.copy(), g.indices.copy())
+    got = simulate(twin, SHORT, IVS, seed=5, branch=_branch(g, SHORT, [IVS], seed=5))
+    assert_same_run(got, simulate(g, SHORT, IVS, seed=5))
 
 
 # -- exact final-size law by bond percolation --------------------------------------------------
