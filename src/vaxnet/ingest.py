@@ -3,12 +3,12 @@
 The expected format is one contact per line: `timestamp id_a id_b`,
 whitespace separated (tabs in the published datasets), with an optional
 two-column variant that omits the timestamp. Repeated contacts between the
-same pair collapse to a single edge per day; how often the pair met is kept
-as an edge weight in metadata rather than in the graph itself.
+same pair collapse to a single edge per day.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -37,13 +37,19 @@ class DailyGraphSet:
     """One graph per observation day; node i of a graph is external id labels[i].
 
     `days` holds each graph's day index (timestamp // day_length, offset so
-    the first day is 0). `edge_weights` count the raw contacts behind each
-    collapsed edge, keyed by (node_id, node_id) with the smaller id first.
+    the first day is 0).
     """
     days: list[int]
     graphs: list[Graph]
-    edge_weights: list[dict[tuple[int, int], int]]
     warnings: list[str] = field(default_factory=list)
+
+
+# The class of each byte, as a bytes.translate table: 0 anything else, 1 a
+# blank, 2 the line end, 3 a digit, 4 a sign. The blanks are the ASCII
+# whitespace that both str.split() and np.fromstring skip (not \x1c-\x1f,
+# which only split() does).
+_BYTE_CLASS = bytes(1 if c in b" \t\x0b\x0c" else 2 if c == ord("\n") else
+                    3 if c in b"0123456789" else 4 if c in b"+-" else 0 for c in range(256))
 
 
 def parse_contacts(path, columns: int = 3) -> ParseResult:
@@ -54,103 +60,87 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
     nothing valid remains (the first few per-line complaints are included,
     so a wrong `columns` setting is visible with line numbers).
 
-    A file that `_clean_records` can vouch for is converted in one call;
-    any other goes through the per-line loop, which alone writes warnings.
+    Lines end as in text-mode iteration, at `\\n`, `\\r\\n` or `\\r`. A clean
+    line holds only ASCII digits, signs and blanks; it has no tokens or
+    `columns` of them, each an optional sign and 1 to 18 digits, so `int`
+    and `np.fromstring` read it alike and in the int64 range; and it is no
+    self contact. All clean lines are converted by one `np.fromstring`
+    call. Each other line (a comment, a `\\x1c` separator, a 19-digit
+    field, a malformed record) is judged on its own, and only that judge
+    writes warnings. Records keep their line order.
     """
     if columns not in (2, 3):
         raise ValueError("columns must be 2 or 3")
-    with open(path, "rb") as fh:
-        records = _clean_records(fh.read(), columns)
-    if records is None:
-        return _parse_lines(path, columns)
-    return ParseResult(records, [], str(path))
-
-
-# Byte classes of a clean file: 0 anything else, 1 a blank, 2 a line end,
-# 3 a digit, 4 a sign. The blanks are the ASCII whitespace that both
-# str.split() and np.fromstring skip (not \x1c-\x1f, which only split() does).
-_BYTE_CLASS = np.zeros(256, np.int8)
-_BYTE_CLASS[list(b" \t\x0b\x0c")] = 1
-_BYTE_CLASS[list(b"\n\r")] = 2
-_BYTE_CLASS[list(b"0123456789")] = 3
-_BYTE_CLASS[list(b"+-")] = 4
-
-
-def _clean_records(data: bytes, columns: int) -> Optional[np.ndarray]:
-    """The records the per-line loop would return for a file of bytes
-    `data` that gives it nothing to warn about, or None for any other file.
-
-    Such a file holds only digits, signs, ASCII blanks and line ends;
-    every token is an optional sign and 1 to 18 digits, so `int` and one
-    `np.fromstring` call read it alike and in the int64 range; each
-    non-blank line holds exactly `columns` tokens; and no record is a self
-    contact. Lines end at `\n` or `\r`, as in text-mode iteration, which
-    reads `\r\n` as one end where this sees two around an empty line;
-    that changes no line's tokens. A file of no tokens is left to the
-    loop, which refuses it.
-    """
-    kind = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
-    if not kind.all():
-        return None
-    # +1 where a token starts, -1 one past where it ends
-    edge = np.diff((kind >= 3).view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    if not starts.size or starts.size % columns:
-        return None
-    signed = kind[starts] == 4
-    digits = ends - starts - signed
-    if np.count_nonzero(signed) != np.count_nonzero(kind == 4) or not (
-            1 <= digits.min() and digits.max() <= 18):
-        return None
-    line = np.searchsorted(np.flatnonzero(kind == 2), starts).reshape(-1, columns)
-    if not (np.array_equal(line[:, 0], line[:, -1]) and np.all(line[1:, 0] > line[:-1, 0])):
-        return None
-    values = np.fromstring(data, np.int64, sep=" ")
-    if values.size != starts.size:
-        return None
-    values = values.reshape(-1, columns)
-    if np.any(values[:, -2] == values[:, -1]):
-        return None
-    if columns == 3:
-        return values
-    records = np.zeros((values.shape[0], 3), np.int64)
-    records[:, 1:] = values
-    return records
-
-
-def _parse_lines(path, columns: int) -> ParseResult:
-    """`parse_contacts` one text line at a time, warning per malformed line."""
-    flat: list[int] = []
-    warnings: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != columns:
-                warnings.append(f"line {line_no}: expected {columns} fields, got {len(parts)}")
-                continue
-            try:
-                nums = [int(p) for p in parts]
-            except ValueError:
-                warnings.append(f"line {line_no}: non-integer field")
-                continue
-            if columns == 3:
-                ts, a, b = nums
-            else:
-                ts, (a, b) = 0, nums
-            if not (-2**63 <= ts < 2**63 and -2**63 <= a < 2**63 and -2**63 <= b < 2**63):
-                warnings.append(f"line {line_no}: field outside the int64 range")
-                continue
-            if a == b:
-                warnings.append(f"line {line_no}: self contact {a}")
-                continue
-            flat += (ts, a, b)
-    if not flat:
+        data = fh.read().encode()
+    kind = np.frombuffer(data.translate(_BYTE_CLASS), np.int8)
+    newline = np.flatnonzero(kind == 2)
+    # line i is data[bound[i]:bound[i + 1]], its line end included
+    bound = np.concatenate([[0], newline + 1, [kind.size]])
+    # where each token starts, and one past where it ends
+    in_token = np.concatenate([[False], kind >= 3, [False]])
+    starts, ends = np.flatnonzero(in_token[1:] != in_token[:-1]).reshape(-1, 2).T
+    tokens = np.diff(np.searchsorted(starts, bound))
+    dirty = (tokens != 0) & (tokens != columns)
+    # a byte of class 0, a sign that does not start a token, or the start
+    # of a token of no digits or of more than 18
+    odd = (kind == 0) | (kind == 4)
+    odd[starts] = False
+    digits = ends - starts - (kind[starts] == 4)
+    odd[starts[(digits < 1) | (digits > 18)]] = True
+    dirty[np.searchsorted(newline, np.flatnonzero(odd))] = True
+
+    bulk_line = np.flatnonzero((tokens == columns) & ~dirty)
+    values = np.empty((0, columns), np.int64)
+    if bulk_line.size:  # on a buffer of blanks np.fromstring returns one bogus value
+        bulk = data
+        if dirty.any():
+            bulk = np.where(np.repeat(dirty, np.diff(bound)), np.uint8(32),
+                            np.frombuffer(data, np.uint8)).tobytes()
+        values = np.fromstring(bulk, np.int64, sep=" ").reshape(-1, columns)
+        self_contact = values[:, -2] == values[:, -1]
+        if self_contact.any():
+            dirty[bulk_line[self_contact]] = True
+            values, bulk_line = values[~self_contact], bulk_line[~self_contact]
+
+    judged, judged_line, warnings = [], [], []
+    for i in np.flatnonzero(dirty).tolist():
+        nums = _judge(data[bound[i]:bound[i + 1]].decode(), i + 1, columns, warnings)
+        if nums is not None:
+            judged.append(nums)
+            judged_line.append(i)
+    if judged:
+        values = np.concatenate([values, np.array(judged, np.int64)])
+        values = values[np.argsort(np.concatenate([bulk_line, judged_line]), kind="stable")]
+    if not values.size:
         detail = "; ".join(warnings[:3]) if warnings else "file held no contact lines"
         raise ZeroRecordsError(f"{path}: no valid contact records ({detail})")
-    return ParseResult(np.array(flat, np.int64).reshape(-1, 3), warnings, str(path))
+    if columns == 2:
+        values = np.hstack([np.zeros_like(values[:, :1]), values])
+    return ParseResult(values, warnings, str(path))
+
+
+def _judge(line: str, line_no: int, columns: int, warnings: list[str]) -> Optional[list[int]]:
+    """The fields of text line `line_no` as ints, or None for a blank or
+    comment line and for a malformed one, which adds a warning."""
+    parts = line.split()
+    if not parts or parts[0].startswith("#"):
+        return None
+    if len(parts) != columns:
+        warnings.append(f"line {line_no}: expected {columns} fields, got {len(parts)}")
+        return None
+    try:
+        nums = [int(p) for p in parts]
+    except ValueError:
+        warnings.append(f"line {line_no}: non-integer field")
+        return None
+    if not all(-2**63 <= x < 2**63 for x in nums):
+        warnings.append(f"line {line_no}: field outside the int64 range")
+        return None
+    if nums[-2] == nums[-1]:
+        warnings.append(f"line {line_no}: self contact {nums[-1]}")
+        return None
+    return nums
 
 
 def _daily(day: np.ndarray, a: np.ndarray, b: np.ndarray) -> DailyGraphSet:
@@ -160,35 +150,39 @@ def _daily(day: np.ndarray, a: np.ndarray, b: np.ndarray) -> DailyGraphSet:
     sorted external-id order per day, so record order does not matter.
     """
     order = np.argsort(day)
-    day, a, b = day[order], np.minimum(a, b)[order], np.maximum(a, b)[order]
+    day, a, b = day[order], a[order], b[order]
     keys = sorted_distinct(day)
     bounds = np.append(np.searchsorted(day, keys), day.size).tolist()
-    graphs, weights = [], []
+    graphs = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ids = sorted_distinct(np.concatenate([a[lo:hi], b[lo:hi]]))
-        code = np.searchsorted(ids, a[lo:hi]) * ids.size + np.searchsorted(ids, b[lo:hi])
-        pairs = sorted_distinct(code)
-        count = np.diff(np.append(np.searchsorted(code, pairs), code.size))
-        rows, cols = np.divmod(pairs, ids.size)
-        graphs.append(from_arrays(rows, cols, n=ids.size, labels=ids.tolist()))
-        weights.append(dict(zip(zip(rows.tolist(), cols.tolist()), count.tolist())))
-    return DailyGraphSet(keys.tolist(), graphs, weights)
+        graphs.append(from_arrays(np.searchsorted(ids, a[lo:hi]), np.searchsorted(ids, b[lo:hi]),
+                                  n=ids.size, labels=ids.tolist()))
+    return DailyGraphSet(keys.tolist(), graphs)
 
 
 def build_daily_graphs(records, day_length: Optional[int] = SECONDS_PER_DAY) -> DailyGraphSet:
     """Bucket contacts into days and build one simple graph per day.
 
-    `records` are int64 `(timestamp, id_a, id_b)` rows, as an array or a
-    list of 3-tuples. Days are `(timestamp - min timestamp) // day_length`,
-    Python ints for any integral `day_length` (86400 or 86400.0, not a
-    bool or 1.5, which raise ValueError); `day_length=None` puts every
-    record in one bucket (useful when each input file already holds
-    exactly one day).
+    `records` are `(timestamp, id_a, id_b)` rows of integers in the int64
+    range, as an int array or a list of 3-tuples; anything else (a float,
+    a bool, a string, 2**63) raises ValueError. Days are
+    `(timestamp - min timestamp) // day_length`, Python ints for any
+    integral `day_length` (86400 or 86400.0, not a bool or 1.5, which
+    raise ValueError); `day_length=None` puts every record in one bucket
+    (useful when each input file already holds exactly one day).
     """
     if day_length is not None:
         day_length = as_integer(day_length, "day_length", ValueError)
         if day_length <= 0:
             raise ValueError("day_length must be positive")
+    if not (isinstance(records, np.ndarray) and records.dtype.kind == "i"):
+        cells = np.asarray(records, dtype=object)
+        bad = [v for v in cells.flat if isinstance(v, bool)
+               or not isinstance(v, numbers.Integral) or not -2**63 <= v < 2**63]
+        if bad:
+            raise ValueError(f"records must hold integers in the int64 range, got {bad[0]!r}")
+        records = cells.astype(np.int64)
     rows = np.asarray(records, np.int64)
     if not rows.size:
         raise ZeroRecordsError("no contact records to bucket")

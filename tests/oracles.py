@@ -10,8 +10,9 @@ by an event loop that queues every transmission, SIR final sizes by
 enumerating bond-percolation outcomes, the herd search by plain
 bisection, geometric graphs by testing every pair of points, and the
 power iteration with a fresh array for every operation, preferential
-attachment by batched `rng.integers` calls, and node deletion by boolean
-masks over a per-entry row array. Slow and simple on purpose.
+attachment by batched `rng.integers` calls, node deletion by boolean
+masks over a per-entry row array, and contact files by judging every text
+line in turn. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -495,3 +496,44 @@ def mask_delete_nodes(g, victims):
     np.cumsum(np.bincount(new_rows, minlength=len(old_ids)), out=indptr[1:])
     labels = old_ids if g.labels is None else [g.labels[i] for i in old_ids]
     return len(old_ids), indptr, new_cols, tuple(labels)
+
+
+# -- contact files one text line at a time -------------------------------------------
+
+
+def parse_lines(path, columns: int):
+    """`parse_contacts(path, columns)` by reading and judging every text
+    line in turn, warning per malformed line."""
+    from vaxnet.ingest import ParseResult, ZeroRecordsError
+
+    flat: list[int] = []
+    warnings: list[str] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != columns:
+                warnings.append(f"line {line_no}: expected {columns} fields, got {len(parts)}")
+                continue
+            try:
+                nums = [int(p) for p in parts]
+            except ValueError:
+                warnings.append(f"line {line_no}: non-integer field")
+                continue
+            if columns == 3:
+                ts, a, b = nums
+            else:
+                ts, (a, b) = 0, nums
+            if not (-2**63 <= ts < 2**63 and -2**63 <= a < 2**63 and -2**63 <= b < 2**63):
+                warnings.append(f"line {line_no}: field outside the int64 range")
+                continue
+            if a == b:
+                warnings.append(f"line {line_no}: self contact {a}")
+                continue
+            flat += (ts, a, b)
+    if not flat:
+        detail = "; ".join(warnings[:3]) if warnings else "file held no contact lines"
+        raise ZeroRecordsError(f"{path}: no valid contact records ({detail})")
+    return ParseResult(np.array(flat, np.int64).reshape(-1, 3), warnings, str(path))

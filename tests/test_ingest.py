@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from vaxnet import ingest
 from vaxnet import (ZeroRecordsError, build_daily_graphs, load_daily_graphs,
                     parse_contacts, write_edge_list, read_edge_list)
@@ -98,7 +99,7 @@ def test_int64_extremes_are_valid_ids(tmp_path):
     assert res.warnings == []
     ds = build_daily_graphs(res.records, day_length=None)
     assert ds.graphs[0].labels == (lo, 7, hi)
-    assert ds.edge_weights[0] == {(0, 2): 1, (1, 2): 1}
+    assert [x.tolist() for x in ds.graphs[0].edges()] == [[0, 1], [2, 2]]
 
 
 @pytest.mark.parametrize("day_length", [None, 86_400])
@@ -111,7 +112,7 @@ def test_huge_timestamp_line_skipped_in_both_modes(tmp_path, day_length):
     assert ds.warnings == [f"{path}: line 2: field outside the int64 range"]
 
 
-# -- the whole-file conversion against the per-line loop ---------------------------
+# -- the bulk conversion and the line judge against the per-line loop ---------------
 
 # Field separators; \x0b and \x0c are blanks to both split() and numpy,
 # \x1c, \x85 and \xa0 to split() alone.
@@ -163,40 +164,111 @@ def loop_outcome(parse, path, columns):
     return res.records.shape, res.records.tobytes(), res.warnings, res.path
 
 
+def spy_on_judge(monkeypatch):
+    """The (line number, fields or None) of each line that reaches the line judge."""
+    calls = []
+    judge = ingest._judge
+
+    def spy(line, line_no, columns, warnings):
+        nums = judge(line, line_no, columns, warnings)
+        calls.append((line_no, nums))
+        return nums
+
+    monkeypatch.setattr(ingest, "_judge", spy)
+    return calls
+
+
 @pytest.mark.parametrize("columns", [2, 3])
-def test_whole_file_conversion_matches_the_per_line_loop(tmp_path, columns):
+def test_whole_file_conversion_matches_the_per_line_loop(tmp_path, monkeypatch, columns):
+    judged = spy_on_judge(monkeypatch)
     rng = random.Random(f"whole-file-{columns}")
     path = tmp_path / "c.txt"
-    clean = refused = 0
+    clean = mixed = refused = 0
     for trial in range(400):
         path.write_bytes(contact_text(rng, columns, rng.choice([0.0, 0.0, 0.05, 0.3])).encode())
-        clean += ingest._clean_records(path.read_bytes(), columns) is not None
-        want = loop_outcome(ingest._parse_lines, path, columns)
+        judged.clear()
+        want = loop_outcome(oracles.parse_lines, path, columns)
         assert loop_outcome(parse_contacts, path, columns) == want, trial
-        refused += want[0] == "error"
-    # both routes are taken many times, and some files are refused whole
-    assert 100 < clean < 300 and refused
+        if want[0] == "error":
+            refused += 1
+            continue
+        bulk = want[0][0] - sum(nums is not None for _, nums in judged)
+        clean += not judged
+        mixed += bool(judged) and bulk > 0
+    # files with nothing to judge and files with both bulk-converted and
+    # judged lines come up many times, and some files are refused whole
+    assert clean > 100 and mixed > 100 and refused
 
 
-@pytest.mark.parametrize("text, columns, reason", [
-    ("40 1 2\n41 3 4\n", 3, None),
-    ("1 2\r\n3 4\r5 6", 2, None),
-    ("\n  \t\n+40\x0b-1\x0c007\n", 3, None),
-    ("40 1 2\n# note\n", 3, "comment"),
-    ("40 1\x1c2\n", 3, "split() blank"),
-    ("40 1 \u0662\n", 3, "non-ASCII"),
-    ("40 1 1_000\n", 3, "underscore"),
-    ("40 1 - 2\n", 3, "lone sign"),
-    ("40 1 2-3\n", 3, "inner sign"),
-    (f"{10**18} 1 2\n", 3, "19 digits"),
-    ("40 1 2 3\n", 3, "field count"),
-    ("40 1 2\n41 3\n42 5 6 7\n", 3, "field count"),
-    ("40 7 7\n", 3, "self contact"),
-    ("\n \n", 3, "no fields"),
+@pytest.mark.parametrize("line, columns, reason", [
+    ("41 3 4", 3, None),
+    ("3 4", 2, None),
+    ("+40\x0b-1\x0c007", 3, None),
+    ("", 3, None),
+    (" \t ", 3, None),
+    ("# note", 3, "comment"),
+    ("40 1\x1c2", 3, "split() blank"),
+    ("40 1 \u0662", 3, "non-ASCII"),
+    ("40 1 1_000", 3, "underscore"),
+    ("40 1 - 2", 3, "lone sign"),
+    ("40 1 2-3", 3, "inner sign"),
+    (f"{10**18} 1 2", 3, "19 digits"),
+    ("40 1 2 3", 3, "field count"),
+    ("41 3", 3, "field count"),
+    ("40 7 7", 3, "self contact"),
 ], ids=lambda v: repr(v) if isinstance(v, str) else None)
-def test_clean_records_refuses_what_the_loop_must_judge(text, columns, reason):
-    got = ingest._clean_records(text.encode(), columns)
-    assert (got is None) == (reason is not None)
+def test_line_judge_gets_each_line_the_bulk_conversion_cannot_read(
+        tmp_path, monkeypatch, line, columns, reason):
+    # the line sits between two clean records; a line of blanks is clean
+    # and converts to nothing
+    judged = spy_on_judge(monkeypatch)
+    good = ["10 1 2", "20 5 6"] if columns == 3 else ["1 2", "5 6"]
+    path = tmp_path / "c.txt"
+    path.write_bytes(f"{good[0]}\n{line}\n{good[1]}\n".encode())
+    assert loop_outcome(parse_contacts, path, columns) == loop_outcome(
+        oracles.parse_lines, path, columns)
+    assert [line_no for line_no, _ in judged] == ([] if reason is None else [2])
+
+
+def test_header_line_leaves_the_plain_records(tmp_path, monkeypatch):
+    body = "".join(f"{40 + k}\t{1100 + k}\t{1200 + k}\n" for k in range(50))
+    plain = parse_contacts(write(tmp_path, "plain.txt", body))
+    judged = spy_on_judge(monkeypatch)
+    res = parse_contacts(write(tmp_path, "header.txt", "# t a b\n" + body))
+    assert np.array_equal(res.records, plain.records) and res.warnings == []
+    assert judged == [(1, None)]
+
+
+def test_judged_lines_among_clean_lines_keep_their_place(tmp_path, monkeypatch):
+    judged = spy_on_judge(monkeypatch)
+    lines = [f"{40 + k}\t{1100 + k}\t{1200 + k}" for k in range(9)]
+    lines[2] = "0000000000000000000042\t7\t8"   # 22 digits, valid
+    lines[5] = "45\t1100"
+    path = write(tmp_path, "c.txt", "\n".join(lines) + "\n")
+    res = parse_contacts(path)
+    assert [no for no, _ in judged] == [3, 6]
+    assert res.warnings == ["line 6: expected 3 fields, got 2"]
+    assert res.records[:, 0].tolist() == [40, 41, 42, 43, 44, 46, 47, 48]
+    assert res.records[2].tolist() == [42, 7, 8]
+    assert loop_outcome(parse_contacts, path, 3) == loop_outcome(oracles.parse_lines, path, 3)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_files_number_lines_as_text_mode(tmp_path, newline):
+    path = tmp_path / "c.txt"
+    lines = ["# t a b", "40 1 2", "41 1", "", "42 3 4", "43 5 5", "44 6 7"]
+    path.write_bytes(newline.join(lines).encode())
+    res = parse_contacts(path)
+    assert res.warnings == ["line 3: expected 3 fields, got 2", "line 6: self contact 5"]
+    assert res.records.tolist() == [[40, 1, 2], [42, 3, 4], [44, 6, 7]]
+    assert loop_outcome(parse_contacts, path, 3) == loop_outcome(oracles.parse_lines, path, 3)
+
+
+def test_invalid_utf8_byte_raises(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"40 1 2\n41 \xff 3\n42 4 5\n")
+    with pytest.raises(UnicodeDecodeError):
+        parse_contacts(path)
 
 
 def test_columns_argument_validated(tmp_path):
@@ -208,13 +280,12 @@ def test_columns_argument_validated(tmp_path):
 # -- daily graph construction ----------------------------------------------------
 
 
-def test_repeated_contacts_collapse_to_weighted_edge():
+def test_repeated_contacts_collapse_to_one_edge():
     recs = [(0, 7, 9), (20, 9, 7), (40, 7, 9)]
     ds = build_daily_graphs(recs)
     assert len(ds.graphs) == 1
     g = ds.graphs[0]
     assert g.n == 2 and g.m == 1
-    assert ds.edge_weights[0] == {(0, 1): 3}
 
 
 def test_day_bucketing_by_timestamp():
@@ -287,8 +358,7 @@ def test_labels_map_back_to_external_ids():
     assert g.labels == (1200, 1300, 1500)
     assert all(type(lbl) is int for lbl in g.labels)
     # the edge between externals 1500 and 1200 is internal (0, 2)
-    assert g.has_edge(0, 2)
-    assert ds.edge_weights[0] == {(0, 2): 1, (0, 1): 1}
+    assert g.has_edge(0, 2) and g.has_edge(0, 1) and g.m == 2
 
 
 def test_record_order_irrelevant():
@@ -300,7 +370,6 @@ def test_record_order_irrelevant():
     shuffled = [recs[i] for i in rng.permutation(len(recs))]
     ds2 = build_daily_graphs(shuffled)
     assert ds1.graphs[0] == ds2.graphs[0]
-    assert ds1.edge_weights == ds2.edge_weights
 
 
 def test_single_bucket_mode():
@@ -324,6 +393,15 @@ def test_records_must_be_three_column_rows(records):
         build_daily_graphs(records)
 
 
+@pytest.mark.parametrize("bad", [(5, 2.7, 3), (0.5, 3, 4), (5, "3", 4), (5, True, 4),
+                                 (5, 3, 2**63)],
+                         ids=["float_id", "float_timestamp", "string", "bool", "beyond_int64"])
+def test_records_must_be_int64_integers(bad):
+    # each would once have been truncated or wrapped into another contact
+    with pytest.raises(ValueError, match="records must hold integers in the int64 range"):
+        build_daily_graphs([(0, 1, 2), bad])
+
+
 @pytest.mark.parametrize("day_length", [None, 86_400])
 def test_no_files_rejected_in_both_modes(day_length):
     with pytest.raises(ZeroRecordsError):
@@ -331,7 +409,8 @@ def test_no_files_rejected_in_both_modes(day_length):
 
 
 def reference_daily(records, day_length):
-    """(day, labels, edge counts) per day, bucketed with plain dicts."""
+    """(day, labels, edge counts) per day, bucketed with plain dicts; the
+    counts' keys are the day's edges."""
     t0 = min(ts for ts, _, _ in records)
     by_day = {}
     for ts, a, b in records:
@@ -376,11 +455,9 @@ def test_daily_graphs_match_dict_reference(pool, columns, day_length, seed):
     ds = build_daily_graphs(recs, day_length=day_length)
     assert ds.days == [day for day, _, _ in want]
     assert [g.labels for g in ds.graphs] == [labels for _, labels, _ in want]
-    assert ds.edge_weights == [counts for _, _, counts in want]
     for g, (_, _, counts) in zip(ds.graphs, want):
         check_csr_invariants(g)
         assert list(zip(*(x.tolist() for x in g.edges()))) == sorted(counts)
-    assert all(type(k) is int for w in ds.edge_weights for pair in w for k in pair)
     assert all(type(lbl) is int for g in ds.graphs for lbl in g.labels)
 
 
@@ -398,12 +475,6 @@ def test_fixture_files_one_day_each(contact_files):
         assert all(isinstance(lbl, int) and lbl >= 1000 for lbl in g.labels)
 
 
-def test_fixture_weights_count_raw_lines(contact_files):
-    ds = load_daily_graphs(contact_files)
-    raw_lines = sum(1 for _ in open(contact_files[0]))
-    assert sum(ds.edge_weights[0].values()) == raw_lines
-
-
 def test_fixture_pooled_by_timestamp(contact_files):
     ds = load_daily_graphs(contact_files, day_length=86_400)
     assert ds.days == [0, 1, 2]
@@ -412,7 +483,16 @@ def test_fixture_pooled_by_timestamp(contact_files):
     # mode; Graph equality includes the labels
     per_file = load_daily_graphs(contact_files)
     assert ds.graphs == per_file.graphs
-    assert ds.edge_weights == per_file.edge_weights
+
+
+def test_fixtures_with_a_header_and_crlf_ends_load_alike(tmp_path, contact_files):
+    copies = []
+    for src in contact_files:
+        copies.append(tmp_path / src.name)
+        copies[-1].write_bytes(b"# t a b\r\n" + src.read_bytes().replace(b"\n", b"\r\n"))
+    plain, dressed = load_daily_graphs(contact_files), load_daily_graphs(copies)
+    assert dressed.days == plain.days and dressed.graphs == plain.graphs
+    assert dressed.warnings == plain.warnings == []
 
 
 def test_daily_graph_round_trips_through_edge_list(tmp_path, contact_files):
