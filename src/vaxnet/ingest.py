@@ -176,18 +176,19 @@ def build_daily_graphs(records, day_length: Optional[int] = SECONDS_PER_DAY) -> 
         day_length = as_integer(day_length, "day_length", ValueError)
         if day_length <= 0:
             raise ValueError("day_length must be positive")
-    if not (isinstance(records, np.ndarray) and records.dtype.kind == "i"):
-        cells = np.asarray(records, dtype=object)
-        bad = [v for v in cells.flat if isinstance(v, bool)
-               or not isinstance(v, numbers.Integral) or not -2**63 <= v < 2**63]
-        if bad:
-            raise ValueError(f"records must hold integers in the int64 range, got {bad[0]!r}")
-        records = cells.astype(np.int64)
-    rows = np.asarray(records, np.int64)
+    rows = records
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"):
+        rows = np.asarray(records, dtype=object)
     if not rows.size:
         raise ZeroRecordsError("no contact records to bucket")
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ValueError(f"records must be (timestamp, id_a, id_b) rows, got shape {rows.shape}")
+    if rows.dtype == object:
+        bad = [v for v in rows.flat if isinstance(v, bool)
+               or not isinstance(v, numbers.Integral) or not -2**63 <= v < 2**63]
+        if bad:
+            raise ValueError(f"records must hold integers in the int64 range, got {bad[0]!r}")
+    rows = rows.astype(np.int64, copy=False)
     ts, a, b = rows.T
     if day_length is None or day_length >= 2**64:
         # every uint64 offset is below 2**64, so all records fall on day 0
