@@ -28,25 +28,31 @@ the mean degree times `_SPARSE_COST`, is below n x b: it pushes from a
 small frontier or from small level coefficients, or pulls into a small
 set of targets, the unreached pairs forward and the level below backward
 (direction-optimizing BFS). Path counts are integers, so every kernel
-gives the same forward bits while the counts stay below 2^53. Backward,
+gives the same forward bits while the counts stay exact. Backward,
 a gather adds each node's neighbors in ascending order for blocks of b
 >= 2 sources, and a sparse level adds the same terms in that order, so
 it gives the same bits; numpy sums a one-source block's gathered column
 pairwise instead, so those blocks, and product components, step densely
-throughout. The forward frontier runs in float32 while each step's sums
-stay below 2^24, where float32 integers are exact in any order, and in
-float64 after that. Both passes apply a level's mask by multiplying by
-it: every entry is finite and >= +0.0, so this gives the same bits as
-writing zeros outside the mask. The backward pass holds the peak: four
-float64 n x b arrays (path counts, dependencies, and a level's
-coefficients and their product), one int32 (distances) and one reused
+throughout. The path counts and the forward frontier run in float32
+while each step's sums stay below 2^24, where float32 integers are exact
+in any order, and in float64 after that; integers below 2^24 convert to
+float64 exactly, so the backward pass reads the same values from either.
+Distances run in the smallest signed integer type that holds n - 1
+(int16 from 129 to 32768 nodes). Both passes apply a level's mask by
+multiplying by it: every entry is finite and >= +0.0, so this gives the
+same bits as writing zeros outside the mask. The backward pass holds the
+peak: three float64 n x b arrays (dependencies, and a level's
+coefficients and their product), the path counts (float32, or float64
+in a block whose counts came near 2^24), the distances and one reused
 one-byte mask, plus the dense A when there is one, which only a single
-block of 512 <= n = b <= 2048 uses: about 5.6 `_BLOCK_ENTRIES`
-float64s, 180 MiB, at most. The forward pass holds the distances, the
-float64 path counts, a float32 frontier pair and a one-byte mask, with A
-built in float32; A is rebuilt in the other dtype, never held in both.
-It starts from the level-1 pairs as flat positions (at most 2m int64s),
-held only until the first dense step builds the frontier pair.
+block of 512 <= n = b <= 2048 uses: about 4.9 `_BLOCK_ENTRIES` float64s,
+156 MiB, at most (5.4, 172 MiB, with float64 counts). The forward pass
+holds the distances, the path counts, a frontier pair in their dtype and
+a one-byte mask, with A built in that dtype; A is rebuilt in the other
+dtype, never held in both, and a switch to float64 frees the float32
+frontier pair before it allocates the float64 one. It starts from the
+level-1 pairs as flat positions (at most 2m int64s), held only until the
+first dense step builds the frontier pair.
 Eigenvector scores are the dominant eigenvector from
 `spectral.lambda_max`.
 """
@@ -76,7 +82,8 @@ _PRODUCT_MIN_NODES = 512
 # below the n x b pairs of a dense step (see `_side`).
 _SPARSE_COST = 16
 # Path counts below this are exact integers in float32, in any summation
-# order, so the forward frontier runs in float32 while a step stays below it.
+# order, so the path counts and the forward frontier run in float32 while
+# a step stays below it.
 _EXACT_F32 = 2**24
 # Ranked scores this close, relative to the largest |score|, count as tied.
 _TIE = 1e-12
@@ -287,13 +294,19 @@ def _pull(g: Graph, pos: np.ndarray, b: int, terms) -> np.ndarray:
     return sums
 
 
+def _dist_dtype(n: int) -> np.dtype:
+    """The smallest signed integer type that holds the distances of an
+    n-node graph, 0 to n - 1: int8 up to n = 128, int16 up to 32768."""
+    return np.min_scalar_type(-n)
+
+
 def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BFS from the sources s0..s1-1 of the connected graph `g` at once,
     one level per step.
 
-    Returns distances dist[v, j] (int32) and shortest-path counts
-    sigma[v, j] from source s0 + j, and the number of pairs at each level
-    0..depth. Column j of the frontier holds the path counts of the nodes
+    Returns distances dist[v, j] (in `_dist_dtype(n)`) and shortest-path
+    counts sigma[v, j] from source s0 + j, and the number of pairs at each
+    level 0..depth. Column j of the frontier holds the path counts of the nodes
     at the current level from s0 + j, so one step both finds the next
     level and counts the paths into it. Level 1 is read off the sources'
     CSR rows as flat positions v * b + j, and the frontier array is first
@@ -313,22 +326,26 @@ def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, 
     frontier or unreached, where sigma is 0. It sets sigma and the mask
     only at the pairs it reaches. A pull adds 1 to dist only at its
     targets; a push adds the unreached mask to dist, one pass over the
-    int32 array as in a dense step. Sparse steps hold the frontier only at
+    array as in a dense step. Sparse steps hold the frontier only at
     its positions, and a dense step after them rebuilds the array.
 
-    The frontier array runs in float32 while a step's sums stay below
-    `_EXACT_F32` = 2^24: each is a sum of at most max-degree frontier
-    counts, and every integer partial sum below 2^24 is exact in float32
-    in any order. Before a step that could pass that bound, it runs in
-    float64. Exact counts add into the float64 sigma with the same bits
-    in either dtype and in any order, so every step gives the same bits.
-    The frontier is masked by multiplying it by the unreached mask: the
-    counts are finite and non-negative, so x * 1 = x and x * 0 = +0.0,
-    the same bits as writing 0.0 outside the mask.
+    sigma and the frontier array run in float32 while a step's sums stay
+    below `_EXACT_F32` = 2^24: each is a sum of at most max-degree
+    frontier counts, and every integer partial sum below 2^24 is exact in
+    float32 in any order. Before any step that could pass that bound,
+    dense, push or pull, sigma moves to float64, since a sparse step
+    writes sigma directly, and the frontier array with it; the float32
+    pair is freed before the float64 one is allocated. Exact counts have
+    the same bits in either dtype, and float64 holds the float32 ones
+    exactly, so every step gives the same values. The frontier is masked
+    by multiplying it by the unreached mask: the counts are finite and
+    non-negative, so x * 1 = x and x * 0 = +0.0, the same bits as writing
+    0.0 outside the mask.
 
-    n x b arrays held during a dense step: dist (int32), sigma (float64),
-    the frontier and the next one (float32 in one allocation below the
-    bound, float64 above it), and the one-byte mask.
+    n x b arrays held during a dense step: dist (one or two bytes an entry
+    below 32769 nodes), sigma, the frontier and the next one in sigma's
+    dtype (one allocation), and the one-byte mask: 1.875 float64s a pair
+    in float32, 3.375 in float64.
     """
     n, b = g.n, s1 - s0
     lo, hi = g.indptr[s0], g.indptr[s1]
@@ -337,9 +354,9 @@ def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, 
     front = g.indices[lo:hi] * b + np.repeat(np.arange(b), g.degrees[s0:s1])
     F = nxt = None
     diag = (np.arange(s0, s1), np.arange(b))
-    dist = np.ones((n, b), np.int32)
+    dist = np.ones((n, b), _dist_dtype(n))
     dist[diag] = 0
-    sigma = np.zeros((n, b))
+    sigma = np.zeros((n, b), np.float32)
     sigma.ravel()[front] = 1.0
     sigma[diag] = 1.0
     max_degree = int(g.degrees.max())
@@ -349,13 +366,18 @@ def _forward(g: Graph, step, s0: int, s1: int) -> tuple[np.ndarray, np.ndarray, 
     left = n * b - b - sizes[1]
     while left:
         side = _side(g, sizes[-1], left, b) if sparse else None
+        if sigma.dtype == np.float32:
+            top = sigma.ravel()[front].max() if F is None else F.max()
+            if float(top) * max_degree >= _EXACT_F32:
+                sigma = sigma.astype(np.float64)
+                if F is not None and side is None:
+                    # Free the float32 pair before allocating the float64 one.
+                    F, nxt = F.astype(np.float64), None
+                    nxt = np.empty((n, b))
         if side is None:
             if F is None:
-                wide = sigma.ravel()[front].max() * max_degree >= _EXACT_F32
-                F, nxt = np.zeros((2, n, b), np.float64 if wide else np.float32)
+                F, nxt = np.zeros((2, n, b), sigma.dtype)
                 F.ravel()[front] = sigma.ravel()[front]
-            elif F.dtype == np.float32 and float(F.max()) * max_degree >= _EXACT_F32:
-                F, nxt = F.astype(np.float64), np.empty((n, b))
             step(F, nxt)
             F, nxt = nxt, F
             F *= unreached
@@ -412,13 +434,17 @@ def _backward(g: Graph, step, dist: np.ndarray, sigma: np.ndarray,
     level is dense; so is every level of a product graph, whose sums
     follow BLAS.
 
-    n x b arrays held during a step: dist (int32), sigma, delta, the
-    coefficients and their product, and the one-byte mask.
+    delta, the coefficients and their product are float64 whatever
+    sigma's dtype: a float32 sigma holds exact integers, which convert to
+    float64 exactly, so `(delta + 1) / sigma` and `T * sigma` keep their
+    bits. n x b arrays held during a step: dist, sigma, those three and
+    the one-byte mask, 3.875 float64s a pair with a float32 sigma and
+    int16 dist.
     """
     b = dist.shape[1]
-    delta = np.zeros_like(sigma)
-    coef = np.empty_like(sigma)
-    T = np.empty_like(sigma)
+    delta = np.zeros(dist.shape)
+    coef = np.empty(dist.shape)
+    T = np.empty(dist.shape)
     depth = sizes.size - 1
     on = np.equal(dist, depth)
     sparse = b >= 2 and _gathers(g)

@@ -356,6 +356,9 @@ def run_eigendrop_table(cfg: ExperimentConfig, out_dir) -> dict:
     """
     if not cfg.networks:
         raise ConfigError("eigendrop table needs at least one network spec")
+    for spec in cfg.networks:
+        if cfg.k > spec.n:
+            raise ConfigError(f"k={cfg.k} is above n={spec.n} of network {_spec_label(spec)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metric_names = [m.value for m in cfg.metrics]

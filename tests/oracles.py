@@ -217,10 +217,11 @@ def masked_backward(step, dist: np.ndarray, sigma: np.ndarray, depth: int) -> np
     coefficients off the level by a masked copy, and add the back-propagated
     dependencies only at the level below. Takes the same arguments, runs
     the same products in the same order, and returns each node's
-    dependency summed over the block's sources."""
-    delta = np.zeros_like(sigma)
-    coef = np.empty_like(sigma)
-    T = np.empty_like(sigma)
+    dependency summed over the block's sources, in float64 whatever
+    sigma's dtype."""
+    delta = np.zeros(sigma.shape)
+    coef = np.empty(sigma.shape)
+    T = np.empty(sigma.shape)
     for lvl in range(depth, 1, -1):
         np.add(delta, 1.0, out=coef)
         coef /= sigma

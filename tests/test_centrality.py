@@ -378,9 +378,12 @@ def test_sweep_matches_the_mask_reference(monkeypatch, regime):
             for s0 in range(0, sub.n, width):
                 s1 = min(s0 + width, sub.n)
                 got_dist, got_sigma, got_sizes = centrality._forward(sub, step, s0, s1)
-                # The reference is source-major over all of g's nodes.
+                # The reference is source-major over all of g's nodes, in
+                # int32 and float64; every component has 129 to 32768 nodes,
+                # and no count comes near 2^24.
                 block = np.ix_(nodes[s0:s1], nodes)
-                assert got_dist.dtype == dist.dtype, name
+                assert (got_dist.dtype, got_sigma.dtype) == (np.int16, np.float32), name
+                got_dist, got_sigma = got_dist.astype(np.int32), got_sigma.astype(np.float64)
                 assert got_dist.T.tobytes() == dist[block].tobytes(), (name, s0)
                 assert got_sigma.T.tobytes() == sigma[block].tobytes(), (name, s0)
                 assert got_sizes.tolist() == np.bincount(dist[block].ravel()).tolist(), (name, s0)
@@ -411,6 +414,10 @@ def test_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, kernel_
             got = centrality._backward(sub, step, dist, sigma, sizes)
             want = oracles.masked_backward(step, dist, sigma, sizes.size - 1)
             assert got.tobytes() == want.tobytes(), name
+            # The float32 counts are exact integers, and so is their cast.
+            assert sigma.dtype == np.float32, name
+            wide = centrality._backward(sub, step, dist, sigma.astype(np.float64), sizes)
+            assert wide.tobytes() == got.tobytes(), name
 
 
 # -- sparse levels ------------------------------------------------------------------
@@ -443,31 +450,55 @@ def test_sparse_forward_matches_the_mask_reference(monkeypatch, sparse_levels):
             for s0, s1 in ((0, sub.n), (0, 1), (sub.n // 2, sub.n // 2 + 7)):
                 got_dist, got_sigma, got_sizes = centrality._forward(sub, step, s0, s1)
                 block = np.ix_(nodes[s0:s1], nodes)
+                # Only blocks with a first-layer source of the chain take
+                # counts near 2^24 (see the test below).
+                wide = name == "layered_chain" and s0 == 0
+                assert got_dist.dtype == centrality._dist_dtype(sub.n), name
+                assert got_sigma.dtype == (np.float64 if wide else np.float32), (name, s0, s1)
+                got_dist, got_sigma = got_dist.astype(np.int32), got_sigma.astype(np.float64)
                 assert got_dist.T.tobytes() == dist[block].tobytes(), (name, s0, s1)
                 assert got_sigma.T.tobytes() == sigma[block].tobytes(), (name, s0, s1)
                 assert got_sizes.tolist() == np.bincount(dist[block].ravel()).tolist(), name
 
 
 def test_sparse_forward_switches_to_float64_mid_block(monkeypatch, sparse_levels):
-    # One block of all 128 sources. Level 6 holds 2^20 paths a node from
-    # the end layers' sources and a node has up to 32 neighbors, so a dense
-    # step from it runs in float64, also when level 6 came from a sparse
-    # step and the frontier array is rebuilt ("alternate": levels 2, 4 and
-    # 6 sparse, 3, 5 and 7 dense).
+    # Level 6 holds 2^20 paths a node from the end layers' sources and a
+    # node has up to 32 neighbors, so the step from it runs in float64,
+    # sigma included, whether it is dense (from the frontier pair, or from
+    # positions after a sparse level), a push or a pull. One block of all
+    # 128 sources ends by a pull when all levels may be sparse; a block of
+    # source 0 alone ends by a push. "alternate" steps levels 2, 4 and 6
+    # sparsely and 3, 5 and 7 densely in both blocks.
     force_kernel(monkeypatch, True)
     g = layered_chain()
     dist, sigma, *_ = oracles.mask_sweep_dense(g.to_dense())
-    inner, dtypes = centrality._step(g), []
+    inner, routes = centrality._step(g), []
 
     def recording(X, out):
-        dtypes.append(X.dtype)
+        routes.append(("dense", X.dtype))
         inner(X, out)
-    got_dist, got_sigma, got_sizes = centrality._forward(g, recording, 0, g.n)
-    assert got_dist.T.tobytes() == dist.tobytes()
-    assert got_sigma.T.tobytes() == sigma.tobytes()
-    assert got_sizes.size - 1 == 7
-    assert dtypes == {"all": [], "none": [np.float32] * 5 + [np.float64],
-                      "alternate": [np.float32] * 2 + [np.float64]}[sparse_levels]
+
+    def push(g, pos, vals, b, mask, out, _inner=centrality._push):
+        routes.append(("push", out.dtype))
+        return _inner(g, pos, vals, b, mask, out)
+
+    def pull(g, pos, b, terms, _inner=centrality._pull):
+        routes.append(("pull", terms(np.empty(0, np.int64)).dtype))
+        return _inner(g, pos, b, terms)
+    monkeypatch.setattr(centrality, "_push", push)
+    monkeypatch.setattr(centrality, "_pull", pull)
+    kinds = {"all": ["push"] * 5, "none": ["dense"] * 5,
+             "alternate": ["push", "dense"] * 2 + ["push"]}[sparse_levels]
+    last = {"all": ("pull", "push"), "none": ("dense", "dense"),
+            "alternate": ("dense", "dense")}[sparse_levels]
+    for s1, end in zip((g.n, 1), last):
+        routes.clear()
+        got_dist, got_sigma, got_sizes = centrality._forward(g, recording, 0, s1)
+        assert got_dist.T.astype(np.int32).tobytes() == dist[:s1].tobytes(), s1
+        assert got_sigma.dtype == np.float64, s1
+        assert got_sigma.T.tobytes() == sigma[:s1].tobytes(), s1
+        assert got_sizes.size - 1 == 7
+        assert routes == [(k, np.float32) for k in kinds] + [(end, np.float64)], s1
 
 
 def test_sparse_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, sparse_levels):
@@ -482,6 +513,9 @@ def test_sparse_backward_is_bit_equal_to_the_where_masked_backward(monkeypatch, 
                 got = centrality._backward(sub, step, dist, sigma, sizes)
                 want = oracles.masked_backward(step, dist, sigma, sizes.size - 1)
                 assert got.tobytes() == want.tobytes(), (name, s0, s1)
+                assert sigma.dtype == np.float32, name
+                wide = centrality._backward(sub, step, dist, sigma.astype(np.float64), sizes)
+                assert wide.tobytes() == got.tobytes(), (name, s0, s1)
 
 
 def sparse_calls(monkeypatch) -> collections.Counter:
@@ -607,17 +641,19 @@ def test_forward_moves_to_float64_before_counts_pass_float32(monkeypatch, regime
             dtypes.append(X.dtype)
             inner(X, out)
         got_dist, got_sigma, got_sizes = centrality._forward(g, recording, s0, s1)
-        assert got_dist.T.tobytes() == dist[s0:s1].tobytes(), s0
-        assert got_sigma.T.tobytes() == sigma[s0:s1].tobytes(), s0
+        assert got_dist.dtype == np.int8, s0
+        assert got_dist.T.astype(np.int32).tobytes() == dist[s0:s1].tobytes(), s0
+        assert got_sigma.T.astype(np.float64).tobytes() == sigma[s0:s1].tobytes(), s0
         got_depth = got_sizes.size - 1
         assert got_depth == dist[s0:s1].max(), s0
         # From a first- or last-layer source the level-6 frontier holds
         # 16^5 = 2^20 paths a node and a node has up to 32 neighbors, so the
-        # last step could pass 2^24 and runs in float64. Other sources
-        # never come near it.
+        # last step could pass 2^24 and runs in float64, and sigma with it.
+        # Other sources never come near it.
         ends = s0 < 16 or s1 > g.n - 16
         assert dtypes == ([np.float32] * 5 + [np.float64] if ends
                           else [np.float32] * (got_depth - 1)), s0
+        assert got_sigma.dtype == (np.float64 if ends else np.float32), s0
 
 
 def test_one_block_and_multi_block_sweeps_agree(monkeypatch):
@@ -743,42 +779,88 @@ def sweep_peak(g, betweenness: bool = True) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("g, regime", [
-    (gen_barabasi_albert(600, 3, seed=8), "gather"),
-    (gen_erdos_renyi(600, 0.05, seed=8), "product")], ids=["gather", "product"])
-def test_sweep_peak_memory(g, regime):
-    # One block of all n sources. The backward pass holds the peak: four
-    # float64 n x n arrays (sigma, delta, the coefficients and their
-    # product), the int32 dist and one reused one-byte level mask, plus the
-    # float64 dense adjacency for the product: 5.625 n^2 float64s (5.71
-    # measured). The gather kernel builds no adjacency (4.84 measured; its
-    # row gathers add up to max-degree x n floats). The forward pass holds
-    # less: dist, sigma, a float32 frontier pair and a one-byte mask, plus
-    # the adjacency in float32. Holding a float32 and a float64 adjacency
-    # at once reads 6.21.
+@pytest.mark.parametrize("g, regime, bound", [
+    (gen_barabasi_albert(600, 3, seed=8), "gather", 4.3),
+    (gen_erdos_renyi(600, 0.05, seed=8), "product", 5.1)], ids=["gather", "product"])
+def test_sweep_peak_memory(g, regime, bound):
+    # One block of all n sources. The backward pass holds the peak: three
+    # float64 n x n arrays (delta, the coefficients and their product), the
+    # float32 sigma, the int16 dist and one reused one-byte level mask,
+    # 3.875 n^2 float64s, plus the float64 dense adjacency for the product:
+    # 4.875 (4.95 measured). The gather kernel builds no adjacency (4.12
+    # measured; its row gathers add up to max-degree x n floats). The
+    # forward pass holds less: dist, sigma, a float32 frontier pair and a
+    # one-byte mask, plus the adjacency in float32. Holding a float32 and a
+    # float64 adjacency at once reads 5.45.
     assert kernel(g) == regime
-    assert sweep_peak(g) / (g.n * g.n * 8) < 6.0
+    assert sweep_peak(g) / (g.n * g.n * 8) < bound
 
 
 def test_sweep_peak_memory_scales_with_the_block(monkeypatch):
     g = gen_barabasi_albert(600, 3, seed=8)
     monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", g.n * 64)
     assert kernel(g) == "gather"
-    # 4.625 n x b float64s at the backward peak, the level mask included,
+    # 3.875 n x b float64s at the backward peak, the level mask included,
     # and no n x n array; the neighbor lists, CSR copies and a step's row
-    # gathers add about 0.7 n x b at this size (5.32 measured).
-    assert sweep_peak(g) / (g.n * 64 * 8) < 5.4
+    # gathers add about 0.6 n x b at this size (4.51 measured).
+    assert sweep_peak(g) / (g.n * 64 * 8) < 4.7
 
 
 def test_forward_peak_memory_across_blocks(monkeypatch):
     # Closeness alone runs only forward passes, ten blocks of 64 sources.
-    # One block holds its int32 dist, float64 sigma, float32 frontier pair
-    # and one-byte mask, 2.625 n x b float64s, plus about 0.7 as above
-    # (3.33 measured). Keeping the last block's dist and sigma alive into
-    # the next forward pass adds 1.5 (4.83 measured).
+    # One block holds its int16 dist, float32 sigma, float32 frontier pair
+    # and one-byte mask, 1.875 n x b float64s, plus about 0.6 as above
+    # (2.49 measured). Keeping the last block's dist and sigma alive into
+    # the next forward pass adds 0.75 (3.24 measured).
     g = gen_barabasi_albert(600, 3, seed=8)
     monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", g.n * 64)
-    assert sweep_peak(g, betweenness=False) / (g.n * 64 * 8) < 3.8
+    assert sweep_peak(g, betweenness=False) / (g.n * 64 * 8) < 2.6
+
+
+@pytest.mark.parametrize("regime", ["product", "gather"])
+def test_forward_peak_stays_below_the_backward_peak(monkeypatch, regime):
+    # One block of all 128 sources of the layered chain, stepped densely:
+    # the last forward step runs in float64 (see above), so the forward
+    # pass ends holding dist, sigma and a frontier pair in float64 and the
+    # mask, 3.375 n^2 float64s, with the float32 pair freed before the
+    # float64 one is allocated. The backward pass holds the float64 sigma
+    # beside its three float64 arrays, 4.375. The product adds its float64
+    # adjacency to both (forward 3.78 and backward 4.77 measured gathering,
+    # 4.79 and 5.78 multiplying).
+    force_kernel(monkeypatch, regime == "gather")
+    monkeypatch.setattr(centrality, "_SPARSE_COST", float("inf"))
+    g = layered_chain()
+    step = centrality._step(g)
+    tracemalloc.start()
+    try:
+        dist, sigma, sizes = centrality._forward(g, step, 0, g.n)
+        forward = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        centrality._backward(g, step, dist, sigma, sizes)
+        backward = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Allocating the float64 pair before freeing the float32 one would
+    # lift the forward peak by a whole n x n float64 array, to the
+    # backward pass's own.
+    assert sigma.dtype == np.float64
+    assert (backward - forward) / (g.n * g.n * 8) > 0.5
+
+
+def test_distances_take_the_smallest_integer_type_that_holds_n_minus_1():
+    # Judged on the type alone at the int16 and int32 edges, where an n x n
+    # array would take from 1 GiB.
+    assert [centrality._dist_dtype(n) for n in (2, 128, 129, 32768, 32769)] == \
+        [np.int8, np.int8, np.int16, np.int16, np.int32]
+    # A path of n nodes puts its ends n - 1 apart, and each end's total
+    # distance n (n - 1) / 2 passes the int8 range: dist.sum accumulates
+    # in int64.
+    for n, dtype in ((128, np.int8), (129, np.int16)):
+        g = from_edge_list([(i, i + 1) for i in range(n - 1)], n=n)
+        dist, _, sizes = centrality._forward(g, centrality._step(g), 0, 1)
+        assert dist.dtype == dtype and dist[-1, 0] == n - 1 and sizes.size == n
+        totals, _ = centrality._sweep(g, False)
+        assert totals[0] == totals[-1] == n * (n - 1) // 2
 
 
 # -- eigenvector ---------------------------------------------------------------

@@ -131,6 +131,21 @@ def test_ingest_replicates_below_one_rejected_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_table1_k_above_a_network_n_rejected_before_out(tmp_path, capsys):
+    # k defaults to 100 and only table1 reads it, so it is judged per network
+    # when table1 runs, not at load.
+    cfg = write_config(tmp_path, {"k": 100, "networks": [
+        {"family": "erdos_renyi", "n": 120, "p": 0.3},
+        {"family": "erdos_renyi", "n": 50, "p": 0.2}]})
+    assert load_config(cfg).k == 100
+    out = tmp_path / "t"
+    assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError",
+                   "message": "k=100 is above n=50 of network erdos_renyi-n50-p0.2"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw, key, kind", [
     ({"replicates": 2.7}, "replicates", "an integer"),
     ({"k": 99.9}, "k", "an integer"),
