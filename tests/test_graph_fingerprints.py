@@ -82,12 +82,17 @@ def test_contact_day_graph_fingerprints_pinned(contact_files):
 
 # Large draws: `vaxnet simulate`'s DD(10000, 0.4) at config seed 1 (whose
 # per-run graph seed is given), geometric graphs in two and three
-# dimensions at a few thousand nodes, and BA(1000, 50), the size `table1`
-# and `herd` draw, where duplicate redraws are frequent.
+# dimensions at a few thousand nodes, and ER(1000, 0.4) and BA(1000, 50),
+# the sizes `table1` and `herd` draw, where BA's duplicate redraws are
+# frequent.
 LARGE = {
     GenSpec("duplication_divergence", 10000, p=0.4, seed=7025602488199766579):
         "a657a686937d5c11",
     GenSpec("duplication_divergence", 10000, p=0.4, seed=1): "800c78dd0ae0a20c",
+    GenSpec("duplication_divergence", 10000, p=0.4, seed=97): "fd8e81fd406914e0",
+    GenSpec("erdos_renyi", 1000, p=0.4, seed=1): "37cccc1e6a5bec63",
+    GenSpec("erdos_renyi", 1000, p=0.4, seed=97): "3d320166d6d6832c",
+    GenSpec("gnp", 1000, p=0.4, seed=1): "6b9142d7eb072116",
     GenSpec("random_geometric", 5000, seed=1): "88a8d4cbd90aeb92",
     GenSpec("random_geometric", 2000, radius=0.05, dim=3, seed=97): "4bdd263d08abcf22",
     GenSpec("barabasi_albert", 1000, m=50, seed=1): "a1adf93e5c60520e",
