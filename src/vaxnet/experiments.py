@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import partial
 from pathlib import Path
@@ -286,10 +285,12 @@ def _spec_label(spec: GenSpec) -> str:
 def _fan_out(fn, tasks: Sequence, workers: int) -> list:
     """`[fn(t) for t in tasks]`, in task order. When `workers` and the task
     count both exceed one, the tasks run in a pool of `min(workers,
-    len(tasks))` processes, so `fn` and each task must pickle."""
+    len(tasks))` processes, so `fn` and each task must pickle. The pool
+    module is imported only then, which keeps it out of one-worker runs."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -160,11 +161,14 @@ def generate(spec: GenSpec) -> Graph:
 
 def _pair_from_linear(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     # Upper-triangle pairs enumerated row-major: row i holds n-1-i entries
-    # starting at offset i*(n-1) - i*(i-1)/2.
-    i_arr = np.arange(n, dtype=np.int64)
+    # starting at offset i*(n-1) - i*(i-1)/2. `pos` ascends, so one search of
+    # the n+1 row offsets counts each row's pairs.
+    i_arr = np.arange(n + 1, dtype=np.int64)
     offsets = i_arr * (n - 1) - (i_arr * (i_arr - 1)) // 2
-    i = np.searchsorted(offsets, pos, side="right") - 1
-    j = pos - offsets[i] + i + 1
+    counts = np.diff(np.searchsorted(pos, offsets))
+    i = np.repeat(i_arr[:-1], counts)
+    j = np.repeat(offsets[:-1] - i_arr[:-1] - 1, counts)
+    np.subtract(pos, j, out=j)
     return i, j
 
 
@@ -213,19 +217,25 @@ def gen_duplication_divergence(n: int, p: float, seed: int = 0) -> Graph:
     attempt that keeps no edge is discarded and redrawn, so for p > 0 every
     node joins the connected component. With p == 0 retrying can never
     succeed, so new nodes stay isolated.
+
+    The draws are numpy's per-newcomer `rng.integers(t)` and
+    `rng.random(len(neighbors))` calls, word for word, read from `_Words`:
+    the anchor comes from 32-bit half-words by Lemire's rule, and each
+    coin is one whole 64-bit word w, kept when (w >> 11) * 2**-53 < p.
+    That holds exactly when w < ceil(p * 2**53) * 2**11, the integer
+    comparison made here.
     """
     GenSpec("duplication_divergence", n, p=p)
-    rng = seeding.rng_from(seed)
+    words = _Words(seeding.rng_from(seed))
+    below = (math.ceil(p * 2**53) << 11).__gt__
     adj: list[list[int]] = [[1], [0]]
     us, vs = [0], [1]
     for t in range(2, n):
         kept: list[int] = []
         if p > 0.0:
             while not kept:
-                anchor = int(rng.integers(t))
-                nbrs = adj[anchor]
-                coins = rng.random(len(nbrs))
-                kept = [w for w, c in zip(nbrs, coins) if c < p]
+                nbrs = adj[words.integers(t)]
+                kept = list(compress(nbrs, map(below, words.words(len(nbrs)))))
         for w in kept:
             adj[w].append(t)
         adj.append(kept)
@@ -242,18 +252,16 @@ def gen_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     endpoint sampling with rejection of duplicates). Every newcomer adds
     exactly m edges, so the result has m * (n - m) edges.
 
-    The draws are numpy's `integers(0, len(repeated))` stream, word for
-    word: below 2**32 that call maps each 32-bit word by Lemire's
-    multiply-and-reject rule (ACM TOMACS 2019), and PCG64 keeps the spare
-    half of a 64-bit output for the next call, so where the calls split a
-    newcomer's draws does not move the stream. The words are therefore
-    drawn in bulk and mapped here, one draw at a time until m distinct
-    targets are found, which consumes exactly what batches of
-    `m - len(chosen)` calls consumed. `GenSpec` keeps `len(repeated)`
-    below 2**32, where this rule holds.
+    The draws are numpy's `integers(0, len(repeated), size=m - len(chosen))`
+    calls, word for word: below 2**32 that call maps each 32-bit half-word
+    by Lemire's multiply-and-reject rule (ACM TOMACS 2019). The half-words
+    come from `_Words` and are mapped here, a batch of `m - len(chosen)` at
+    a time. A batch adds at most one target per half-word, so it never
+    overshoots m, and it consumes exactly what the call consumed. `GenSpec`
+    keeps `len(repeated)` below 2**32, where this rule holds.
     """
     GenSpec("barabasi_albert", n, m=m)
-    words = _words(seeding.rng_from(seed))
+    words = _Words(seeding.rng_from(seed))
     us, vs = [], []
     repeated: list[int] = []
     targets = list(range(m))
@@ -265,23 +273,97 @@ def gen_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
         if t + 1 == n:
             break
         span = len(repeated)
-        floor = (2**32 - span) % span       # words whose low half is below it are redrawn
+        floor = (2**32 - span) % span       # halves whose low product half is below it are redrawn
         chosen: dict[int, None] = {}
-        for word in words:
-            x = word * span
-            if x & 0xFFFFFFFF >= floor:
-                chosen[repeated[x >> 32]] = None
-                if len(chosen) == m:
-                    break
+        while len(chosen) < m:
+            for half in words.halves(m - len(chosen)):
+                x = half * span
+                if x & 0xFFFFFFFF >= floor:
+                    chosen[repeated[x >> 32]] = None
         targets = list(chosen)
     return from_arrays(np.asarray(us, np.int64), np.asarray(vs, np.int64), n=n)
 
 
-def _words(rng: np.random.Generator):
-    """The generator's stream of 32-bit words as Python ints, drawn 4096 at
-    a time; a loop that breaks out of it resumes at the next word."""
-    while True:
-        yield from rng.integers(0, 2**32, size=4096, dtype=np.uint32).tolist()
+class _Words:
+    """numpy `Generator` draws rebuilt from the raw 64-bit words of its
+    PCG64 bit generator, read with `random_raw` 4096 at a time.
+
+    - `integers(t)`: `rng.integers(t)` for 2 <= t < 2**32, one 32-bit
+      half-word x at a time mapped to (x * t) >> 32 by Lemire's rule (ACM
+      TOMACS 2019), redrawn while the product's low half is below
+      (2**32 - t) % t. A word gives its low half first and keeps its high
+      half as the spare for the next half-word draw, as PCG64's
+      `next_uint32` does.
+    - `halves(k)`: the next k half-words themselves, as `integers(0, 2**32,
+      size=k, dtype=np.uint32)` draws them.
+    - `words(k)`: the next k whole words, the ones `rng.random(k)` maps to
+      (w >> 11) * 2**-53. A pending spare stays pending across them, as in
+      numpy.
+
+    The buffer is turned into Python ints, as words or as halves, only when
+    a draw of that kind first reads it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        self._raw = np.empty(0, np.uint64)
+        self._words: Optional[list[int]] = None
+        self._halves: Optional[list[int]] = None
+        self._pos = 0                       # next unread word of _raw
+        self._spare: Optional[int] = None
+
+    def _read(self, k: int) -> None:
+        # Keep the unread words and append max(4096, k) new ones.
+        self._raw = np.concatenate((self._raw[self._pos:], self._bitgen.random_raw(max(4096, k))))
+        self._words = self._halves = None
+        self._pos = 0
+
+    def integers(self, t: int) -> int:
+        floor = (2**32 - t) % t
+        while True:
+            half = self._spare
+            if half is None:
+                if self._pos == len(self._raw):
+                    self._read(1)
+                if self._words is None:
+                    self._words = self._raw.tolist()
+                word = self._words[self._pos]
+                self._pos += 1
+                half, self._spare = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._spare = None
+            x = half * t
+            if x & 0xFFFFFFFF >= floor:
+                return x >> 32
+
+    def halves(self, k: int) -> list[int]:
+        spare = self._spare
+        if spare is not None and k:
+            self._spare = None
+            taken = self.halves(k - 1)
+            taken.insert(0, spare)
+            return taken
+        pos, need = self._pos, (k + 1) // 2
+        if pos + need > len(self._raw):
+            self._read(need)
+            pos = 0
+        if self._halves is None:
+            split = np.stack((self._raw & 0xFFFFFFFF, self._raw >> 32), axis=1)
+            self._halves = split.ravel().tolist()
+        self._pos = pos + need
+        if k & 1:
+            self._spare = self._halves[2 * pos + k]
+        return self._halves[2 * pos:2 * pos + k]
+
+    def words(self, k: int) -> list[int]:
+        pos = self._pos
+        if pos + k > len(self._raw):
+            self._read(k)
+            pos = 0
+        if self._words is None:
+            self._words = self._raw.tolist()
+        self._pos = pos + k
+        return self._words[pos:pos + k]
 
 
 # -- geometric model -------------------------------------------------------------

@@ -162,6 +162,15 @@ def from_arrays(u: np.ndarray, v: np.ndarray, n: Optional[int] = None,
 
     Self loops are dropped; duplicate edges (in either orientation)
     collapse to one.
+
+    Each edge is entered in both directions as a row-major code u * n + v,
+    and the distinct codes come out ascending by one of two routes, chosen
+    by the input alone. When the n * n code space has no more bytes than
+    the code array (n * n <= code.nbytes), one byte per code is marked and
+    the marks are read back in order; the mark is never larger than the
+    codes it replaces. Otherwise the codes are sorted (`sorted_distinct`).
+    Either way, each row starts where the first code at or above its row
+    boundary i * n lies, and a column is its code less that boundary.
     """
     u = np.asarray(u, dtype=np.int64).ravel()
     v = np.asarray(v, dtype=np.int64).ravel()
@@ -181,13 +190,19 @@ def from_arrays(u: np.ndarray, v: np.ndarray, n: Optional[int] = None,
         raise ValueError(f"n={n} too large: entry codes u * n + v overflow int64")
 
     keep = u != v
-    u, v = u[keep], v[keep]
-    # Each edge in both directions as a row-major entry code.
-    code = sorted_distinct(np.concatenate([u * n + v, v * n + u]))
-    rows, cols = np.divmod(code, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, cols, labels)
+    if not keep.all():
+        u, v = u[keep], v[keep]
+    code = np.concatenate([u * n + v, v * n + u])
+    if n * n <= code.nbytes:
+        mark = np.zeros(n * n, dtype=bool)
+        mark[code] = True
+        code = np.flatnonzero(mark)
+    else:
+        code = sorted_distinct(code)
+    bounds = np.arange(n + 1, dtype=np.int64) * n
+    indptr = np.searchsorted(code, bounds)
+    code -= np.repeat(bounds[:-1], np.diff(indptr))
+    return Graph(n, indptr, code, labels)
 
 
 def sorted_distinct(a: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ by an event loop that queues every transmission, SIR final sizes by
 enumerating bond-percolation outcomes, the herd search by plain
 bisection, geometric graphs by testing every pair of points, and the
 power iteration with a fresh array for every operation, preferential
-attachment by batched `rng.integers` calls, node deletion by boolean
-masks over a per-entry row array, and contact files by judging every text
-line in turn. Slow and simple on purpose.
+attachment by batched `rng.integers` calls, duplication-divergence by
+per-newcomer `rng.integers` and `rng.random` calls, the CSR build by
+`np.unique` over endpoint rows, node deletion by boolean masks over a
+per-entry row array, and contact files by judging every text line in
+turn. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -476,6 +478,47 @@ def batched_barabasi_albert(n: int, m: int, seed: int = 0):
                     chosen.setdefault(repeated[idx], None)
         targets = list(chosen)
     return np.asarray(us, np.int64), np.asarray(vs, np.int64)
+
+
+# -- duplication-divergence by per-newcomer numpy calls ---------------------------
+
+
+def per_call_duplication_divergence(n: int, p: float, seed: int = 0):
+    """The edges of `gen_duplication_divergence(n, p, seed)` as (u, v)
+    arrays, each anchor drawn by one `rng.integers(t)` call and its coins by
+    one `rng.random(k)` call."""
+    rng = np.random.default_rng(int(seed))
+    adj: list[list[int]] = [[1], [0]]
+    us, vs = [0], [1]
+    for t in range(2, n):
+        kept: list[int] = []
+        if p > 0.0:
+            while not kept:
+                anchor = int(rng.integers(t))
+                nbrs = adj[anchor]
+                coins = rng.random(len(nbrs))
+                kept = [w for w, c in zip(nbrs, coins) if c < p]
+        for w in kept:
+            adj[w].append(t)
+        adj.append(kept)
+        us.extend(kept)
+        vs.extend([t] * len(kept))
+    return np.asarray(us, np.int64), np.asarray(vs, np.int64)
+
+
+# -- CSR from unique endpoint rows -----------------------------------------------------
+
+
+def unique_csr(u, v, n: int):
+    """`from_arrays(u, v, n=n)`'s indptr and indices, from `np.unique` over
+    the (row, column) pairs of both orientations with self loops removed."""
+    u = np.asarray(u, np.int64)
+    v = np.asarray(v, np.int64)
+    pairs = np.concatenate([np.stack([u, v], axis=1), np.stack([v, u], axis=1)])
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=indptr[1:])
+    return indptr, pairs[:, 1]
 
 
 # -- node deletion by boolean masks -------------------------------------------------

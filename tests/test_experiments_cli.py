@@ -1,6 +1,7 @@
 """Configured runners and the command-line interface."""
 
 import argparse
+import concurrent.futures
 import json
 import re
 import subprocess
@@ -678,7 +679,7 @@ def pool_sizes(monkeypatch):
             assert chunksize == 1
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
 
 
@@ -832,6 +833,15 @@ def test_cli_spectral_refuses_half_a_threshold(tmp_path, capsys, rate):
     assert err == {"error": "ValueError",
                    "message": "the threshold report needs both beta and delta"}
     assert not out.exists()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # `_fan_out` imports the pool only when it starts one.
+    proc = subprocess.run([sys.executable, "-c", "import sys, vaxnet.cli; "
+                           "print('concurrent.futures.process' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_entry_point_runs():

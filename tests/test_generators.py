@@ -216,27 +216,67 @@ def test_ba_matches_the_batched_draw_loop(n, m, seed):
 
 
 @pytest.mark.parametrize("span", [1, 2, 3, 100, 99_900, 2**31 + 11, 2**32 - 1])
-def test_word_draws_follow_numpy_integers(span):
-    # The rule gen_barabasi_albert applies to each 32-bit word, after an odd
-    # number of earlier words (so a spare half-word is pending), gives
-    # numpy's draws and leaves the stream where numpy leaves it.
-    want_rng, got_rng = np.random.default_rng(41), np.random.default_rng(41)
-    for rng in (want_rng, got_rng):
-        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+@pytest.mark.parametrize("draw", ["halves", "integers"])
+def test_word_draws_follow_numpy_integers(span, draw):
+    # The rule gen_barabasi_albert applies to each half-word, in batches as
+    # it takes them, and `integers` give numpy's draws after an odd number
+    # of earlier half-words (so a spare half is pending), and leave the
+    # stream where numpy leaves it.
+    want_rng = np.random.default_rng(41)
+    want_rng.integers(0, 2**32, size=3, dtype=np.uint32)
+    words = generators._Words(np.random.default_rng(41))
+    words.halves(3)
     size = 5000
     want = want_rng.integers(0, span, size=size).tolist()
-    words = generators._words(got_rng)
-    floor = (2**32 - span) % span
-    got = []
-    while len(got) < size:
-        x = next(words) * span
-        if x & 0xFFFFFFFF >= floor:
-            got.append(x >> 32)
+    if draw == "integers":
+        got = [words.integers(span) for _ in range(size)]
+    else:
+        floor = (2**32 - span) % span
+        got = []
+        while len(got) < size:
+            for half in words.halves(size - len(got)):
+                x = half * span
+                if x & 0xFFFFFFFF >= floor:
+                    got.append(x >> 32)
     assert got == want
-    # numpy draws no word for a span of 1, which BA never has (span >= 2m).
+    # numpy draws no word for a span of 1, which neither generator has.
     if span > 1:
         after = want_rng.integers(0, 2**32, size=4000, dtype=np.uint32).tolist()
-        assert [next(words) for _ in range(4000)] == after
+        assert words.halves(4000) == after
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 4095, 5000])
+@pytest.mark.parametrize("seed", [3, 2**41 + 13])
+def test_whole_word_draws_follow_numpy_random(k, seed):
+    rng = np.random.default_rng(seed)
+    words = generators._Words(np.random.default_rng(seed))
+    first = int(np.random.default_rng(seed).bit_generator.random_raw())
+    # One half-word draw leaves the first word's high half pending.
+    assert words.integers(1000) == rng.integers(1000)
+    got = np.array(words.words(k), dtype=np.uint64)
+    assert ((got >> 11) * 2.0**-53).tobytes() == rng.random(k).tobytes()
+    # The pending half is the next half-word draw after the whole words.
+    assert words.halves(1) == [first >> 32]
+    assert rng.integers(0, 2**32, dtype=np.uint32) == first >> 32
+    # Mixed draws across several 4096-word reads end where numpy's do.
+    for _ in range(3):
+        assert words.integers(7) == rng.integers(7)
+        got = np.array(words.words(1500), dtype=np.uint64)
+        assert ((got >> 11) * 2.0**-53).tobytes() == rng.random(1500).tobytes()
+    assert words.words(3) == rng.bit_generator.random_raw(3).tolist()
+    assert words.halves(5) == rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
+    assert words.words(2) == rng.bit_generator.random_raw(2).tolist()
+
+
+@pytest.mark.parametrize("n, p, seed", [
+    (10000, 0.4, 5), (10000, 0.4, 1), (2000, 0.1, 0), (500, 0.9, 0),
+    (3000, 0.4, 2**41 + 13), (50, 0.0, 0), (1000, 1.0, 0)])
+def test_dd_matches_the_per_call_draw_loop(n, p, seed):
+    u, v = oracles.per_call_duplication_divergence(n, p, seed)
+    want = from_edge_list(zip(u.tolist(), v.tolist()), n=n)
+    got = gen_duplication_divergence(n, p, seed)
+    assert got == want
+    assert got.fingerprint == want.fingerprint
 
 
 # -- random geometric ------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from vaxnet import (DegreeStats, EmptyGraphError, Metric, compute_many, degree_stats,
                     delete_nodes, from_arrays, from_edge_list, gen_barabasi_albert,
                     gen_erdos_renyi, lambda_max, read_edge_list, write_edge_list)
+from vaxnet import graph as graph_module
 from vaxnet.graph import Graph
 
 import oracles
@@ -340,6 +341,59 @@ def test_from_arrays_mismatched_lengths():
     with pytest.raises(ValueError):
         from_arrays(np.array([0, 1]), np.array([1]))
 
+
+
+def _entries_with_loops(seed: int, entries: int, ids: int, loops: int):
+    """`entries` non-loop endpoint pairs over ids below `ids`, a quarter of
+    them repeated in the other orientation, shuffled among `loops` self
+    loops."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, ids, size=entries)
+    v = (u + rng.integers(1, ids, size=entries)) % ids
+    q = entries // 4
+    loop = np.arange(loops)
+    u, v = np.concatenate([u, v[:q], loop]), np.concatenate([v, u[:q], loop])
+    order = rng.permutation(u.size)
+    return u[order], v[order]
+
+
+def _count_sorts(monkeypatch) -> list:
+    sorts = []
+    real = graph_module.sorted_distinct
+    monkeypatch.setattr(graph_module, "sorted_distinct", lambda a: sorts.append(a.size) or real(a))
+    return sorts
+
+
+@pytest.mark.parametrize("entries, ids, root", [(80, 30, 40), (320, 70, 80)])
+@pytest.mark.parametrize("offset", [-10, -1, 0, 1, 25])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_from_arrays_routes_match_the_unique_reference(monkeypatch, entries, ids, root,
+                                                        offset, seed):
+    # Every edge is entered twice, so the codes take 16 * (entries +
+    # entries // 4) bytes = root**2: n below or at root marks the code
+    # space, n above it sorts. Nodes from `ids` up are isolated.
+    assert 16 * (entries + entries // 4) == root**2
+    sorts = _count_sorts(monkeypatch)
+    u, v = _entries_with_loops(seed, entries, ids, loops=5)
+    n = root + offset
+    g = from_arrays(u, v, n=n)
+    assert len(sorts) == (n * n > root**2)
+    indptr, indices = oracles.unique_csr(u, v, n)
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+    check_csr_invariants(g)
+
+
+@pytest.mark.parametrize("u, v, n, sorted_route", [
+    ([], [], 0, False), ([], [], 1, True), ([0, 0], [0, 0], 1, True),
+    ([0, 1, 1], [1, 0, 1], 2, False), ([2, 2], [2, 2], 5, True)],
+    ids=["n0", "n1", "n1-loops", "n2-both-orientations", "loops-only"])
+def test_from_arrays_routes_on_the_smallest_graphs(monkeypatch, u, v, n, sorted_route):
+    sorts = _count_sorts(monkeypatch)
+    g = from_arrays(np.array(u, np.int64), np.array(v, np.int64), n=n)
+    assert len(sorts) == sorted_route
+    indptr, indices = oracles.unique_csr(u, v, n)
+    assert g.n == n
+    assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
 
 # -- matvec -------------------------------------------------------------------------
 
