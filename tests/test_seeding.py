@@ -1,6 +1,7 @@
 """Seed splitting: stable, collision-resistant child streams."""
 
 import numpy as np
+import pytest
 
 from vaxnet import seeding
 
@@ -44,3 +45,11 @@ def test_rng_from_plain_seed_matches_default_rng():
     a = seeding.rng_from(1234).random(10)
     b = np.random.default_rng(1234).random(10)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 97, 2**63 + 5, 12345678901234567890])
+def test_rng_from_plain_seed_draws_the_default_rng_words(seed):
+    got, want = seeding.rng_from(seed), np.random.default_rng(seed)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.bit_generator.random_raw(1000),
+                          want.bit_generator.random_raw(1000))

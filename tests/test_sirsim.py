@@ -8,6 +8,7 @@ import pytest
 from vaxnet import (Intervention, Metric, SirParams, ensemble, from_edge_list,
                     gen_duplication_divergence, gen_erdos_renyi, lambda_max,
                     peak_and_final, simulate)
+from vaxnet.sirsim import _grid
 
 import oracles
 
@@ -114,6 +115,16 @@ def test_grid_covers_horizon_and_intervention_times():
     assert tr.times[-1] == pytest.approx(10.0)
     assert np.any(np.isclose(tr.times, 2.345))
     assert np.all(np.diff(tr.times) > 0)
+
+
+@pytest.mark.parametrize("times, extra", [((), []), ((0.3,), [0.3]), ((1.5,), []),
+                                          ((0.5, 1.1), [])],
+                         ids=["none", "off_grid", "beyond_t_max", "on_grid"])
+def test_grid_points_are_the_steps_then_t_max_and_intervention_times(times, extra):
+    params = SirParams(t_max=1.1, grid_dt=0.25)
+    grid = _grid(params, [Intervention(t, "random", 1) for t in times])
+    assert grid.dtype == np.float64
+    assert grid.tolist() == sorted([0.0, 0.25, 0.5, 0.75, 1.0, 1.1] + extra)
 
 
 # -- interventions -----------------------------------------------------------------

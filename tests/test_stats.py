@@ -101,6 +101,16 @@ def test_t_cdf_infinite_argument():
     assert t_cdf(-math.inf, 5) == 0.0
 
 
+@pytest.mark.parametrize("df", [1, 2, 3, 30])
+@pytest.mark.parametrize("t, want", [(0.0, 0.5), (-0.0, 0.5), (math.inf, 1.0),
+                                     (-math.inf, 0.0), (1e200, 1.0), (-1e200, 0.0)])
+def test_t_cdf_at_zero_infinity_and_an_overflowing_square(t, want, df):
+    # x = df / (df + t**2) is exactly 1.0 at t = 0 and 0.0 where t**2 is
+    # infinite, and the incomplete beta is exact at both ends
+    got = t_cdf(t, df)
+    assert type(got) is float and got == want
+
+
 def test_t_cdf_matches_quadrature():
     for df in (1, 2, 3, 5, 9, 17, 33, 50):
         for t in (-9.5, -3.0, -1.2, -0.2, 0.4, 1.7, 4.4, 8.8):
@@ -128,6 +138,20 @@ def test_paired_constant_shift_is_certain():
     assert res.p_value == 0.0
     assert res.t_stat == math.inf
     assert res.significant
+
+
+@pytest.mark.parametrize("shift, alternative, t_stat, p_value", [
+    (1.5, "two-sided", math.inf, 0.0), (1.5, "greater", math.inf, 0.0),
+    (1.5, "less", math.inf, 1.0), (-1.5, "two-sided", -math.inf, 0.0),
+    (-1.5, "greater", -math.inf, 1.0), (-1.5, "less", -math.inf, 0.0),
+    (0.0, "two-sided", 0.0, 1.0), (0.0, "greater", 0.0, 1.0), (0.0, "less", 0.0, 1.0)])
+def test_paired_zero_spread_verdicts(shift, alternative, t_stat, p_value):
+    b = [1.0, 2.0, 4.0, 8.0]
+    res = paired_t_test([x + shift for x in b], b, alternative=alternative)
+    assert (res.t_stat, res.df, res.p_value) == (t_stat, 3, p_value)
+    assert math.copysign(1.0, res.t_stat) == math.copysign(1.0, t_stat)
+    assert type(res.t_stat) is float and type(res.p_value) is float
+    assert res.significant is (p_value == 0.0)
 
 
 def test_paired_known_value():
