@@ -45,7 +45,6 @@ def child_seed(seed: int, *path) -> int:
 
 
 def rng_from(seed: int, *path) -> np.random.Generator:
-    """Generator seeded from `seed` and an optional label path."""
-    if path:
-        return np.random.default_rng(child_sequence(seed, *path))
-    return np.random.default_rng(int(seed))
+    """Generator seeded from `seed` and an optional label path; with no
+    path it draws the words of `np.random.default_rng(seed)`."""
+    return np.random.default_rng(child_sequence(seed, *path))

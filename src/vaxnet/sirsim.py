@@ -139,9 +139,7 @@ def _grid(params: SirParams, interventions: Sequence[Intervention]) -> np.ndarra
     if pts[-1] < params.t_max - 1e-12:
         pts = np.append(pts, params.t_max)
     extra = [iv.time for iv in interventions if 0.0 <= iv.time <= params.t_max]
-    if extra:
-        pts = np.union1d(pts, np.asarray(extra, dtype=np.float64))
-    return pts
+    return np.union1d(pts, np.asarray(extra, dtype=np.float64))
 
 
 class _Run:

@@ -97,10 +97,8 @@ def t_cdf(t: float, df: int) -> float:
     t = float(t)
     if math.isnan(t):
         raise ValueError("t must be a number")
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    if t == 0.0:
-        return 0.5
+    # x is exactly 1.0 at t = 0 and 0.0 where t * t overflows, and the
+    # incomplete beta is exact there: the CDF is 0.5, 0.0 or 1.0
     x = df / (df + t * t)
     tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
     return 1.0 - tail if t > 0 else tail
@@ -111,9 +109,10 @@ def paired_t_test(a, b, alternative: str = "two-sided",
     """Paired t-test on matched samples.
 
     `alternative` is "two-sided", "less" (mean of a - b below zero), or
-    "greater". Degenerate zero-variance differences get p = 0 when the
-    mean difference is nonzero and p = 1 when it is zero, so perfectly
-    deterministic comparisons still produce a usable verdict.
+    "greater". Differences with zero spread get t = 0 and p = 1 when
+    their mean is zero, and otherwise t = +-inf and p = 0 or 1 by the
+    alternative, so perfectly deterministic comparisons still produce a
+    usable verdict.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -128,19 +127,10 @@ def paired_t_test(a, b, alternative: str = "two-sided",
     df = n - 1
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
-    if sd == 0.0:
-        if mean == 0.0:
-            t_stat, p = 0.0, 1.0
-        else:
-            t_stat = math.inf if mean > 0 else -math.inf
-            if alternative == "two-sided":
-                p = 0.0
-            elif alternative == "greater":
-                p = 0.0 if mean > 0 else 1.0
-            else:
-                p = 0.0 if mean < 0 else 1.0
-        return TestResult(t_stat, df, p, p <= alpha, alternative, alpha)
-    t_stat = mean / (sd / math.sqrt(n))
+    if sd == 0.0 and mean == 0.0:
+        return TestResult(0.0, df, 1.0, 1.0 <= alpha, alternative, alpha)
+    # zero spread with a nonzero mean: t is infinite and its tail exactly 0.0
+    t_stat = mean / (sd / math.sqrt(n)) if sd else math.copysign(math.inf, mean)
     # Each alternative from the lower tail at -|t|: 1 - t_cdf(t) for a
     # large t would round a tiny tail to 0.
     tail = t_cdf(-abs(t_stat), df)
