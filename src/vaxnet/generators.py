@@ -85,8 +85,10 @@ def canonical_family(name: str) -> str:
 class GenSpec:
     """Declarative description of one random-graph draw.
 
-    Building one checks the family's parameter rules; each `gen_*` checks
-    its arguments by building a spec, so the rules are stated only here.
+    Building one reads `n`, `m`, `dim` and `seed` as integers and `p` and
+    `radius` as numbers (a bool, 10.5 or "0.3" raises ValueError) and
+    checks the family's parameter rules; each `gen_*` checks its arguments
+    by building a spec, so the rules are stated only here.
     """
     family: str
     n: int
@@ -98,6 +100,10 @@ class GenSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
+        for name, read in (("n", as_integer), ("p", as_number), ("m", as_integer),
+                           ("radius", as_number), ("dim", as_integer), ("seed", as_integer)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, read(getattr(self, name), name, ValueError))
         if self.n < 0:
             raise ValueError("n must be non-negative")
         fam = self.family
@@ -128,7 +134,7 @@ class GenSpec:
                 raise ValueError("default radius is defined for dim=2 only")
 
     def with_seed(self, seed: int) -> "GenSpec":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         out = {"family": self.family, "n": self.n, "seed": self.seed}
@@ -178,7 +184,7 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
     Runtime scales with the number of edges rather than the number of
     candidate pairs, so small p on large n stays cheap.
     """
-    GenSpec("gnp", n, p=p)
+    GenSpec("gnp", n, p=p, seed=seed)
     total = n * (n - 1) // 2
     if total == 0 or p == 0.0:
         return from_arrays(np.empty(0, np.int64), np.empty(0, np.int64), n=n)
@@ -200,7 +206,7 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
 
 def gen_erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p) by one Bernoulli draw per node pair (quadratic reference)."""
-    GenSpec("erdos_renyi", n, p=p)
+    GenSpec("erdos_renyi", n, p=p, seed=seed)
     rng = seeding.rng_from(seed)
     u, v = _pair_from_linear(np.flatnonzero(rng.random(n * (n - 1) // 2) < p), n)
     return from_arrays(u, v, n=n)
@@ -225,7 +231,7 @@ def gen_duplication_divergence(n: int, p: float, seed: int = 0) -> Graph:
     That holds exactly when w < ceil(p * 2**53) * 2**11, the integer
     comparison made here.
     """
-    GenSpec("duplication_divergence", n, p=p)
+    GenSpec("duplication_divergence", n, p=p, seed=seed)
     words = _Words(seeding.rng_from(seed))
     below = (math.ceil(p * 2**53) << 11).__gt__
     adj: list[list[int]] = [[1], [0]]
@@ -260,7 +266,7 @@ def gen_barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     overshoots m, and it consumes exactly what the call consumed. `GenSpec`
     keeps `len(repeated)` below 2**32, where this rule holds.
     """
-    GenSpec("barabasi_albert", n, m=m)
+    GenSpec("barabasi_albert", n, m=m, seed=seed)
     words = _Words(seeding.rng_from(seed))
     us, vs = [], []
     repeated: list[int] = []
@@ -379,7 +385,7 @@ def default_geometric_radius(n: int) -> float:
 def gen_random_geometric(n: int, radius: Optional[float] = None, seed: int = 0,
                          dim: int = 2) -> Graph:
     """Uniform points in the unit cube; edges join pairs within `radius`."""
-    GenSpec("random_geometric", n, radius=radius, dim=dim)
+    GenSpec("random_geometric", n, radius=radius, dim=dim, seed=seed)
     if radius is None:
         radius = default_geometric_radius(max(n, 1))
     rng = seeding.rng_from(seed)

@@ -2,10 +2,13 @@
 
 A graph stores `n` nodes (ids 0..n-1), an `indptr` offset array of length
 n+1, and a flat `indices` array holding each node's sorted neighbor list.
-Every edge appears in both directions. Self loops and parallel edges are
-rejected or collapsed at construction, so any Graph instance satisfies the
-simple-graph invariants by construction. Mutating operations return new
-graphs; the arrays themselves are marked read-only.
+Every edge appears in both directions. `Graph(...)` checks only the shape
+of the arrays and the range of the ids: it trusts them to be a symmetric,
+row-sorted CSR without self loops or repeats (`Graph(3, [0, 1, 1, 1], [0])`
+holds a self loop and has m = 0). `from_arrays` is the checked
+constructor: it drops self loops and collapses parallel edges, so its
+graphs are simple. Mutating operations return new graphs; the arrays
+themselves are marked read-only.
 """
 
 from __future__ import annotations
@@ -287,11 +290,12 @@ def read_edge_list(path) -> Graph:
     """Read the format written by `write_edge_list`.
 
     Lines starting with `#` are comments; a `# nodes N` header fixes the
-    node count so trailing isolated nodes survive a round trip.
+    node count so trailing isolated nodes survive a round trip. A leading
+    UTF-8 byte-order mark is dropped.
     """
     n = n_line = None
     us, vs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             try:

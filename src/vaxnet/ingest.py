@@ -60,7 +60,8 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
     nothing valid remains (the first few per-line complaints are included,
     so a wrong `columns` setting is visible with line numbers).
 
-    Lines end as in text-mode iteration, at `\\n`, `\\r\\n` or `\\r`. A clean
+    The file is read as UTF-8, a leading byte-order mark dropped. Lines
+    end as in text-mode iteration, at `\\n`, `\\r\\n` or `\\r`. A clean
     line holds only ASCII digits, signs and blanks; it has no tokens or
     `columns` of them, each an optional sign and 1 to 18 digits, so `int`
     and `np.fromstring` read it alike and in the int64 range; and it is no
@@ -71,7 +72,7 @@ def parse_contacts(path, columns: int = 3) -> ParseResult:
     """
     if columns not in (2, 3):
         raise ValueError("columns must be 2 or 3")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         data = fh.read().encode()
     kind = np.frombuffer(data.translate(_BYTE_CLASS), np.int8)
     newline = np.flatnonzero(kind == 2)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import yaml
 
-from vaxnet import centrality, experiments, gen_barabasi_albert, sirsim, spectral, vaccination
+from vaxnet import (centrality, experiments, gen_barabasi_albert, gen_gnp, sirsim, spectral,
+                    vaccination)
 from vaxnet.cli import build_parser, main
 from vaxnet.experiments import (ConfigError, ExperimentConfig, InterventionSpec,
                                 config_from_dict, load_config, run_eigendrop_table, run_herd, run_ingest, run_simulate,
@@ -373,6 +374,13 @@ def test_nan_radius_rejected_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "# nothing set\n"], ids=["empty", "comment"])
+def test_empty_config_file_loads_the_defaults(tmp_path, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    assert load_config(path) == ExperimentConfig()
+
+
 def test_defaults_without_file():
     cfg = config_from_dict({})
     assert cfg == ExperimentConfig()
@@ -400,6 +408,18 @@ def test_eigendrop_runner_outputs(tmp_path):
         # removals can only pull the eigenvalue down, and targeting beats
         # chance on these families
         assert lam_topk <= lam_rand <= lam_orig
+
+
+def test_eigendrop_single_replicate_has_no_verdict_and_labels_a_radius(tmp_path):
+    cfg = load_config(write_config(tmp_path, {
+        "replicates": 1, "k": 5, "metrics": ["degree"],
+        "networks": [{"family": "erdos_renyi", "n": 60, "p": 0.2},
+                     {"family": "random_geometric", "n": 60, "radius": 0.3}]}))
+    run_eigendrop_table(cfg, tmp_path / "out")
+    rows = read_csv(tmp_path / "out" / "eigendrop_summary.csv")
+    assert [r["family"] for r in rows] == ["erdos_renyi-n60-p0.2", "random_geometric-n60-r0.3"]
+    assert [(r["t_stat"], r["p_value"], r["significant"]) for r in rows] == [
+        ("nan", "nan", "false")] * 2
 
 
 def test_eigendrop_meta_records_no_network_seed(tmp_path):
@@ -756,6 +776,36 @@ def test_cli_ingest_fixture(tmp_path, capsys):
     assert json.loads(out)["summary"].endswith("contact_summary.csv")
 
 
+def test_cli_ingest_of_a_single_day_has_no_verdict(tmp_path, capsys):
+    out = tmp_path / "one"
+    assert main(["ingest", CONTACT_FILES[0], "--out", str(out)]) == 0, capsys.readouterr().err
+    rows = read_csv(out / "contact_summary.csv")
+    assert [r["days"] for r in rows] == ["1"] * 3
+    assert [(r["t_stat"], r["p_value"], r["significant"]) for r in rows] == [
+        ("nan", "nan", "false")] * 3
+
+
+def test_cli_ingest_writes_each_skipped_line_to_the_warnings_file(tmp_path, capsys):
+    # the file lists the logs in argument order, each log's lines in line order
+    late = tmp_path / "day2.txt"
+    late.write_text("40 1 2\noops\n41 1 3\n42 2\n43 3 4\n")
+    early = tmp_path / "day1.txt"
+    early.write_text("50 5 6\n51 7 7\n52 6 x\n53 5 7\n")
+    out = tmp_path / "dirty"
+    assert main(["ingest", str(late), str(early), "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    assert (out / "ingest_warnings.txt").read_text() == (
+        f"{late}: line 2: expected 3 fields, got 1\n"
+        f"{late}: line 4: expected 3 fields, got 2\n"
+        f"{early}: line 2: self contact 7\n"
+        f"{early}: line 3: non-integer field\n")
+    clean = tmp_path / "clean"
+    assert main(["ingest", *CONTACT_FILES, "--out", str(clean)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in clean.iterdir()) == ["contact_daily.csv",
+                                                       "contact_summary.csv"]
+
+
 def test_cli_error_is_json_on_stderr(tmp_path, capsys):
     rc = main(["table1", "--config", str(tmp_path / "missing.yaml"),
                "--out", str(tmp_path / "x")])
@@ -770,6 +820,20 @@ def test_cli_bad_flag_combination(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "generate needs" in json.loads(captured.err)["message"]
+
+
+def test_cli_generate_from_config_draws_the_first_network_with_its_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"networks": [
+        {"family": "gnp", "n": 40, "p": 0.2, "seed": 7},
+        {"family": "barabasi_albert", "n": 40, "m": 2, "seed": 8}]})
+    for flags, seed in (([], 7), (["--seed", "9"], 9)):
+        out = tmp_path / f"seed{seed}"
+        assert main(["generate", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        meta = json.loads(capsys.readouterr().out)
+        assert meta["spec"] == {"family": "gnp", "n": 40, "p": 0.2, "seed": seed}
+        assert meta["fingerprint"] == gen_gnp(40, 0.2, seed=seed).fingerprint
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"gnp_n40_seed{seed}.edges", f"gnp_n40_seed{seed}.edges.meta.json"]
 
 
 def test_cli_generate_refuses_graph_flags_beside_config(tmp_path, capsys):

@@ -432,6 +432,33 @@ def test_genspec_validation():
         GenSpec("random_geometric", 10, dim=3)  # default radius undefined
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"family": "gnp", "n": True, "p": 0.3}, "n must be an integer, got True"),
+    ({"family": "gnp", "n": 10.5, "p": 0.3}, "n must be an integer, got 10.5"),
+    ({"family": "gnp", "n": 10, "p": True}, "p must be a number, got True"),
+    ({"family": "gnp", "n": 10, "p": "0.3"}, "p must be a number, got '0.3'"),
+    ({"family": "gnp", "n": 10, "p": 0.3, "seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"family": "ba", "n": 10, "m": 2.5}, "m must be an integer, got 2.5"),
+    ({"family": "rgg", "n": 10, "radius": "0.1"}, "radius must be a number, got '0.1'"),
+    ({"family": "rgg", "n": 10, "radius": 0.1, "dim": 2.5}, "dim must be an integer, got 2.5"),
+], ids=["bool-n", "fractional-n", "bool-p", "string-p", "fractional-seed", "fractional-m",
+        "string-radius", "fractional-dim"])
+def test_genspec_refuses_a_setting_of_the_wrong_type(params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GenSpec(**params)
+
+
+def test_genspec_reads_integral_settings_as_ints_and_the_draws_refuse_alike():
+    spec = GenSpec("gnp", 40.0, p=1, seed=np.int64(3))
+    assert (spec.n, spec.p, spec.seed) == (40, 1.0, 3)
+    assert (type(spec.n), type(spec.p), type(spec.seed)) == (int, float, int)
+    assert generate(spec) == gen_gnp(40, 1.0, seed=3)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        gen_gnp(40, 0.3, seed=1.5)
+    with pytest.raises(ValueError, match="^p must be a number, got True$"):
+        gen_erdos_renyi(40, True)
+
+
 @pytest.mark.parametrize("family, params, ignored", [
     ("er", {"p": 0.1, "m": 3}, "m"),
     ("gnp", {"p": 0.1, "radius": 0.2}, "radius"),

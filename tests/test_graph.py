@@ -264,6 +264,15 @@ def test_edge_list_round_trip_keeps_isolated(tmp_path):
     assert back.m == 1
 
 
+def test_read_edge_list_drops_a_byte_order_mark(tmp_path):
+    text = "# nodes 6\n0 1\n1 2\n"
+    plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert read_edge_list(marked) == read_edge_list(plain) == from_edge_list([(0, 1), (1, 2)], n=6)
+
+
 def test_read_edge_list_rejects_bad_line(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("0 1\n2 3 4\n")

@@ -264,6 +264,18 @@ def test_crlf_and_cr_files_number_lines_as_text_mode(tmp_path, newline):
     assert loop_outcome(parse_contacts, path, 3) == loop_outcome(oracles.parse_lines, path, 3)
 
 
+@pytest.mark.parametrize("first", ["40 1 2", "# t a b"], ids=["record", "header"])
+def test_byte_order_mark_leaves_the_plain_records(tmp_path, first):
+    text = f"{first}\n41 1\n42 3 4\n43 5 5\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    want, got = parse_contacts(plain), parse_contacts(marked)
+    assert got.records.tolist() == want.records.tolist()
+    assert got.warnings == want.warnings == ["line 2: expected 3 fields, got 2",
+                                             "line 4: self contact 5"]
+
+
 def test_invalid_utf8_byte_raises(tmp_path):
     path = tmp_path / "c.txt"
     path.write_bytes(b"40 1 2\n41 \xff 3\n42 4 5\n")
@@ -486,10 +498,12 @@ def test_fixture_pooled_by_timestamp(contact_files):
 
 
 def test_fixtures_with_a_header_and_crlf_ends_load_alike(tmp_path, contact_files):
-    copies = []
+    # the first copy also starts with a UTF-8 byte-order mark
+    copies, bom = [], b"\xef\xbb\xbf"
     for src in contact_files:
         copies.append(tmp_path / src.name)
-        copies[-1].write_bytes(b"# t a b\r\n" + src.read_bytes().replace(b"\n", b"\r\n"))
+        copies[-1].write_bytes(bom + b"# t a b\r\n" + src.read_bytes().replace(b"\n", b"\r\n"))
+        bom = b""
     plain, dressed = load_daily_graphs(contact_files), load_daily_graphs(copies)
     assert dressed.days == plain.days and dressed.graphs == plain.graphs
     assert dressed.warnings == plain.warnings == []
