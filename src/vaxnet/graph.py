@@ -1,14 +1,13 @@
-"""Immutable undirected simple graphs in compressed sparse row form.
+"""Immutable undirected graphs in compressed sparse row form.
 
 A graph stores `n` nodes (ids 0..n-1), an `indptr` offset array of length
 n+1, and a flat `indices` array holding each node's sorted neighbor list.
-Every edge appears in both directions. `Graph(...)` checks only the shape
-of the arrays and the range of the ids: it trusts them to be a symmetric,
-row-sorted CSR without self loops or repeats (`Graph(3, [0, 1, 1, 1], [0])`
-holds a self loop and has m = 0). `from_arrays` is the checked
+Every edge appears in both directions. `from_arrays` is the checked
 constructor: it drops self loops and collapses parallel edges, so its
-graphs are simple. Mutating operations return new graphs; the arrays
-themselves are marked read-only.
+graphs are simple. `Graph(...)` checks only array shapes and id ranges and
+trusts a symmetric, sorted, loop-free CSR (`Graph(3, [0, 1, 1, 1], [0])`
+has a self loop and m = 0). Mutating operations return new graphs; the
+arrays themselves are marked read-only.
 """
 
 from __future__ import annotations
