@@ -131,16 +131,11 @@ class Metric(str, Enum):
 class CentralityScores:
     metric: Metric
     values: np.ndarray
-    graph_fingerprint: str
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-def _scores(g: Graph, metric: Metric, values: np.ndarray) -> CentralityScores:
-    return CentralityScores(metric, values, g.fingerprint)
 
 
 # -- degree ---------------------------------------------------------------------
@@ -150,8 +145,8 @@ def degree_centrality(g: Graph, normalized: bool = False) -> CentralityScores:
     vals = g.degrees.astype(np.float64)
     if normalized:
         vals = vals / (g.n - 1) if g.n > 1 else np.zeros(g.n)
-        return _scores(g, Metric.DEGREE_NORMALIZED, vals)
-    return _scores(g, Metric.DEGREE, vals)
+        return CentralityScores(Metric.DEGREE_NORMALIZED, vals)
+    return CentralityScores(Metric.DEGREE, vals)
 
 
 # -- closeness and betweenness -----------------------------------------------------
@@ -529,7 +524,7 @@ def closeness_centrality(g: Graph) -> CentralityScores:
     of small components down so they do not dominate the ranking. Isolated
     nodes score 0.
     """
-    return _scores(g, Metric.CLOSENESS, _path_values(g, True, False)[0])
+    return CentralityScores(Metric.CLOSENESS, _path_values(g, True, False)[0])
 
 
 def betweenness_centrality(g: Graph, normalized: bool = False) -> CentralityScores:
@@ -543,7 +538,7 @@ def betweenness_centrality(g: Graph, normalized: bool = False) -> CentralityScor
     if normalized:
         pairs = (g.n - 1) * (g.n - 2) / 2.0
         bc = bc / pairs if pairs > 0 else np.zeros(g.n)
-    return _scores(g, Metric.BETWEENNESS, bc)
+    return CentralityScores(Metric.BETWEENNESS, bc)
 
 
 # -- eigenvector ------------------------------------------------------------------
@@ -564,7 +559,7 @@ def eigenvector_centrality(g: Graph, tol: float = 1e-10,
     res = lambda_max(g, tol=tol, max_iter=max_iter)
     if not res.converged:
         raise NonConvergenceError(res.iterations, res.residual)
-    return _scores(g, Metric.EIGENVECTOR, res.vector)
+    return CentralityScores(Metric.EIGENVECTOR, res.vector)
 
 
 # -- dispatch and ranking ------------------------------------------------------------
@@ -588,7 +583,7 @@ def compute_many(g: Graph, metrics) -> dict[Metric, CentralityScores]:
                                   Metric.BETWEENNESS in metrics)
             for m, vals in ((Metric.CLOSENESS, cc), (Metric.BETWEENNESS, bc)):
                 if vals is not None:
-                    out[m] = _scores(g, m, vals)
+                    out[m] = CentralityScores(m, vals)
         elif metric is Metric.EIGENVECTOR:
             out[metric] = eigenvector_centrality(g)
         else:

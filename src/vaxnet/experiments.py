@@ -125,6 +125,8 @@ class ExperimentConfig:
     ingest: IngestConfig = IngestConfig()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.replicates < 1:
             raise ConfigError("replicates must be at least 1")
         if self.k < 0:
@@ -318,7 +320,7 @@ def _graph_arms(g: Graph, k: int, rand_seeds: Sequence[int],
     """
     plans = [plan_random(g, k, seed=s) for s in rand_seeds]
     scores = compute_many(g, metrics)
-    plans += [plan_topk(g, metric, k, scores=scores[metric]) for metric in metrics]
+    plans += [plan_topk(scores[metric], k) for metric in metrics]
     reports = eigen_drop(g, plans)
     for plan, report in zip(plans, reports):
         if not report.converged:

@@ -106,9 +106,13 @@ class GenSpec:
                 object.__setattr__(self, name, read(getattr(self, name), name, ValueError))
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         fam = self.family
         ignored = [name for name in ("p", "m", "radius")
                    if getattr(self, name) is not None and name != _PARAMETER[fam]]
+        if self.dim != 2 and fam != "random_geometric":
+            ignored.append("dim")       # dim=2 is the default, so it passes anywhere
         if ignored:
             raise ValueError(f"{fam} takes no {', '.join(ignored)}")
         if fam in ("gnp", "erdos_renyi", "duplication_divergence"):

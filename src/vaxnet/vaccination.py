@@ -59,17 +59,10 @@ class HerdReport:
     nonconverged: int         # solves that hit max_iter, baseline included
 
 
-def plan_topk(g: Graph, metric: Metric, k: int,
-              scores: Optional[CentralityScores] = None) -> VaccinationPlan:
-    """Select the k highest-ranked nodes under `metric` on the intact graph."""
-    if k < 0 or k > g.n:
-        raise ValueError(f"k={k} out of range for {g.n} nodes")
-    if scores is None:
-        scores = compute(g, metric)
-    elif scores.graph_fingerprint != g.fingerprint:
-        raise ValueError("scores were computed on a different graph")
-    victims = top_k(scores, k)
-    return VaccinationPlan(tuple(int(v) for v in victims), f"topk:{metric.value}", metric)
+def plan_topk(scores: CentralityScores, k: int) -> VaccinationPlan:
+    """Select the k highest-ranked nodes of `scores` (see `top_k`)."""
+    metric = scores.metric
+    return VaccinationPlan(tuple(int(v) for v in top_k(scores, k)), f"topk:{metric.value}", metric)
 
 
 def plan_random(g: Graph, k: int, seed: int = 0) -> VaccinationPlan:

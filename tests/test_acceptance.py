@@ -19,7 +19,7 @@ from vaxnet import (GenSpec, Intervention, Metric, SirParams, delete_nodes,
                     generate, herd_equivalent, lambda_max, paired_t_test,
                     peak_and_final, plan_random, plan_topk, replicate_graphs, seeding,
                     simulate, t_cdf)
-from vaxnet.centrality import (betweenness_centrality, closeness_centrality,
+from vaxnet.centrality import (betweenness_centrality, closeness_centrality, compute,
                                degree_centrality, eigenvector_centrality)
 
 import oracles
@@ -48,7 +48,7 @@ def test_criterion_1_er_degree_row():
     for rep in range(reps):
         g = gen_erdos_renyi(1000, 0.4, seed=seeding.child_seed(MASTER, "c1", rep))
         orig.append(lambda_max(g).lambda_max)
-        topk.append(eigen_drop(g, [plan_topk(g, Metric.DEGREE, k)])[0].lambda_after)
+        topk.append(eigen_drop(g, [plan_topk(compute(g, Metric.DEGREE), k)])[0].lambda_after)
         rand.append(eigen_drop(
             g, [plan_random(g, k, seed=seeding.child_seed(MASTER, "c1r", rep))])[0].lambda_after)
     o, t, r = map(lambda v: float(np.mean(v)), (orig, topk, rand))
@@ -81,7 +81,7 @@ def test_criterion_2_all_families_directional():
             rand.append(eigen_drop(g, [plan_random(
                 g, k, seed=seeding.child_seed(MASTER, "c2r", fi, rep))])[0].lambda_after)
             for m in metrics:
-                topk[m].append(eigen_drop(g, [plan_topk(g, m, k)])[0].lambda_after)
+                topk[m].append(eigen_drop(g, [plan_topk(compute(g, m), k)])[0].lambda_after)
         o_mean = float(np.mean(orig))
         r_mean = float(np.mean(rand))
         for m in metrics:

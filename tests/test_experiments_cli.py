@@ -295,6 +295,48 @@ def test_network_with_a_parameter_its_family_ignores_rejected_at_load(tmp_path, 
     assert not out.exists()
 
 
+def test_negative_seed_rejected_at_load(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^seed must be non-negative$"):
+        config_from_dict({"seed": -1})
+    with pytest.raises(ConfigError, match="^<config>: seed must be non-negative$"):
+        config_from_dict({"networks": [{"family": "er", "n": 30, "p": 0.1, "seed": -1}]})
+    cfg = write_config(tmp_path)
+    runs = [[command, "--config", str(cfg)] for command in ("table1", "herd", "simulate", "generate")]
+    for argv in runs + [["ingest", *CONTACT_FILES]]:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": "seed must be non-negative"}
+        assert not out.exists()
+    out = tmp_path / "g.edges"
+    assert main(["generate", "--family", "er", "--n", "10", "--p", "0.3",
+                 "--seed", "-1", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "seed must be non-negative"}
+    assert list(tmp_path.iterdir()) == [cfg]
+    network = write_config(tmp_path, {"networks": [
+        {"family": "er", "n": 30, "p": 0.1, "seed": -1}]})
+    assert main(["table1", "--config", str(network), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": f"{network}: seed must be non-negative"}
+    assert list(tmp_path.iterdir()) == [network]
+
+
+def test_dim_off_the_geometric_family_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="barabasi_albert takes no dim"):
+        config_from_dict({"networks": [{"family": "ba", "n": 30, "m": 2, "dim": 5}]})
+    out = tmp_path / "g.edges"
+    assert main(["generate", "--family", "er", "--n", "10", "--p", "0.3", "--dim", "3",
+                 "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "erdos_renyi takes no dim"}
+    assert list(tmp_path.iterdir()) == []
+    # dim=2 is the default, so it stays accepted on every family
+    assert main(["generate", "--family", "er", "--n", "10", "--p", "0.3", "--dim", "2",
+                 "--out", str(out)]) == 0
+    assert "dim" not in json.loads((tmp_path / "g.edges.meta.json").read_text())["spec"]
+
+
 def test_unknown_intervention_key_rejected():
     iv = {"time": 2, "k": 5, "metric": "betweenness"}
     with pytest.raises(ConfigError, match=re.escape("unknown sir.interventions keys ['metric']")):

@@ -465,11 +465,25 @@ def test_genspec_reads_integral_settings_as_ints_and_the_draws_refuse_alike():
     ("dd", {"p": 0.4, "m": 2, "radius": 0.2}, "m, radius"),
     ("ba", {"m": 3, "p": 0.1}, "p"),
     ("rgg", {"radius": 0.2, "p": 0.1, "m": 3}, "p, m"),
+    ("gnp", {"p": 0.1, "dim": 3}, "dim"),
+    ("ba", {"m": 3, "dim": 5}, "dim"),
+    ("er", {"p": 0.1, "m": 3, "dim": 1}, "m, dim"),
 ])
 def test_genspec_refuses_a_parameter_its_family_ignores(family, params, ignored):
-    # The parameter would be dropped by the draw but kept in the label.
+    # The draw would drop the parameter silently, while p, m and radius
+    # would still show in the label. dim=2 is the default, so it passes.
     with pytest.raises(ValueError, match=f"^{canonical_family(family)} takes no {ignored}$"):
         GenSpec(family, 30, **params)
+
+
+def test_genspec_and_the_draws_refuse_a_negative_seed():
+    for build in (lambda: GenSpec("gnp", 10, p=0.3, seed=-1),
+                  lambda: GenSpec("ba", 10, m=2).with_seed(-5),
+                  lambda: gen_barabasi_albert(10, 2, seed=-1),
+                  lambda: gen_random_geometric(10, 0.3, seed=-1)):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            build()
+    assert GenSpec("gnp", 10, p=0.3, seed=0).seed == 0
 
 
 @pytest.mark.parametrize("radius", [-0.1, float("nan")])

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from vaxnet import (Metric, VaccinationPlan, delete_nodes, eigen_drop, from_edge_list,
-                    gen_barabasi_albert, gen_duplication_divergence, gen_erdos_renyi,
-                    gen_random_geometric, herd_equivalent, lambda_max, plan_random,
-                    plan_topk, seeding, vaccination)
-from vaxnet.centrality import degree_centrality
+from vaxnet import (Intervention, Metric, SirParams, VaccinationPlan, delete_nodes,
+                    eigen_drop, ensemble, experiments, from_edge_list, gen_barabasi_albert,
+                    gen_duplication_divergence, gen_erdos_renyi, gen_random_geometric,
+                    herd_equivalent, lambda_max, load_daily_graphs, plan_random, plan_topk,
+                    seeding, vaccination)
+from vaxnet.centrality import compute, compute_many, degree_centrality
 
 import oracles
 
@@ -22,37 +23,46 @@ def complete_graph(n):
 
 
 def test_topk_degree_picks_hub(star5):
-    plan = plan_topk(star5, Metric.DEGREE, 1)
+    plan = plan_topk(compute(star5, Metric.DEGREE), 1)
     assert plan.victims == (0,)
     assert plan.strategy == "topk:degree"
     assert plan.k == 1
 
 
 def test_topk_betweenness_picks_interior(path4):
-    plan = plan_topk(path4, Metric.BETWEENNESS, 2)
+    plan = plan_topk(compute(path4, Metric.BETWEENNESS), 2)
     assert sorted(plan.victims) == [1, 2]
 
 
 def test_topk_zero_and_full(k4):
-    assert plan_topk(k4, Metric.DEGREE, 0).victims == ()
-    assert sorted(plan_topk(k4, Metric.DEGREE, 4).victims) == [0, 1, 2, 3]
+    assert plan_topk(compute(k4, Metric.DEGREE), 0).victims == ()
+    assert sorted(plan_topk(compute(k4, Metric.DEGREE), 4).victims) == [0, 1, 2, 3]
 
 
 def test_topk_accepts_precomputed_scores(star5):
-    scores = degree_centrality(star5)
-    plan = plan_topk(star5, Metric.DEGREE, 2, scores=scores)
+    plan = plan_topk(degree_centrality(star5), 2)
     assert plan.victims[0] == 0
+    assert plan.strategy == "topk:degree" and plan.metric is Metric.DEGREE
 
 
-def test_topk_rejects_foreign_scores(star5, k4):
-    scores = degree_centrality(k4)
-    with pytest.raises(ValueError):
-        plan_topk(star5, Metric.DEGREE, 1, scores=scores)
+def test_scoring_and_planning_never_hash_a_graph(contact_files):
+    # A top-k plan is built from scores alone, so nothing on the scoring,
+    # planning, herd or SIR paths needs a graph's fingerprint.
+    day = load_daily_graphs(contact_files[:1]).graphs[0]
+    metrics = list(Metric)
+    for g in (gen_barabasi_albert(300, 3, seed=5), day):
+        assert set(compute_many(g, metrics)) == set(metrics)
+        experiments._graph_arms(g, 10, [1, 2], metrics)
+        herd_equivalent([g], [Metric.DEGREE, Metric.EIGENVECTOR], n_h_fraction=0.5, seed=3)
+        arms = [[Intervention(1.0, "topk", 10, Metric.BETWEENNESS)],
+                [Intervention(1.0, "random", 10)]]
+        ensemble([g, g], SirParams(t_max=4.0, grid_dt=1.0), arms, seed=7)
+        assert g._fingerprint is None
 
 
 def test_plan_k_validation(k4):
-    with pytest.raises(ValueError):
-        plan_topk(k4, Metric.DEGREE, 5)
+    with pytest.raises(ValueError, match="^k=5 out of range for 4 nodes$"):
+        plan_topk(compute(k4, Metric.DEGREE), 5)
     with pytest.raises(ValueError):
         plan_random(k4, -1)
 
@@ -95,7 +105,7 @@ def test_eigen_drop_empty_plan(k4):
 
 
 def test_eigen_drop_star_hub(star5):
-    rep = eigen_drop(star5, [plan_topk(star5, Metric.DEGREE, 1)])[0]
+    rep = eigen_drop(star5, [plan_topk(compute(star5, Metric.DEGREE), 1)])[0]
     assert rep.lambda_before == pytest.approx(2.0, abs=1e-8)
     assert rep.lambda_after == pytest.approx(0.0, abs=1e-10)
     assert rep.drop_pct == pytest.approx(100.0, abs=1e-6)
@@ -116,7 +126,7 @@ def test_eigen_drop_never_negative():
 def test_eigen_drop_targeted_beats_random_on_hubs():
     g = gen_barabasi_albert(300, 4, seed=7)
     k = 30
-    topk = eigen_drop(g, [plan_topk(g, Metric.DEGREE, k)])[0]
+    topk = eigen_drop(g, [plan_topk(compute(g, Metric.DEGREE), k)])[0]
     rand_after = np.mean([
         eigen_drop(g, [plan_random(g, k, seed=s)])[0].lambda_after for s in range(10)])
     assert topk.lambda_after < rand_after
@@ -124,7 +134,7 @@ def test_eigen_drop_targeted_beats_random_on_hubs():
 
 def test_eigen_drop_solves_the_intact_graph_once(monkeypatch):
     g = gen_barabasi_albert(200, 3, seed=5)
-    plans = ([plan_topk(g, Metric.DEGREE, 10), VaccinationPlan((), "random")]
+    plans = ([plan_topk(compute(g, Metric.DEGREE), 10), VaccinationPlan((), "random")]
              + [plan_random(g, 10, seed=s) for s in range(3)])
     solved = []
 
@@ -145,10 +155,10 @@ def test_eigen_drop_solves_the_intact_graph_once(monkeypatch):
 
 def test_eigen_drop_solves_each_victim_set_once(monkeypatch):
     g = gen_barabasi_albert(200, 3, seed=6)
-    top = plan_topk(g, Metric.DEGREE, 10)
+    top = plan_topk(compute(g, Metric.DEGREE), 10)
     plans = [top, plan_random(g, 10, seed=1),
              VaccinationPlan(tuple(reversed(top.victims)), "random"),
-             plan_topk(g, Metric.DEGREE, 10), VaccinationPlan((), "random"),
+             plan_topk(compute(g, Metric.DEGREE), 10), VaccinationPlan((), "random"),
              VaccinationPlan((3, 1, 2), "random"), VaccinationPlan((2, 3, 1), "random")]
     solved = []
 
