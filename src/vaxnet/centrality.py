@@ -41,18 +41,21 @@ Distances run in the smallest signed integer type that holds n - 1
 (int16 from 129 to 32768 nodes). Both passes apply a level's mask by
 multiplying by it: every entry is finite and >= +0.0, so this gives the
 same bits as writing zeros outside the mask. The backward pass holds the
-peak: three float64 n x b arrays (dependencies, and a level's
-coefficients and their product), the path counts (float32, or float64
-in a block whose counts came near 2^24), the distances and one reused
-one-byte mask, plus the dense A when there is one, which only a single
-block of 512 <= n = b <= 2048 uses: about 4.9 `_BLOCK_ENTRIES` float64s,
-156 MiB, at most (5.4, 172 MiB, with float64 counts). The forward pass
-holds the distances, the path counts, a frontier pair in their dtype and
-a one-byte mask, with A built in that dtype; A is rebuilt in the other
-dtype, never held in both, and a switch to float64 frees the float32
-frontier pair before it allocates the float64 one. It starts from the
-level-1 pairs as flat positions (at most 2m int64s), held only until the
-first dense step builds the frontier pair.
+peak: two float64 n x b arrays (dependencies and a level's
+coefficients), the path counts (float32, or float64 in a block whose
+counts came near 2^24), the distances and one reused one-byte mask, and
+it forms each level's product a block of rows at a time. A gather
+component takes blocks of `_GATHER_ROWS` rows in one small buffer, for
+about 2.9 `_BLOCK_ENTRIES` float64s, 94 MiB, at most (3.4, 110 MiB, with
+float64 counts). A product component, a single block of 512 <= n = b <=
+2048, takes one block of all n rows, a third float64 n x b array, beside
+its dense A: about 4.9 `_BLOCK_ENTRIES` float64s, 156 MiB (5.4, 172 MiB).
+The forward pass holds the distances, the path counts, a frontier pair
+in their dtype and a one-byte mask, with A built in that dtype; A is
+rebuilt in the other dtype, never held in both, and a switch to float64
+frees the float32 frontier pair before it allocates the float64 one. It
+starts from the level-1 pairs as flat positions (at most 2m int64s),
+held only until the first dense step builds the frontier pair.
 Eigenvector scores are the dominant eigenvector from
 `spectral.lambda_max`.
 """
@@ -71,6 +74,13 @@ from .spectral import lambda_max
 # The path sweep holds its n x b arrays to this many entries, and builds a
 # dense adjacency only if it fits too.
 _BLOCK_ENTRIES = 2048 * 2048
+# The backward pass of a gathered sweep forms a level's product this many
+# rows at a time in one reused buffer (see `_backward`). Blocks of 16 to
+# 256 rows stepped in the same time, within noise, on the contact days
+# and on 2048-node gather graphs at b = 2048 sources, where one block of
+# all n rows was up to 30% slower; 128 rows of 2048 float64s fill 2 MiB,
+# one core's L2 on the 2-vCPU Xeon host those timings come from.
+_GATHER_ROWS = 128
 # The path sweep steps by row gathers on graphs with 2m below this share
 # of n^2, and by dense matrix products above it.
 _GATHER_DENSITY = 0.01
@@ -197,8 +207,9 @@ def _gathers(g: Graph) -> bool:
 
 
 def _step(g: Graph):
-    """The product `out = A @ X` for node-major X of n rows, as a function
-    of (X, out), in X's dtype.
+    """Rows start to start + len(out) of the product A @ X for node-major
+    X of n rows, written to `out`, as a function of (X, out, start=0), in
+    X's dtype.
 
     Graphs of fewer than `_PRODUCT_MIN_NODES` = 512 nodes, sparse graphs
     (2m below `_GATHER_DENSITY` n^2), and graphs whose dense A would not
@@ -218,18 +229,18 @@ def _step(g: Graph):
     if _gathers(g):
         neighbors = np.split(g.indices, g.indptr[1:-1])
 
-        def gather(X, out):
-            for nbrs, row in zip(neighbors, out):
+        def gather(X, out, start=0):
+            for nbrs, row in zip(neighbors[start:start + len(out)], out):
                 X.take(nbrs, axis=0).sum(axis=0, out=row)
         return gather
     A = None
 
-    def product(X, out):
+    def product(X, out, start=0):
         nonlocal A
         if A is None or A.dtype != X.dtype:
             A = None            # free the old copy before building the new
             A = g.to_dense(X.dtype)
-        np.matmul(A, X, out=out)
+        np.matmul(A[start:start + len(out)], X, out=out)
     return product
 
 
@@ -409,12 +420,18 @@ def _backward(g: Graph, step, dist: np.ndarray, sigma: np.ndarray,
 
     A dense level applies its masks by multiplication in place: the
     coefficients (1 + delta) / sigma are kept at the level's nodes by
-    `coef *= on`, and the back-propagated T at the level below by
-    `T *= on` before `delta += T`. Every entry is finite and >= +0.0
-    (sigma >= 1), so x * 1 = x, x * 0 = +0.0 and d + 0.0 = d: the same
-    bits as copying 0.0 outside the mask and adding only inside it. `on`
-    is one reused mask; every level leaves it at the level below, the
-    next level's own.
+    `coef *= on`. Then `on` moves to the level below, and the product
+    A @ coef is formed one block of rows at a time, each block scaled by
+    sigma, masked by `on` and added into delta at its rows while it is
+    still in cache. A gather graph takes blocks of `_GATHER_ROWS` rows in
+    one reused buffer; a product graph takes one block of all n rows, a
+    single matrix product. coef is complete before any row of delta
+    changes, and every entry gets the same row sum and the same three
+    elementwise operations as from a whole n x b product, so the block
+    size changes no bit. Every entry is finite and >= +0.0 (sigma >= 1),
+    so x * 1 = x, x * 0 = +0.0 and d + 0.0 = d: the same bits as copying
+    0.0 outside the mask and adding only inside it. `on` is one reused
+    mask; every level leaves it at the level below, the next level's own.
 
     On a gather graph with b >= 2 sources a level is sparse when `_side`
     finds it cheaper. It pushes each level-lvl pair's coefficient to its
@@ -429,20 +446,24 @@ def _backward(g: Graph, step, dist: np.ndarray, sigma: np.ndarray,
     level is dense; so is every level of a product graph, whose sums
     follow BLAS.
 
-    delta, the coefficients and their product are float64 whatever
+    delta, the coefficients and the product blocks are float64 whatever
     sigma's dtype: a float32 sigma holds exact integers, which convert to
-    float64 exactly, so `(delta + 1) / sigma` and `T * sigma` keep their
-    bits. n x b arrays held during a step: dist, sigma, those three and
-    the one-byte mask, 3.875 float64s a pair with a float32 sigma and
-    int16 dist.
+    float64 exactly, so `(delta + 1) / sigma` and the block times sigma
+    keep their bits. n x b arrays held during a step: dist, sigma, delta,
+    the coefficients and the one-byte mask, 2.875 float64s a pair with a
+    float32 sigma and int16 dist, plus the block buffer: `_GATHER_ROWS`
+    x b float64s on a gather graph, and on a product graph a whole n x b
+    array, 3.875 in all.
     """
-    b = dist.shape[1]
+    n, b = dist.shape
     delta = np.zeros(dist.shape)
     coef = np.empty(dist.shape)
-    T = np.empty(dist.shape)
+    gathers = _gathers(g)
+    rows = _GATHER_ROWS if gathers else n
+    T = np.empty((min(rows, n), b))
     depth = sizes.size - 1
     on = np.equal(dist, depth)
-    sparse = b >= 2 and _gathers(g)
+    sparse = b >= 2 and gathers
     # Level 1 would only feed each source's own delta, which does not count.
     for lvl in range(depth, 1, -1):
         side = _side(g, sizes[lvl], sizes[lvl - 1], b) if sparse else None
@@ -450,11 +471,14 @@ def _backward(g: Graph, step, dist: np.ndarray, sigma: np.ndarray,
             np.add(delta, 1.0, out=coef)
             coef /= sigma
             coef *= on
-            step(coef, T)
-            T *= sigma
             np.equal(dist, lvl - 1, out=on)
-            T *= on
-            delta += T
+            for lo in range(0, n, rows):
+                block = T[:min(rows, n - lo)]
+                hi = lo + len(block)
+                step(coef, block, lo)
+                block *= sigma[lo:hi]
+                block *= on[lo:hi]
+                delta[lo:hi] += block
         elif side == "push":
             level = np.flatnonzero(on)
             coefs = (delta.ravel()[level] + 1.0) / sigma.ravel()[level]

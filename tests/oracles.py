@@ -4,7 +4,8 @@ Everything here recomputes results by a different route than the library:
 eigenvalues via cyclic Jacobi rotations on the dense matrix, betweenness by
 explicitly enumerating every geodesic, closeness from a hand-rolled BFS
 table, the dense all-sources sweep with boolean-mask gathers and scatters,
-the sweep's backward pass with `where=`-masked copies and adds, the t
+the sweep's backward pass with `where=`-masked copies and adds and with
+each level's product held whole, the t
 distribution by numerical quadrature of its density, SIR runs
 by an event loop that queues every transmission, SIR final sizes by
 enumerating bond-percolation outcomes, the herd search by plain
@@ -231,6 +232,49 @@ def masked_backward(step, dist: np.ndarray, sigma: np.ndarray, depth: int) -> np
         step(coef, T)
         T *= sigma
         np.add(delta, T, out=delta, where=dist == lvl - 1)
+    return delta.sum(axis=1)
+
+
+def whole_array_backward(g, step, dist: np.ndarray, sigma: np.ndarray,
+                         sizes: np.ndarray) -> np.ndarray:
+    """`centrality._backward` with each dense level's product held as one
+    whole n x b array T, scaled, masked and added into delta once the step
+    ends, as the sweep did before it formed products a block of rows at a
+    time. Sparse levels take the library's own push and pull, so only the
+    dense levels are checked."""
+    from vaxnet import centrality
+
+    b = dist.shape[1]
+    delta = np.zeros(dist.shape)
+    coef = np.empty(dist.shape)
+    T = np.empty(dist.shape)
+    depth = sizes.size - 1
+    on = np.equal(dist, depth)
+    sparse = b >= 2 and centrality._gathers(g)
+    for lvl in range(depth, 1, -1):
+        side = centrality._side(g, sizes[lvl], sizes[lvl - 1], b) if sparse else None
+        if side is None:
+            np.add(delta, 1.0, out=coef)
+            coef /= sigma
+            coef *= on
+            step(coef, T)
+            T *= sigma
+            np.equal(dist, lvl - 1, out=on)
+            T *= on
+            delta += T
+        elif side == "push":
+            level = np.flatnonzero(on)
+            coefs = (delta.ravel()[level] + 1.0) / sigma.ravel()[level]
+            np.equal(dist, lvl - 1, out=on)
+            below = centrality._push(g, level, coefs, b, on.ravel(), delta.ravel())
+            delta.ravel()[below] *= sigma.ravel()[below]
+        else:
+            np.equal(dist, lvl - 1, out=on)
+            below = np.flatnonzero(on)
+            sums = centrality._pull(g, below, b, lambda q: ((delta.ravel()[q] + 1.0)
+                                                            / sigma.ravel()[q]
+                                                            * (dist.ravel()[q] == lvl)))
+            delta.ravel()[below] = sums * sigma.ravel()[below]
     return delta.sum(axis=1)
 
 

@@ -769,6 +769,54 @@ def test_small_dense_components_gather_within_the_product_tolerance(monkeypatch,
         assert ranking(gathered[m]).tolist() == ranking(multiplied[m]).tolist(), m
 
 
+@pytest.mark.parametrize("kernel_name, cost", [
+    ("gather", 16), ("gather", float("inf")), ("product", 16)],
+    ids=["gather", "gather-dense-levels", "product"])
+def test_row_blocks_are_bit_equal_to_the_whole_array_backward(
+        monkeypatch, contact_files, kernel_name, cost):
+    # Each block of sources runs forward once, then backward whole and in
+    # blocks of one row, of 7 rows (no swept n here is a multiple of 7),
+    # of n - 1, n and n + 5 rows. At the default cost the bundled days and
+    # the contact mix step push, pull and dense levels; the chain's
+    # first-layer sources carry float64 path counts; the mix is also swept
+    # in blocks of 64 sources. A product graph takes one block of n rows
+    # whatever `_GATHER_ROWS` says.
+    force_kernel(monkeypatch, kernel_name == "gather")
+    monkeypatch.setattr(centrality, "_SPARSE_COST", cost)
+    sides, dtypes, widths = collections.Counter(), set(), set()
+
+    def recording(*args, _inner=centrality._side):
+        side = _inner(*args)
+        sides[side] += 1
+        return side
+    monkeypatch.setattr(centrality, "_side", recording)
+    cases = [(g, centrality._BLOCK_ENTRIES) for g in load_daily_graphs(contact_files).graphs]
+    cases += [(layered_chain(), centrality._BLOCK_ENTRIES),
+              (contact_mixing_graph(), centrality._BLOCK_ENTRIES)]
+    if kernel_name == "gather":
+        cases.append((contact_mixing_graph(), 300 * 64))
+    for g, budget in cases:
+        monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", budget)
+        for _, sub in components(g):
+            n, width, step = sub.n, block_width(sub.n), centrality._step(sub)
+            assert kernel(sub) == kernel_name and n % 7, n
+            widths.add((n, width))
+            for s0 in range(0, n, width):
+                dist, sigma, sizes = centrality._forward(sub, step, s0, min(s0 + width, n))
+                dtypes.add(sigma.dtype.type)
+                want = oracles.whole_array_backward(sub, step, dist, sigma, sizes)
+                for rows in (1, 7, n - 1, n, n + 5):
+                    monkeypatch.setattr(centrality, "_GATHER_ROWS", rows)
+                    got = centrality._backward(sub, step, dist, sigma, sizes)
+                    assert got.tobytes() == want.tobytes(), (n, s0, rows)
+    assert dtypes == {np.float32, np.float64}
+    if kernel_name == "gather":
+        assert (300, 64) in widths
+        assert set(sides) == ({None, "push", "pull"} if cost == 16 else {None}), sides
+    else:
+        assert not sides
+
+
 def sweep_peak(g, betweenness: bool = True) -> int:
     tracemalloc.start()
     try:
@@ -779,18 +827,21 @@ def sweep_peak(g, betweenness: bool = True) -> int:
 
 
 @pytest.mark.parametrize("g, regime, bound", [
-    (gen_barabasi_albert(600, 3, seed=8), "gather", 4.3),
+    (gen_barabasi_albert(600, 3, seed=8), "gather", 3.4),
     (gen_erdos_renyi(600, 0.05, seed=8), "product", 5.1)], ids=["gather", "product"])
 def test_sweep_peak_memory(g, regime, bound):
-    # One block of all n sources. The backward pass holds the peak: three
-    # float64 n x n arrays (delta, the coefficients and their product), the
-    # float32 sigma, the int16 dist and one reused one-byte level mask,
-    # 3.875 n^2 float64s, plus the float64 dense adjacency for the product:
-    # 4.875 (4.95 measured). The gather kernel builds no adjacency (4.12
-    # measured; its row gathers add up to max-degree x n floats). The
-    # forward pass holds less: dist, sigma, a float32 frontier pair and a
-    # one-byte mask, plus the adjacency in float32. Holding a float32 and a
-    # float64 adjacency at once reads 5.45.
+    # One block of all n sources. The backward pass holds the peak: two
+    # float64 n x n arrays (delta and the coefficients), the float32 sigma,
+    # the int16 dist and one reused one-byte level mask, 2.875 n^2
+    # float64s, plus the level's product. The product kernel forms it whole,
+    # a third float64 n x n array, beside its float64 dense adjacency:
+    # 4.875 (4.95 measured). The gather kernel builds no adjacency and
+    # forms the product in blocks of `_GATHER_ROWS` = 128 rows, 0.21 n^2
+    # (3.34 measured; its row gathers add up to max-degree x n floats, and
+    # the neighbor lists one small array object a node). Holding the whole
+    # product reads 4.12. The forward pass holds less: dist, sigma, a
+    # float32 frontier pair and a one-byte mask, plus the adjacency in
+    # float32. Holding a float32 and a float64 adjacency at once reads 5.45.
     assert kernel(g) == regime
     assert sweep_peak(g) / (g.n * g.n * 8) < bound
 
@@ -799,10 +850,11 @@ def test_sweep_peak_memory_scales_with_the_block(monkeypatch):
     g = gen_barabasi_albert(600, 3, seed=8)
     monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", g.n * 64)
     assert kernel(g) == "gather"
-    # 3.875 n x b float64s at the backward peak, the level mask included,
-    # and no n x n array; the neighbor lists, CSR copies and a step's row
-    # gathers add about 0.6 n x b at this size (4.51 measured).
-    assert sweep_peak(g) / (g.n * 64 * 8) < 4.7
+    # 2.875 n x b float64s at the backward peak, the level mask included,
+    # and a block of 128 of the n = 600 rows, 0.21; no n x n array. The
+    # neighbor lists, CSR copies and a step's row gathers add about 0.6
+    # n x b at this size (3.72 measured; 4.51 with the whole product).
+    assert sweep_peak(g) / (g.n * 64 * 8) < 3.9
 
 
 def test_forward_peak_memory_across_blocks(monkeypatch):
